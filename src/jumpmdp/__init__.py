@@ -7,10 +7,8 @@ verify the Gaussian-regime and exponential-decay predictions at desk scale.
 """
 
 from .mark_space import (
-    MarkFunction,
     MarkMeasure,
     exp_square_integral,
-    inner_l2,
     integrate,
     load_measure,
     save_measure,
@@ -30,10 +28,8 @@ from .prm import (
 from .jump_sde import (
     ModelSpec,
     PathGrid,
-    ScalingSchedule,
     centered_fluctuation,
     fluid_limit,
-    simulate_controlled_path,
     simulate_jump_path,
 )
 from .mdp_limit import (

@@ -4,7 +4,8 @@ Subcommands: simulate, fluid, clt-check, mdp-slope, rate, lemma-check,
 var-rep, pollutant.  A single JSON config file drives every run (see the
 README for the key set); --seed, --out and --workers override it.  Any failed
 numeric check exits with a nonzero status and names the config hash, the
-seed, and the first offending row.
+seed, and the first offending row; an invalid config, model or input (an
+unknown key, say) exits nonzero with the package's error message.
 """
 
 from __future__ import annotations
@@ -27,11 +28,16 @@ from .experiments import (
     verify_entropy_tail_bounds,
     verify_var_rep,
 )
-from .jump_sde import fluid_limit
+from .jump_sde import ModelError, fluid_limit
+from .mark_space import MarkSpaceError
 from .mdp_limit import build_linearization
 from .models import build_model
-from .rate import controllability_gramian, rate_to_point, sphere_minimum
+from .prm import ControlError
+from .rate import InadmissiblePathError, controllability_gramian, rate_to_point, sphere_minimum
 from . import spde_pollutant as spp
+
+# invalid configs, models and inputs: reported like failed checks, no traceback
+INPUT_ERRORS = (ModelError, MarkSpaceError, ControlError, InadmissiblePathError, spp.PollutantError)
 
 DEFAULT_POLLUTANT = {
     "d_space": 1,
@@ -278,10 +284,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None)
     parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args(argv)
-    cfg = _load_config(args)
     try:
-        COMMANDS[args.command](cfg)
-    except (CheckFailure, AssertionError) as exc:
+        COMMANDS[args.command](_load_config(args))
+    except (CheckFailure, AssertionError, *INPUT_ERRORS) as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1
     return 0

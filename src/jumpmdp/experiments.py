@@ -13,7 +13,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -120,6 +121,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        valid = [f.name for f in fields(cls)]
+        unknown = sorted(set(data) - set(valid))
+        if unknown:
+            raise ModelError(f"unknown config keys {unknown}; valid keys: {valid}")
         return cls(**data)
 
     @classmethod
@@ -186,56 +191,41 @@ def write_summary_csv(rows, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo engine (rebuilt inside each worker process)
+# Monte Carlo engine: one per process, one engine or pool per run
 # ---------------------------------------------------------------------------
 
 
 class _Engine:
-    """Per-process state for Monte Carlo batches."""
+    """Per-process state for Monte Carlo batches.
 
-    def __init__(self, cfg: ExperimentConfig):
+    Given the optimal control psi*, the engine also holds the fluid terminal
+    on the simulation grid and the two antipodal truncated tilts per eps that
+    importance sampling needs.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, psi_star: np.ndarray | None = None):
         self.cfg = cfg
         self.model = build_model(cfg.model, cfg.model_params)
-        self.fluid_sim, _ = fluid_limit(self.model, cfg.n_cells)
-        self._tilts: dict[int, tuple[ControlField, ControlField]] = {}
-        self._psi_star: np.ndarray | None = None
+        self.tilts: list[tuple[ControlField, ControlField]] = []
+        if psi_star is not None:
+            self.fluid_end = fluid_limit(self.model, cfg.n_cells)[0].terminal()
+            for eps in cfg.eps_grid:
+                a = cfg.a_eps(eps)
+                self.tilts.append((
+                    truncated_tilt(psi_star, self.model.horizon, a, cfg.beta),
+                    truncated_tilt(-psi_star, self.model.horizon, a, cfg.beta),
+                ))
 
-    def psi_star(self) -> np.ndarray:
-        """Optimal mark-space control for the sphere event, on the sim grid."""
-        if self._psi_star is None:
-            fine, _ = fluid_limit(self.model, self.cfg.n_cells_analysis)
-            sys_fine = build_linearization(self.model, fine)
-            _, zstar = sphere_minimum(controllability_gramian(sys_fine), self.cfg.threshold)
-            sys_sim = build_linearization(self.model, self.fluid_sim)
-            self._psi_star = rate_to_point(sys_sim, zstar).psi
-        return self._psi_star
-
-    def tilts(self, eps_idx: int) -> tuple[ControlField, ControlField]:
-        if eps_idx not in self._tilts:
-            eps = self.cfg.eps_grid[eps_idx]
-            a = self.cfg.a_eps(eps)
-            psi = self.psi_star()
-            self._tilts[eps_idx] = (
-                truncated_tilt(psi, self.model.horizon, a, self.cfg.beta),
-                truncated_tilt(-psi, self.model.horizon, a, self.cfg.beta),
-            )
-        return self._tilts[eps_idx]
-
-    def _terminal_y(self, epsilon: float, a: float, events) -> np.ndarray:
-        path = simulate_jump_path(self.model, epsilon, events, self.cfg.n_cells)
-        return (path.terminal() - self.fluid_sim.terminal()) / a
-
-    def plain_batch(self, eps_idx: int, lo: int, hi: int) -> np.ndarray:
-        eps = self.cfg.eps_grid[eps_idx]
-        a = self.cfg.a_eps(eps)
-        theta = 1.0 / eps
+    def terminal_batch(self, slot: int, eps_idx: int, epsilon: float, lo: int, hi: int) -> np.ndarray:
+        """X(T) for replications lo..hi-1 on streams (seed, slot, eps_idx, r)."""
+        theta = 1.0 / epsilon
         out = np.empty((hi - lo, self.model.dim))
         for r in range(lo, hi):
             events = sample_poisson_measure(
                 self.model.measure, theta, self.model.horizon,
-                substream(self.cfg.seed, SLOT_PLAIN, eps_idx, r),
+                substream(self.cfg.seed, slot, eps_idx, r),
             )
-            out[r - lo] = self._terminal_y(eps, a, events)
+            out[r - lo] = simulate_jump_path(self.model, epsilon, events, self.cfg.n_cells).terminal()
         return out
 
     def is_batch(self, eps_idx: int, lo: int, hi: int) -> np.ndarray:
@@ -243,7 +233,7 @@ class _Engine:
         eps = self.cfg.eps_grid[eps_idx]
         a = self.cfg.a_eps(eps)
         theta = 1.0 / eps
-        ctrl_plus, ctrl_minus = self.tilts(eps_idx)
+        ctrl_plus, ctrl_minus = self.tilts[eps_idx]
         c = self.cfg.threshold
         meas = self.model.measure
         out = np.empty(hi - lo)
@@ -252,8 +242,8 @@ class _Engine:
             events = sample_controlled_measure(
                 meas, theta, ctrl, substream(self.cfg.seed, SLOT_IS, eps_idx, r)
             )
-            y = self._terminal_y(eps, a, events)
-            if float(np.linalg.norm(y)) < c:
+            path = simulate_jump_path(self.model, eps, events, self.cfg.n_cells)
+            if float(np.linalg.norm((path.terminal() - self.fluid_end) / a)) < c:
                 out[r - lo] = 0.0
                 continue
             lr_p = log_likelihood_ratio(events, ctrl_plus, meas, theta)
@@ -262,42 +252,13 @@ class _Engine:
             out[r - lo] = math.exp(-log_mix)
         return out
 
-    def clt_batch(self, lo: int, hi: int) -> np.ndarray:
-        eps = self.cfg.clt_epsilon
-        a = math.sqrt(eps)  # fluctuation scale
-        theta = 1.0 / eps
-        out = np.empty((hi - lo, self.model.dim))
-        for r in range(lo, hi):
-            events = sample_poisson_measure(
-                self.model.measure, theta, self.model.horizon,
-                substream(self.cfg.seed, SLOT_CLT, 0, r),
-            )
-            out[r - lo] = self._terminal_y(eps, a, events)
-        return out
-
-    def sim_batch(self, eps_idx: int, lo: int, hi: int) -> np.ndarray:
-        eps = self.cfg.eps_grid[eps_idx]
-        a = self.cfg.a_eps(eps)
-        theta = 1.0 / eps
-        out = np.empty((hi - lo, 2 * self.model.dim))
-        for r in range(lo, hi):
-            events = sample_poisson_measure(
-                self.model.measure, theta, self.model.horizon,
-                substream(self.cfg.seed, SLOT_SIM, eps_idx, r),
-            )
-            path = simulate_jump_path(self.model, eps, events, self.cfg.n_cells)
-            xt = path.terminal()
-            out[r - lo, : self.model.dim] = xt
-            out[r - lo, self.model.dim:] = (xt - self.fluid_sim.terminal()) / a
-        return out
-
 
 _WORKER_ENGINE: _Engine | None = None
 
 
-def _worker_init(cfg_json: str) -> None:
+def _worker_init(cfg: ExperimentConfig, psi_star: np.ndarray | None) -> None:
     global _WORKER_ENGINE
-    _WORKER_ENGINE = _Engine(ExperimentConfig.from_dict(json.loads(cfg_json)))
+    _WORKER_ENGINE = _Engine(cfg, psi_star)
 
 
 def _worker_call(task):
@@ -310,22 +271,28 @@ def _chunks(n: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-def _run_batches(cfg: ExperimentConfig, method: str, arg_sets) -> list[np.ndarray]:
-    tasks = [(method, args) for args in arg_sets]
+@contextmanager
+def _monte_carlo(cfg: ExperimentConfig, psi_star: np.ndarray | None = None):
+    """One engine, or one process pool of engines, serving a whole run.
+
+    Yields collect(method, args, n): n replications of an engine batch
+    method, run in chunks and returned in replication order.
+    """
+    def tasks(method, args, n):
+        return [(method, args + (lo, hi)) for lo, hi in _chunks(n, cfg.workers)]
+
     if cfg.workers <= 1:
-        eng = _Engine(cfg)
-        return [getattr(eng, method)(*args) for _, args in tasks]
+        engine = _Engine(cfg, psi_star)
+        yield lambda method, args, n: np.concatenate(
+            [getattr(engine, m)(*a) for m, a in tasks(method, args, n)], axis=0
+        )
+        return
     with ProcessPoolExecutor(
-        max_workers=cfg.workers, initializer=_worker_init, initargs=(cfg.to_json(),)
+        max_workers=cfg.workers, initializer=_worker_init, initargs=(cfg, psi_star)
     ) as pool:
-        return list(pool.map(_worker_call, tasks))
-
-
-def _mc_collect(cfg: ExperimentConfig, method: str, fixed_args: tuple, n: int) -> np.ndarray:
-    """Run n replications of an engine method, in replication order."""
-    arg_sets = [fixed_args + (lo, hi) for lo, hi in _chunks(n, cfg.workers)]
-    parts = _run_batches(cfg, method, arg_sets)
-    return np.concatenate(parts, axis=0)
+        yield lambda method, args, n: np.concatenate(
+            list(pool.map(_worker_call, tasks(method, args, n))), axis=0
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +307,21 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     paths per eps under paths/.
     """
     model = build_model(cfg.model, cfg.model_params)
+    fluid_end = fluid_limit(model, cfg.n_cells)[0].terminal()
+    d = model.dim
     stats: dict[float, np.ndarray] = {}
     rows = []
-    for eps_idx, eps in enumerate(cfg.eps_grid):
-        data = _mc_collect(cfg, "sim_batch", (eps_idx,), cfg.replications)
-        stats[eps] = data
+    with _monte_carlo(cfg) as collect:
+        terminals = [
+            collect("terminal_batch", (SLOT_SIM, eps_idx, eps), cfg.replications)
+            for eps_idx, eps in enumerate(cfg.eps_grid)
+        ]
+    for eps, xt in zip(cfg.eps_grid, terminals):
         a = cfg.a_eps(eps)
-        d = model.dim
+        data = np.empty((xt.shape[0], 2 * d))
+        data[:, :d] = xt
+        data[:, d:] = (xt - fluid_end) / a
+        stats[eps] = data
         for i in range(d):
             rows.append(
                 (eps, a, i + 1,
@@ -398,36 +373,39 @@ def run_mdp_slope(cfg: ExperimentConfig, out_dir: str | None = None) -> SlopeRes
     """
     model = build_model(cfg.model, cfg.model_params)
     fine, _ = fluid_limit(model, cfg.n_cells_analysis)
-    sys_fine = build_linearization(model, fine)
-    gram = controllability_gramian(sys_fine)
-    predicted, _ = sphere_minimum(gram, cfg.threshold)
+    gram = controllability_gramian(build_linearization(model, fine))
+    predicted, zstar = sphere_minimum(gram, cfg.threshold)
+    # the optimal control for the sphere event, on the simulation grid
+    fluid_sim, _ = fluid_limit(model, cfg.n_cells)
+    psi_star = rate_to_point(build_linearization(model, fluid_sim), zstar).psi
     rows: list[EstimateRow] = []
     c = cfg.threshold
-    for eps_idx, eps in enumerate(cfg.eps_grid):
-        a = cfg.a_eps(eps)
-        b = cfg.b_eps(eps)
-        terminals = _mc_collect(cfg, "plain_batch", (eps_idx,), cfg.replications)
-        hits = (np.linalg.norm(terminals, axis=1) >= c).astype(float)
-        p_plain = math.fsum(hits) / cfg.replications
-        se_plain = math.sqrt(max(p_plain * (1.0 - p_plain), 0.0) / cfg.replications)
-        rows.append(
-            EstimateRow(
-                epsilon=eps, a_eps=a, b_eps=b, p_hat=p_plain, se=se_plain,
-                neg_b_log_p=(-b * math.log(p_plain)) if p_plain > 0 else None,
-                predicted_rate=predicted, estimator="plain",
+    with _monte_carlo(cfg, psi_star) as collect:
+        for eps_idx, eps in enumerate(cfg.eps_grid):
+            a = cfg.a_eps(eps)
+            b = cfg.b_eps(eps)
+            xt = collect("terminal_batch", (SLOT_PLAIN, eps_idx, eps), cfg.replications)
+            hits = (np.linalg.norm((xt - fluid_sim.terminal()) / a, axis=1) >= c).astype(float)
+            p_plain = math.fsum(hits) / cfg.replications
+            se_plain = math.sqrt(max(p_plain * (1.0 - p_plain), 0.0) / cfg.replications)
+            rows.append(
+                EstimateRow(
+                    epsilon=eps, a_eps=a, b_eps=b, p_hat=p_plain, se=se_plain,
+                    neg_b_log_p=(-b * math.log(p_plain)) if p_plain > 0 else None,
+                    predicted_rate=predicted, estimator="plain",
+                )
             )
-        )
-        weights = _mc_collect(cfg, "is_batch", (eps_idx,), cfg.is_replications)
-        p_is = math.fsum(weights) / cfg.is_replications
-        var_is = math.fsum((weights - p_is) ** 2) / max(cfg.is_replications - 1, 1)
-        se_is = math.sqrt(var_is / cfg.is_replications)
-        rows.append(
-            EstimateRow(
-                epsilon=eps, a_eps=a, b_eps=b, p_hat=p_is, se=se_is,
-                neg_b_log_p=(-b * math.log(p_is)) if p_is > 0 else None,
-                predicted_rate=predicted, estimator="is",
+            weights = collect("is_batch", (eps_idx,), cfg.is_replications)
+            p_is = math.fsum(weights) / cfg.is_replications
+            var_is = math.fsum((weights - p_is) ** 2) / max(cfg.is_replications - 1, 1)
+            se_is = math.sqrt(var_is / cfg.is_replications)
+            rows.append(
+                EstimateRow(
+                    epsilon=eps, a_eps=a, b_eps=b, p_hat=p_is, se=se_is,
+                    neg_b_log_p=(-b * math.log(p_is)) if p_is > 0 else None,
+                    predicted_rate=predicted, estimator="is",
+                )
             )
-        )
     result = SlopeResult(rows=tuple(rows), predicted_rate=predicted, config_hash=cfg.config_hash())
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -506,7 +484,10 @@ def run_clt_check(cfg: ExperimentConfig, out_dir: str | None = None) -> CltResul
     fine, _ = fluid_limit(model, cfg.n_cells_analysis)
     sys_fine = build_linearization(model, fine)
     sigma_t = gaussian_covariance(sys_fine).terminal()
-    samples = _mc_collect(cfg, "clt_batch", (), cfg.clt_replications)
+    fluid_end = fluid_limit(model, cfg.n_cells)[0].terminal()
+    with _monte_carlo(cfg) as collect:
+        xt = collect("terminal_batch", (SLOT_CLT, 0, cfg.clt_epsilon), cfg.clt_replications)
+    samples = (xt - fluid_end) / math.sqrt(cfg.clt_epsilon)  # fluctuation scale
     mean = samples.mean(axis=0)
     cov = np.cov(samples.T, ddof=1).reshape(model.dim, model.dim)
     denom = max(float(np.linalg.norm(sigma_t)), 1e-300)

@@ -10,24 +10,21 @@ placement bias that would otherwise pollute slope estimates at small eps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .mark_space import MarkMeasure
-from .prm import ControlField, CostReport, PointRealization, sample_controlled_measure, tilt_cost
+from .prm import PointRealization
 
 __all__ = [
     "ModelError",
     "ModelSpec",
-    "ScalingSchedule",
     "PathGrid",
     "rk4_step",
     "simulate_jump_path",
     "fluid_limit",
     "centered_fluctuation",
-    "simulate_controlled_path",
-    "JumpAudit",
 ]
 
 
@@ -40,9 +37,7 @@ class ModelSpec:
     """Coefficients of the jump SDE and their derivatives.
 
     drift(x) -> (d,), jump(x, y) -> (d,) for a mark y, drift_jac(x) -> (d, d),
-    jump_jac(x, y) -> (d, d).  The optional bound witnesses (a Lipschitz
-    constant for the drift and mark envelopes for the jump coefficient) are
-    advisory metadata; nothing enforces them.
+    jump_jac(x, y) -> (d, d).
     """
 
     dim: int
@@ -53,9 +48,6 @@ class ModelSpec:
     drift_jac: Callable
     jump_jac: Callable
     measure: MarkMeasure
-    drift_lipschitz: float | None = None
-    jump_lipschitz: Callable | None = None
-    jump_envelope: Callable | None = None
 
     def __post_init__(self) -> None:
         x0 = np.asarray(self.x0, dtype=float).ravel()
@@ -104,40 +96,6 @@ def _fd_jacobian(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
         e[j] = h
         cols.append((np.asarray(f(x + e), dtype=float) - np.asarray(f(x - e), dtype=float)) / (2 * h))
     return np.column_stack(cols)
-
-
-@dataclass(frozen=True)
-class ScalingSchedule:
-    """Deviation scaling a(eps) with speed b(eps) = eps / a(eps)^2."""
-
-    epsilon: float
-    a_eps: float
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0 or self.a_eps <= 0:
-            raise ModelError("epsilon and a_eps must be positive")
-
-    @property
-    def b_eps(self) -> float:
-        return self.epsilon / self.a_eps**2
-
-    @classmethod
-    def from_exponent(cls, epsilon: float, rho: float = 0.25) -> "ScalingSchedule":
-        if not (0 < rho < 0.5):
-            raise ModelError(f"scaling exponent must lie in (0, 1/2), got {rho}")
-        return cls(epsilon, epsilon**rho)
-
-    @staticmethod
-    def grid(eps_values: Sequence[float], rho: float = 0.25) -> list["ScalingSchedule"]:
-        """Schedules along a decreasing eps grid; both a and b must decrease."""
-        eps = list(eps_values)
-        if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-            raise ModelError("eps grid must be strictly decreasing")
-        out = [ScalingSchedule.from_exponent(e, rho) for e in eps]
-        for s1, s2 in zip(out, out[1:]):
-            if not (s2.a_eps < s1.a_eps and s2.b_eps < s1.b_eps):
-                raise ModelError("a(eps) and b(eps) must decrease along the grid")
-        return out
 
 
 @dataclass(frozen=True)
@@ -199,21 +157,6 @@ class PathGrid:
                 fh.write(f"{float(t)!r}," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
-@dataclass(frozen=True)
-class JumpAudit:
-    """Replay record: per event, the pre-jump state and the applied increment."""
-
-    times: np.ndarray
-    atoms: np.ndarray
-    pre_states: np.ndarray
-    increments: np.ndarray
-
-    def total_displacement(self) -> np.ndarray:
-        if self.increments.size == 0:
-            return np.zeros(0)
-        return self.increments.sum(axis=0)
-
-
 def rk4_step(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
     k1 = f(x)
     k2 = f(x + (0.5 * h) * k1)
@@ -222,65 +165,82 @@ def rk4_step(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
+def _walk_events(
+    grid: np.ndarray,
+    event_times: np.ndarray,
+    advance: Callable,
+    apply_jump: Callable,
+    record: Callable,
+) -> None:
+    """Visit grid times and event times in time order.
+
+    advance(i, h) moves the state forward by h inside cell i (the cell
+    ending at grid[i]), apply_jump(k) applies event k to the left-limit state
+    at its exact time, and record(i) stores the state at grid[i].  An event on
+    a grid time is recorded before its jump, so the grid value is the left
+    limit; an event at T is applied after the last record.
+    """
+    n_ev = event_times.size
+    j = 0
+    t = 0.0
+    for i in range(1, grid.size):
+        t_next = grid[i]
+        while j < n_ev and event_times[j] <= t_next:
+            s = event_times[j]
+            if s > t:
+                advance(i, s - t)
+                t = s
+            if s == t_next:
+                record(i)
+            apply_jump(j)
+            j += 1
+        if t < t_next:
+            advance(i, t_next - t)
+            t = t_next
+            record(i)
+
+
 def simulate_jump_path(
     model: ModelSpec,
     epsilon: float,
     events: PointRealization,
     n_cells: int = 64,
-    with_audit: bool = False,
-):
+) -> PathGrid:
     """Integrate the jump SDE along a fixed event realization.
 
     Drift is advanced by RK4 over each interval between breakpoints (grid
     times and event times merged); at an event (s, y) the state jumps by
     eps * G(x(s-), y).  The returned path samples the solution on the uniform
     grid; if an event lands exactly on a grid time the recorded value is the
-    left limit.
+    left limit.  A non-finite state on the grid raises ModelError.
     """
     if epsilon <= 0:
         raise ModelError("epsilon must be positive")
     if events.n_events and (events.times[0] < 0 or events.times[-1] > model.horizon):
         raise ModelError("event times outside [0, horizon]")
-    T = model.horizon
-    dt = T / n_cells
-    grid = np.linspace(0.0, T, n_cells + 1)
+    grid = np.linspace(0.0, model.horizon, n_cells + 1)
     out = np.empty((n_cells + 1, model.dim))
     x = model.x0.copy()
     out[0] = x
-    drift = model.drift
-    jump = model.jump
-    ev_t = events.times
-    ev_k = events.atoms
-    n_ev = ev_t.size
-    pre_states = np.empty((n_ev, model.dim)) if with_audit else None
-    increments = np.empty((n_ev, model.dim)) if with_audit else None
-    j = 0
-    t = 0.0
-    for i in range(1, n_cells + 1):
-        t_next = grid[i]
-        while j < n_ev and ev_t[j] <= t_next:
-            s = ev_t[j]
-            if s > t:
-                x = rk4_step(drift, x, s - t)
-                t = s
-            if s == t_next:
-                out[i] = x  # left limit at a grid-coincident event
-            g = epsilon * np.asarray(jump(x, model.measure.atom(ev_k[j])), dtype=float)
-            if with_audit:
-                pre_states[j] = x
-                increments[j] = g
-            x = x + g
-            j += 1
-        if t < t_next:
-            x = rk4_step(drift, x, t_next - t)
-            t = t_next
-            out[i] = x
-        elif j == 0 or ev_t[j - 1] != t_next:
-            out[i] = x
-    path = PathGrid(grid, out)
-    if with_audit:
-        return path, JumpAudit(ev_t.copy(), ev_k.copy(), pre_states, increments)
-    return path
+    drift, jump, atom, ev_k = model.drift, model.jump, model.measure.atom, events.atoms
+
+    def advance(i, h):
+        nonlocal x
+        x = rk4_step(drift, x, h)
+
+    def apply_jump(k):
+        nonlocal x
+        x = x + epsilon * np.asarray(jump(x, atom(ev_k[k])), dtype=float)
+
+    def record(i):
+        out[i] = x
+
+    _walk_events(grid, events.times, advance, apply_jump, record)
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise ModelError(f"jump path blew up at t={float(grid[first])!r} (eps={epsilon!r})")
+    return PathGrid(grid, out)
 
 
 def fluid_limit(model: ModelSpec, n_cells: int = 1000) -> tuple[PathGrid, float]:
@@ -314,22 +274,3 @@ def centered_fluctuation(path: PathGrid, fluid: PathGrid, a_eps: float) -> PathG
     if a_eps <= 0:
         raise ModelError("a_eps must be positive")
     return PathGrid(path.times, (path.values - fluid.values) / a_eps)
-
-
-def simulate_controlled_path(
-    model: ModelSpec,
-    epsilon: float,
-    ctrl: ControlField,
-    seed,
-) -> tuple[PathGrid, CostReport]:
-    """Sample a tilted driving measure and integrate the SDE along it.
-
-    The path grid is the control grid (the tilt is constant on its cells);
-    the returned cost is the deterministic entropy cost of the tilt.
-    """
-    if abs(ctrl.horizon - model.horizon) > 1e-12 * max(1.0, model.horizon):
-        raise ModelError("control horizon does not match the model horizon")
-    theta = 1.0 / epsilon
-    events = sample_controlled_measure(model.measure, theta, ctrl, seed)
-    path = simulate_jump_path(model, epsilon, events, n_cells=ctrl.n_cells)
-    return path, tilt_cost(ctrl, model.measure)

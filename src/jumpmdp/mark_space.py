@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,9 +24,7 @@ __all__ = [
     "MarkSpaceError",
     "EvaluationError",
     "MarkMeasure",
-    "MarkFunction",
     "integrate",
-    "inner_l2",
     "exp_square_integral",
     "load_measure",
     "save_measure",
@@ -116,60 +114,17 @@ def _merge_duplicates(marks: np.ndarray, weights: np.ndarray):
     return out_marks, out_weights
 
 
-@dataclass(frozen=True)
-class MarkFunction:
-    """A function on the mark space, registered against a measure.
-
-    Registration (``validate_on``) checks by direct summation that the
-    absolute and squared integrals are finite, which is all the integrability
-    the atomic setting can ask for.  Envelope functions bounding jump
-    coefficients are typical instances.
-    """
-
-    fn: Callable
-    name: str = "f"
-
-    def values_on(self, measure: MarkMeasure) -> np.ndarray:
-        vals = evaluate_on_atoms(self.fn, measure, name=self.name)
-        return vals
-
-    def validate_on(self, measure: MarkMeasure) -> "MarkFunction":
-        vals = self.values_on(measure)
-        total_abs = math.fsum(np.abs(vals).ravel() * _wrep(vals, measure))
-        total_sq = math.fsum((vals * vals).ravel() * _wrep(vals, measure))
-        if not (math.isfinite(total_abs) and math.isfinite(total_sq)):
-            raise EvaluationError(
-                f"{self.name}: first or second moment not finite on the measure"
-            )
-        return self
-
-
-def _wrep(vals: np.ndarray, measure: MarkMeasure) -> np.ndarray:
-    """Weights broadcast to match flattened (possibly vector-valued) values."""
-    if vals.ndim == 1:
-        return measure.weights
-    return np.repeat(measure.weights, vals.shape[1])
-
-
-def _as_callable(f) -> tuple[Callable, str]:
-    if isinstance(f, MarkFunction):
-        return f.fn, f.name
-    return f, getattr(f, "__name__", "f")
-
-
-def evaluate_on_atoms(f, measure: MarkMeasure, name: str = "f") -> np.ndarray:
+def evaluate_on_atoms(f, measure: MarkMeasure) -> np.ndarray:
     """Evaluate f on every atom; raises EvaluationError naming a bad atom."""
-    fn, fname = (f, name) if not isinstance(f, MarkFunction) else (f.fn, f.name)
     rows = []
     for k in range(measure.n_atoms):
-        v = np.asarray(fn(measure.atom(k)), dtype=float)
+        v = np.asarray(f(measure.atom(k)), dtype=float)
         if not np.all(np.isfinite(v)):
             raise EvaluationError(
-                f"{fname} is not finite at atom {k} (mark {measure.atom(k)!r})"
+                f"f is not finite at atom {k} (mark {measure.atom(k)!r})"
             )
         rows.append(v)
-    out = np.array(rows)
-    return out
+    return np.array(rows)
 
 
 def integrate(f, measure: MarkMeasure) -> float | np.ndarray:
@@ -185,15 +140,6 @@ def integrate(f, measure: MarkMeasure) -> float | np.ndarray:
     return np.array(
         [math.fsum(vals[:, j] * measure.weights) for j in range(vals.shape[1])]
     )
-
-
-def inner_l2(f, g, measure: MarkMeasure) -> float:
-    """L2 inner product of two scalar mark functions under the measure."""
-    fv = evaluate_on_atoms(f, measure)
-    gv = evaluate_on_atoms(g, measure)
-    if fv.ndim != 1 or gv.ndim != 1:
-        raise MarkSpaceError("inner_l2 expects scalar-valued functions")
-    return math.fsum(fv * gv * measure.weights)
 
 
 def exp_square_integral(h, measure: MarkMeasure, delta: float) -> float:

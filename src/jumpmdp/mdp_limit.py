@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jump_sde import ModelError, ModelSpec, PathGrid
+from .jump_sde import ModelError, ModelSpec, PathGrid, _walk_events, rk4_step
 from .mark_space import MarkMeasure
 from .prm import ControlField, CostReport, sample_controlled_measure, tilt_cost
 
@@ -70,11 +70,6 @@ class LinearizedSystem:
         """Cellwise integral of psi(y, s) G(x0(s), y) against the marks."""
         w = self.measure.weights
         return np.einsum("cik,kc->ci", self.jump_vals, psi * w[:, None])
-
-    def psi_coefficients(self, psi: np.ndarray) -> np.ndarray:
-        """Frame coefficients u_j(s) = <psi(., s), e_j(., s)> per cell."""
-        w = self.measure.weights
-        return np.einsum("cjk,kc->cj", self.frame, psi * w[:, None])
 
     def psi_from_coefficients(self, u: np.ndarray) -> np.ndarray:
         """Control field values sum_j u_j(s) e_j(y, s), shape (n_atoms, n_cells)."""
@@ -181,14 +176,6 @@ def build_linearization(
     )
 
 
-def _rk4_affine(mat: np.ndarray, forcing: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = mat @ x + forcing
-    k2 = mat @ (x + (0.5 * h) * k1) + forcing
-    k3 = mat @ (x + (0.5 * h) * k2) + forcing
-    k4 = mat @ (x + h * k3) + forcing
-    return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
 def _as_psi_array(sys: LinearizedSystem, psi) -> np.ndarray:
     arr = psi.psi if isinstance(psi, ControlField) else np.asarray(psi, dtype=float)
     if arr.shape != (sys.measure.n_atoms, sys.n_cells):
@@ -229,7 +216,8 @@ def _integrate_cells(sys: LinearizedSystem, forcing: np.ndarray) -> PathGrid:
     out = np.zeros((n + 1, d))
     x = np.zeros(d)
     for c in range(n):
-        x = _rk4_affine(sys.drift_mat[c], forcing[c], x, h)
+        mat, f = sys.drift_mat[c], forcing[c]
+        x = rk4_step(lambda v: mat @ v + f, x, h)
         out[c + 1] = x
     return PathGrid(sys.times, out)
 
@@ -248,14 +236,7 @@ def gaussian_covariance(sys: LinearizedSystem) -> GaussianLimit:
         a1 = sys.drift_mat[c]
         q = sys.gain[c] @ sys.gain[c].T
 
-        def rhs(m):
-            return a1 @ m + m @ a1.T + q
-
-        k1 = rhs(s)
-        k2 = rhs(s + (0.5 * h) * k1)
-        k3 = rhs(s + (0.5 * h) * k2)
-        k4 = rhs(s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        s = rk4_step(lambda m: a1 @ m + m @ a1.T + q, s, h)
         s = 0.5 * (s + s.T)
         covs[c + 1] = s
     return GaussianLimit(times=sys.times, covariances=covs, drift_mat=sys.drift_mat, gain=sys.gain)
@@ -304,7 +285,8 @@ def decompose_controlled_path(
 
     The controlled state, the fluid path and every time integral are advanced
     jointly by one RK4 pass over shared breakpoints (grid cells and event
-    times), so the five terms cancel algebraically against the fluctuation.
+    times, walked by the same loop as simulate_jump_path), so the five terms
+    cancel algebraically against the fluctuation.
     """
     if abs(ctrl.horizon - model.horizon) > 1e-12 * max(1.0, model.horizon):
         raise ModelError("control horizon does not match the model horizon")
@@ -360,40 +342,18 @@ def decompose_controlled_path(
         rec["coup"][i] = ebar - c0
         rec["force"][i] = c0
 
-    ev_t, ev_k = events.times, events.atoms
-    n_ev = ev_t.size
-    j = 0
-    t = 0.0
-    for i in range(1, n + 1):
-        t_next = grid[i]
+    def advance(i, h):
+        nonlocal z
         psi_cell = psi[:, i - 1]
+        z = rk4_step(lambda v: rhs(v, psi_cell), z, h)
 
-        def step(to_time):
-            nonlocal z, t
-            h = to_time - t
-            k1 = rhs(z, psi_cell)
-            k2 = rhs(z + (0.5 * h) * k1, psi_cell)
-            k3 = rhs(z + (0.5 * h) * k2, psi_cell)
-            k4 = rhs(z + h * k3, psi_cell)
-            z = z + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            t = to_time
+    def apply_jump(k):
+        nonlocal jumpsum
+        g = np.asarray(model.jump(z[0], meas.atom(events.atoms[k])), dtype=float)
+        jumpsum = jumpsum + g
+        z[0] = z[0] + epsilon * g
 
-        while j < n_ev and ev_t[j] <= t_next:
-            s = ev_t[j]
-            if s > t:
-                step(s)
-            if s == t_next:
-                record(i)
-            g = np.asarray(model.jump(z[0], meas.atom(ev_k[j])), dtype=float)
-            jumpsum = jumpsum + g
-            z = z.copy()
-            z[0] = z[0] + epsilon * g
-            j += 1
-        if t < t_next:
-            step(t_next)
-            record(i)
-        elif j == 0 or ev_t[j - 1] != t_next:
-            record(i)
+    _walk_events(grid, events.times, advance, apply_jump, record)
 
     mk = lambda key: PathGrid(grid, rec[key])
     return FluctuationParts(

@@ -7,6 +7,7 @@ processes can rebuild any model from its (name, params) pair.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -54,9 +55,6 @@ def scalar_benchmark(
         drift_jac=drift_jac,
         jump_jac=jump_jac,
         measure=measure,
-        drift_lipschitz=abs(decay),
-        jump_lipschitz=lambda y: 0.0,
-        jump_envelope=lambda y: abs(y),
     )
 
 
@@ -178,4 +176,12 @@ def build_model(name: str, params: dict | None = None) -> ModelSpec:
         raise ModelError(
             f"unknown model {name!r}; available: {sorted(MODEL_BUILDERS)}"
         )
-    return MODEL_BUILDERS[name](**(params or {}))
+    builder = MODEL_BUILDERS[name]
+    params = params or {}
+    valid = list(inspect.signature(builder).parameters)
+    unknown = sorted(set(params) - set(valid))
+    if unknown:
+        raise ModelError(
+            f"unknown parameters {unknown} for model {name!r}; valid parameters: {valid}"
+        )
+    return builder(**params)

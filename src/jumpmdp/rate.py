@@ -94,11 +94,6 @@ class Gramian:
     flow: np.ndarray         # (n_cells, d, d)
     times: np.ndarray
 
-    def reconstruct(self, gain: np.ndarray) -> np.ndarray:
-        dt = float(self.times[1] - self.times[0])
-        b = np.einsum("cij,cjk->cik", self.flow, gain)
-        return np.einsum("cik,clk->il", b, b) * dt
-
 
 def cell_propagators(sys: LinearizedSystem) -> tuple[np.ndarray, np.ndarray]:
     """(R, dt*S) per cell for the frozen-coefficient RK4 affine step."""

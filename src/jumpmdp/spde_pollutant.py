@@ -44,7 +44,6 @@ __all__ = [
     "EigenSystem",
     "build_eigensystem",
     "orthonormality_defect",
-    "project_field",
     "ball_average_coefficients",
     "assemble_model",
     "export_field_snapshot",
@@ -241,9 +240,6 @@ class EigenSystem:
     def n_modes(self) -> int:
         return len(self.modes)
 
-    def index_of(self, mode: tuple) -> int:
-        return self.modes.index(tuple(mode))
-
     def weight_density(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
         return np.exp(-2.0 * points @ self.drift_coefficients)
@@ -263,9 +259,6 @@ class EigenSystem:
                 v = v * per_axis[i][mode[i]]
             out[r] = v
         return out
-
-    def norm_factors(self, order: float) -> np.ndarray:
-        return (1.0 + self.eigenvalues) ** order
 
     def box_quadrature(self, n_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
         """Tensor Gauss-Legendre nodes and weights on the box."""
@@ -305,23 +298,6 @@ def orthonormality_defect(sys: EigenSystem, n_per_axis: int = 64) -> float:
     wq = weights * sys.weight_density(points)
     gram = (vals * wq) @ vals.T
     return float(np.max(np.abs(gram - np.eye(sys.n_modes))))
-
-
-def project_field(sys: EigenSystem, fn: Callable, n_per_axis: int = 64) -> np.ndarray:
-    """Mode coefficients <fn, phi_j> in the weighted inner product.
-
-    Coefficient vectors are their own projection; this handles callables on
-    box points (vectorized over an (n, d) array or applied pointwise).
-    """
-    points, weights = sys.box_quadrature(n_per_axis)
-    try:
-        fv = np.asarray(fn(points), dtype=float).ravel()
-        if fv.shape != (points.shape[0],):
-            raise TypeError
-    except TypeError:
-        fv = np.array([float(fn(p)) for p in points])
-    wq = weights * sys.weight_density(points)
-    return sys.eval_modes(points) @ (fv * wq)
 
 
 def _coeff_vector(sys: EigenSystem, mapping: Mapping) -> np.ndarray:

@@ -1,0 +1,85 @@
+"""The names the benchmark harness in perfbench/ binds to still exist.
+
+perfbench/ wraps package functions by name (tracer.TARGETS), subclasses
+experiments.ProcessPoolExecutor to count pools, binds call arguments by
+parameter name, and calls the CLI and the analysis chain through module
+attributes.  A refactor that renames any of these crashes a traced benchmark
+run; these checks catch it first.  perfbench/ is only parsed, never imported
+or written.
+"""
+
+import ast
+import dataclasses
+import importlib
+import inspect
+import os
+
+from jumpmdp import experiments
+from jumpmdp.mdp_limit import FluctuationParts
+from jumpmdp.rate import RateSolution
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+MODULES = ("cli", "experiments", "jump_sde", "mdp_limit", "models", "prm", "rate", "spde_pollutant")
+
+
+def parsed(name):
+    with open(os.path.join(BENCH_DIR, name)) as fh:
+        return ast.parse(fh.read())
+
+
+def module(name):
+    return importlib.import_module(f"jumpmdp.{name}")
+
+
+def params(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_tracer_targets_resolve():
+    tree = parsed("tracer.py")
+    targets = next(
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TARGETS"
+    )
+    names = [ast.literal_eval(key) for key in targets.keys]
+    assert len(names) >= 20
+    for name in names:
+        module_name, func_name = name.split(".")
+        assert callable(getattr(module(module_name), func_name, None)), name
+
+
+def test_module_attributes_used_by_the_harness_exist():
+    used = set()
+    for file_name in sorted(os.listdir(BENCH_DIR)):
+        if not file_name.endswith(".py"):
+            continue
+        for node in ast.walk(parsed(file_name)):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in MODULES):
+                used.add((file_name, node.value.id, node.attr))
+    assert ("workloads.py", "mdp_limit", "decompose_controlled_path") in used
+    for file_name, module_name, attr in sorted(used):
+        assert hasattr(module(module_name), attr), f"{file_name}: {module_name}.{attr}"
+
+
+def test_pool_class_is_a_subclassable_module_attribute():
+    pool = experiments.ProcessPoolExecutor
+    assert inspect.isclass(pool)
+    assert "max_workers" in params(pool.__init__)
+    assert "initializer" in params(pool.__init__)
+
+
+def test_bound_parameter_names():
+    from jumpmdp import cli, jump_sde, mdp_limit, rate
+
+    assert params(jump_sde.simulate_jump_path)[:4] == ["model", "epsilon", "events", "n_cells"]
+    assert params(mdp_limit.build_linearization)[:2] == ["model", "fluid_path"]
+    assert params(mdp_limit.decompose_controlled_path)[:4] == ["model", "epsilon", "ctrl", "seed"]
+    assert callable(FluctuationParts.reconstruction_gap)
+    assert params(rate.rate_to_point)[:2] == ["sys", "z"]
+    assert {"value", "path", "psi"} <= {f.name for f in dataclasses.fields(RateSolution)}
+    assert params(cli.main) == ["argv"]
+    cfg_type = experiments.ExperimentConfig
+    for method in ("from_dict", "from_json_file", "config_hash"):
+        assert callable(getattr(cfg_type, method))
+    assert {"seed", "out_dir", "workers"} <= {f.name for f in dataclasses.fields(cfg_type)}

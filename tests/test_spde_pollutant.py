@@ -20,7 +20,6 @@ from jumpmdp.spde_pollutant import (
     kernel_from_dict,
     orthonormality_defect,
     params_from_dict,
-    project_field,
 )
 
 
@@ -85,17 +84,6 @@ def test_drift_free_limit_modes():
     vals = sysm.eval_modes(pts)
     assert np.allclose(vals[0], 1.0)  # sqrt(1/l) with l = 1
     assert np.allclose(vals[1], math.sqrt(2.0) * np.cos(math.pi * pts[:, 0]))
-
-
-def test_projection_recovers_modes():
-    sysm = build_eigensystem(make_params(max_mode=4))
-    j, k = 2, 4
-    f = lambda pts: 2.0 * sysm.eval_modes(pts)[j] + 3.0 * sysm.eval_modes(pts)[k]
-    coeffs = project_field(sysm, f)
-    expected = np.zeros(sysm.n_modes)
-    expected[j], expected[k] = 2.0, 3.0
-    assert np.max(np.abs(coeffs - expected)) < 1e-8
-    assert np.max(np.abs(project_field(sysm, lambda pts: np.zeros(len(pts))))) == 0.0
 
 
 def test_ball_volume_normalizer_1d():
