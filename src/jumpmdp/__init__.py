@@ -28,7 +28,6 @@ from .prm import (
 from .jump_sde import (
     ModelSpec,
     PathGrid,
-    centered_fluctuation,
     fluid_limit,
     simulate_jump_path,
 )

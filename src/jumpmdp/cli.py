@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import os
 import sys
 
@@ -28,7 +29,7 @@ from .experiments import (
     verify_entropy_tail_bounds,
     verify_var_rep,
 )
-from .jump_sde import ModelError, fluid_limit
+from .jump_sde import ModelError, check_keys, fluid_limit
 from .mark_space import MarkSpaceError
 from .mdp_limit import build_linearization
 from .models import build_model
@@ -143,6 +144,7 @@ def cmd_rate(cfg: ExperimentConfig) -> None:
 def cmd_lemma_check(cfg: ExperimentConfig) -> None:
     out = _outdir(cfg)
     lemma_cfg = cfg.lemma or {}
+    check_keys("lemma", lemma_cfg, ("betas", "m_bound", "eps"))
     betas = tuple(lemma_cfg.get("betas", (1.0, 2.0, 5.0, 10.0, 100.0)))
     consts = entropy_bound_constants(betas)
     with open(os.path.join(out, "lemma_constants.csv"), "w") as fh:
@@ -182,16 +184,10 @@ def cmd_lemma_check(cfg: ExperimentConfig) -> None:
 def cmd_var_rep(cfg: ExperimentConfig) -> None:
     out = _outdir(cfg)
     vr = cfg.var_rep or {}
-    res = verify_var_rep(
-        cfg,
-        functional=vr.get("functional", "linear_count"),
-        gamma=float(vr.get("gamma", 0.5)),
-        cap=float(vr.get("cap", 10.0)),
-        theta=float(vr.get("theta", 2.0)),
-        mass=float(vr.get("mass", 1.0)),
-        horizon=float(vr.get("horizon", 1.0)),
-        replications=int(vr.get("replications", 100_000)),
-    )
+    # the block's keys and defaults are verify_var_rep's keyword parameters
+    keys = inspect.signature(verify_var_rep).parameters
+    check_keys("var_rep", vr, [k for k in keys if k not in ("cfg", "tilt_grid")])
+    res = verify_var_rep(cfg, **vr)
     with open(os.path.join(out, "var_rep.csv"), "w") as fh:
         fh.write("phi,rhs,se\n")
         for phi, v, s in zip(res.tilt_grid, res.rhs_values, res.rhs_ses):

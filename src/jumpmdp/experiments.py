@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .jump_sde import ModelError, fluid_limit, simulate_jump_path
+from .jump_sde import ModelError, check_keys, fluid_limit, simulate_jump_path
 from .mdp_limit import build_linearization, gaussian_covariance
 from .models import build_model
 from .prm import (
@@ -121,10 +121,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        valid = [f.name for f in fields(cls)]
-        unknown = sorted(set(data) - set(valid))
-        if unknown:
-            raise ModelError(f"unknown config keys {unknown}; valid keys: {valid}")
+        check_keys("config", data, [f.name for f in fields(cls)])
         return cls(**data)
 
     @classmethod
@@ -133,7 +130,15 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
+        """Hash of the experiment and its seed.
+
+        out_dir and workers are left out: where a run writes and how many
+        processes share it do not change its outputs.
+        """
+        data = asdict(self)
+        del data["out_dir"], data["workers"]
+        text = json.dumps(data, sort_keys=True, default=list)
+        return hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def a_eps(self, epsilon: float) -> float:
         return epsilon**self.rho
@@ -775,6 +780,9 @@ def verify_var_rep(
     inf.  For F = gamma * count the left side is exact:
     theta * mass * T * (1 - exp(-gamma)).
     """
+    # config blocks arrive from JSON, where 2 and 2e4 are as good as 2.0 and 20000
+    gamma, cap, theta, mass, horizon = map(float, (gamma, cap, theta, mass, horizon))
+    replications = int(replications)
     fn = _functional(functional, gamma, cap)
     lam = theta * mass * horizon
     rng = substream(cfg.seed, SLOT_VARREP, 0)

@@ -1,4 +1,4 @@
-"""Small-noise jump SDE paths, their fluid limit, and centered fluctuations.
+"""Small-noise jump SDE paths and their fluid limit.
 
 The state follows drift b between events and jumps by eps * G(x(s-), y) at
 each event (s, y) of a Poisson random measure with intensity (1/eps) * nu x dt.
@@ -19,12 +19,12 @@ from .prm import PointRealization
 
 __all__ = [
     "ModelError",
+    "check_keys",
     "ModelSpec",
     "PathGrid",
     "rk4_step",
     "simulate_jump_path",
     "fluid_limit",
-    "centered_fluctuation",
 ]
 
 
@@ -32,12 +32,22 @@ class ModelError(ValueError):
     """Invalid model data or incompatible inputs."""
 
 
+def check_keys(block: str, data, valid) -> None:
+    """Raise ModelError naming the keys of a config block that are not valid."""
+    unknown = sorted(set(data) - set(valid))
+    if unknown:
+        raise ModelError(f"unknown {block} keys {unknown}; valid keys: {list(valid)}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Coefficients of the jump SDE and their derivatives.
 
-    drift(x) -> (d,), jump(x, y) -> (d,) for a mark y, drift_jac(x) -> (d, d),
-    jump_jac(x, y) -> (d, d).
+    drift(x) -> (d,) and drift_jac(x) -> (d, d).  The model evaluates the jump
+    coefficient on every atom of its measure at once: jump(x) -> (d, n_atoms)
+    has column k equal to G(x, y_k), and jump_jac(x) -> (n_atoms, d, d) has
+    slice k equal to DxG(x, y_k), with atoms in the measure's merged and
+    sorted order (measure.marks).
     """
 
     dim: int
@@ -57,17 +67,22 @@ class ModelSpec:
             raise ModelError("horizon must be positive")
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
-
-    def atom_marks(self) -> list:
-        return [self.measure.atom(k) for k in range(self.measure.n_atoms)]
+        n, d = self.measure.n_atoms, self.dim
+        for name, want in (("jump", (d, n)), ("jump_jac", (n, d, d))):
+            fn = getattr(self, name)
+            try:
+                got = getattr(fn(x0), "shape", "no array")
+            except TypeError as exc:
+                got = f"a TypeError ({exc})"
+            if got != want:
+                raise ModelError(
+                    f"{name}(x) ({getattr(fn, '__qualname__', fn)}) must return an array of "
+                    f"shape {want} (one entry per atom); at x0 it gave {got}"
+                )
 
     def compensator(self, x: np.ndarray) -> np.ndarray:
         """Mean jump drift at state x: sum_k G(x, y_k) w_k."""
-        w = self.measure.weights
-        out = np.zeros(self.dim)
-        for k in range(self.measure.n_atoms):
-            out += w[k] * np.asarray(self.jump(x, self.measure.atom(k)), dtype=float)
-        return out
+        return (self.jump(x) * self.measure.weights).sum(axis=1)
 
     def validate_derivatives(self, seed: int = 0, n_points: int = 5, step: float = 1e-5) -> None:
         """Central finite differences must match the declared Jacobians."""
@@ -78,11 +93,10 @@ class ModelSpec:
             fd = _fd_jacobian(self.drift, x, step)
             if np.linalg.norm(jb - fd) > 1e-5 * (1.0 + np.linalg.norm(jb)):
                 raise ModelError(f"drift_jac mismatch with finite differences at x={x}")
+            jacs = self.jump_jac(x)
             for k in range(self.measure.n_atoms):
-                y = self.measure.atom(k)
-                jg = np.asarray(self.jump_jac(x, y), dtype=float)
-                fdg = _fd_jacobian(lambda z: self.jump(z, y), x, step)
-                if np.linalg.norm(jg - fdg) > 1e-5 * (1.0 + np.linalg.norm(jg)):
+                fdg = _fd_jacobian(lambda z: self.jump(z)[:, k], x, step)
+                if np.linalg.norm(jacs[k] - fdg) > 1e-5 * (1.0 + np.linalg.norm(jacs[k])):
                     raise ModelError(
                         f"jump_jac mismatch with finite differences at x={x}, atom {k}"
                     )
@@ -143,11 +157,6 @@ class PathGrid:
 
     def sup_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.values, axis=1)))
-
-    def same_grid(self, other: "PathGrid") -> bool:
-        return self.times.size == other.times.size and bool(
-            np.array_equal(self.times, other.times)
-        )
 
     def to_csv(self, path) -> None:
         d = self.dim
@@ -222,7 +231,7 @@ def simulate_jump_path(
     out = np.empty((n_cells + 1, model.dim))
     x = model.x0.copy()
     out[0] = x
-    drift, jump, atom, ev_k = model.drift, model.jump, model.measure.atom, events.atoms
+    drift, jump, ev_k = model.drift, model.jump, events.atoms
 
     def advance(i, h):
         nonlocal x
@@ -230,7 +239,7 @@ def simulate_jump_path(
 
     def apply_jump(k):
         nonlocal x
-        x = x + epsilon * np.asarray(jump(x, atom(ev_k[k])), dtype=float)
+        x = x + epsilon * jump(x)[:, ev_k[k]]
 
     def record(i):
         out[i] = x
@@ -266,11 +275,3 @@ def fluid_limit(model: ModelSpec, n_cells: int = 1000) -> tuple[PathGrid, float]
     path = PathGrid(grid, out)
     return path, path.sup_norm()
 
-
-def centered_fluctuation(path: PathGrid, fluid: PathGrid, a_eps: float) -> PathGrid:
-    """(path - fluid) / a_eps on a shared grid."""
-    if not path.same_grid(fluid):
-        raise ModelError("paths live on different grids")
-    if a_eps <= 0:
-        raise ModelError("a_eps must be positive")
-    return PathGrid(path.times, (path.values - fluid.values) / a_eps)

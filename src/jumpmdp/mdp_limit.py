@@ -75,20 +75,6 @@ class LinearizedSystem:
         """Control field values sum_j u_j(s) e_j(y, s), shape (n_atoms, n_cells)."""
         return np.einsum("cj,cjk->kc", u, self.frame)
 
-    def export_csv(self, path) -> None:
-        """One block per cell: drift matrix, gain matrix, rank."""
-        d = self.dim
-        with open(path, "w") as fh:
-            fh.write("cell,t_mid,rank," +
-                     ",".join(f"a1_{i}{j}" for i in range(d) for j in range(d)) + "," +
-                     ",".join(f"gain_{i}{j}" for i in range(d) for j in range(d)) + "\n")
-            for c in range(self.n_cells):
-                mid = 0.5 * (self.times[c] + self.times[c + 1])
-                row = [str(c), repr(float(mid)), str(int(self.rank[c]))]
-                row += [repr(float(v)) for v in self.drift_mat[c].ravel()]
-                row += [repr(float(v)) for v in self.gain[c].ravel()]
-                fh.write(",".join(row) + "\n")
-
 
 @dataclass(frozen=True)
 class GaussianLimit:
@@ -96,18 +82,9 @@ class GaussianLimit:
 
     times: np.ndarray
     covariances: np.ndarray    # (n_cells + 1, d, d)
-    drift_mat: np.ndarray
-    gain: np.ndarray
 
     def terminal(self) -> np.ndarray:
         return self.covariances[-1]
-
-    def export_csv(self, path) -> None:
-        d = self.covariances.shape[1]
-        with open(path, "w") as fh:
-            fh.write("t," + ",".join(f"sigma_{i}{j}" for i in range(d) for j in range(d)) + "\n")
-            for t, s in zip(self.times, self.covariances):
-                fh.write(f"{float(t)!r}," + ",".join(repr(float(v)) for v in s.ravel()) + "\n")
 
 
 def _weighted_frame(gvals: np.ndarray, weights: np.ndarray, order: Sequence[int]):
@@ -158,11 +135,11 @@ def build_linearization(
     for c in range(n):
         xmid = 0.5 * (fluid_path.values[c] + fluid_path.values[c + 1])
         m = np.asarray(model.drift_jac(xmid), dtype=float).copy()
+        jacs = model.jump_jac(xmid)
         for k in range(n_atoms):
-            y = meas.atom(k)
-            m += w[k] * np.asarray(model.jump_jac(xmid, y), dtype=float)
-            jv[c, :, k] = np.asarray(model.jump(xmid, y), dtype=float)
+            m += w[k] * jacs[k]
         a1[c] = m
+        jv[c] = model.jump(xmid)
         frame[c], rank[c] = _weighted_frame(jv[c], w, order)
         gain[c] = jv[c] @ (frame[c] * w).T
     return LinearizedSystem(
@@ -239,7 +216,7 @@ def gaussian_covariance(sys: LinearizedSystem) -> GaussianLimit:
         s = rk4_step(lambda m: a1 @ m + m @ a1.T + q, s, h)
         s = 0.5 * (s + s.T)
         covs[c + 1] = s
-    return GaussianLimit(times=sys.times, covariances=covs, drift_mat=sys.drift_mat, gain=sys.gain)
+    return GaussianLimit(times=sys.times, covariances=covs)
 
 
 @dataclass(frozen=True)
@@ -292,25 +269,17 @@ def decompose_controlled_path(
         raise ModelError("control horizon does not match the model horizon")
     theta = 1.0 / epsilon
     events = sample_controlled_measure(model.measure, theta, ctrl, seed)
-    meas = model.measure
-    w = meas.weights
-    marks = model.atom_marks()
+    w = model.measure.weights
     a = ctrl.a_eps
     psi = ctrl.psi
     d = model.dim
     n = ctrl.n_cells
     grid = np.linspace(0.0, model.horizon, n + 1)
 
-    def jump_matrix(x):
-        cols = np.empty((d, meas.n_atoms))
-        for k, y in enumerate(marks):
-            cols[:, k] = model.jump(x, y)
-        return cols
-
     def rhs(z, psi_cell):
         xbar, x0v = z[0], z[1]
-        gm_bar = jump_matrix(xbar)
-        gm_0 = jump_matrix(x0v)
+        gm_bar = model.jump(xbar)
+        gm_0 = model.jump(x0v)
         out = np.empty_like(z)
         out[0] = model.drift(xbar)
         out[2] = gm_0 @ w
@@ -349,7 +318,7 @@ def decompose_controlled_path(
 
     def apply_jump(k):
         nonlocal jumpsum
-        g = np.asarray(model.jump(z[0], meas.atom(events.atoms[k])), dtype=float)
+        g = model.jump(z[0])[:, events.atoms[k]]
         jumpsum = jumpsum + g
         z[0] = z[0] + epsilon * g
 
@@ -363,5 +332,5 @@ def decompose_controlled_path(
         coefficient_gap=mk("coeff"),
         coupling=mk("coup"),
         forcing=mk("force"),
-        cost=tilt_cost(ctrl, meas),
+        cost=tilt_cost(ctrl, model.measure),
     )

@@ -2,7 +2,9 @@
 
 Models are registered builders keyed by name and configured purely by
 numeric parameters, so experiment configs stay expression-free and worker
-processes can rebuild any model from its (name, params) pair.
+processes can rebuild any model from its (name, params) pair.  Each builder
+evaluates its jump coefficient on the marks of its own measure, in the
+measure's atom order (see ModelSpec).
 """
 
 from __future__ import annotations
@@ -33,18 +35,19 @@ def scalar_benchmark(
     """
     decay = float(decay)
     measure = MarkMeasure.single_atom(mark, weight)
+    marks = measure.marks.T  # (1, n_atoms), a read-only view returned by every call
 
     def drift(x):
         return -decay * x
 
-    def jump(x, y):
-        return np.array([y])
+    def jump(x):
+        return marks
 
     def drift_jac(x):
         return np.array([[-decay]])
 
-    def jump_jac(x, y):
-        return np.zeros((1, 1))
+    def jump_jac(x):
+        return np.zeros((measure.n_atoms, 1, 1))
 
     return ModelSpec(
         dim=1,
@@ -72,14 +75,15 @@ def linear_gaussian(
     rate = float(rate)
     gain = float(gain)
     measure = MarkMeasure.single_atom(1.0, 1.0)
+    marks = measure.marks.T
     return ModelSpec(
         dim=1,
         horizon=float(horizon),
         x0=np.array([float(x0)]),
         drift=lambda x: rate * x,
-        jump=lambda x, y: np.array([gain * y]),
+        jump=lambda x: gain * marks,
         drift_jac=lambda x: np.array([[rate]]),
-        jump_jac=lambda x, y: np.zeros((1, 1)),
+        jump_jac=lambda x: np.zeros((1, 1, 1)),
         measure=measure,
     )
 
@@ -96,19 +100,22 @@ def two_d_benchmark(
     varies along the fluid path through the sin term.
     """
     measure = MarkMeasure.from_atoms([(1.0, 1.0), (2.0, 0.5)])
+    y = measure.marks[:, 0]
     m = np.array([[-1.0, coupling], [0.0, -0.5]])
 
     def drift(x):
         return m @ x
 
-    def jump(x, y):
+    def jump(x):
         return np.array([y * (1.0 + wobble * math.sin(x[0])), y * y])
 
     def drift_jac(x):
         return m
 
-    def jump_jac(x, y):
-        return np.array([[y * wobble * math.cos(x[0]), 0.0], [0.0, 0.0]])
+    def jump_jac(x):
+        jac = np.zeros((y.size, 2, 2))
+        jac[:, 0, 0] = y * wobble * math.cos(x[0])
+        return jac
 
     return ModelSpec(
         dim=2,
@@ -125,18 +132,15 @@ def two_d_benchmark(
 def rank_deficient_2d(horizon: float = 1.0, factor: float = 2.0) -> ModelSpec:
     """d = 2 with proportional jump components; the frame has rank one."""
     measure = MarkMeasure.single_atom(1.0, 1.0)
-
-    def jump(x, y):
-        return np.array([y, factor * y])
-
+    y = measure.marks[:, 0]
     return ModelSpec(
         dim=2,
         horizon=float(horizon),
         x0=np.zeros(2),
         drift=lambda x: -x,
-        jump=jump,
+        jump=lambda x: np.array([y, factor * y]),
         drift_jac=lambda x: -np.eye(2),
-        jump_jac=lambda x, y: np.zeros((2, 2)),
+        jump_jac=lambda x: np.zeros((1, 2, 2)),
         measure=measure,
     )
 
@@ -150,14 +154,16 @@ def pure_jump(
     """No drift; each event shifts every component by eps*mark."""
     d = int(dim)
     measure = MarkMeasure.single_atom(mark, weight)
+    shifts = np.tile(measure.marks.T, (d, 1))
+    shifts.setflags(write=False)  # returned by every call, so never written
     return ModelSpec(
         dim=d,
         horizon=float(horizon),
         x0=np.zeros(d),
         drift=lambda x: np.zeros(d),
-        jump=lambda x, y: np.full(d, y),
+        jump=lambda x: shifts,
         drift_jac=lambda x: np.zeros((d, d)),
-        jump_jac=lambda x, y: np.zeros((d, d)),
+        jump_jac=lambda x: np.zeros((1, d, d)),
         measure=measure,
     )
 

@@ -87,25 +87,6 @@ class PointRealization:
     def n_events(self) -> int:
         return self.times.size
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("time,atom_index\n")
-            for t, k in zip(self.times, self.atoms):
-                fh.write(f"{float(t)!r},{int(k)}\n")
-
-    @classmethod
-    def from_csv(cls, path, horizon: float, base_rate: float) -> "PointRealization":
-        times, atoms = [], []
-        with open(path) as fh:
-            header = fh.readline()
-            if header.strip() != "time,atom_index":
-                raise ControlError(f"{path}: unexpected header {header!r}")
-            for line in fh:
-                t, k = line.strip().split(",")
-                times.append(float(t))
-                atoms.append(int(k))
-        return cls(np.array(times), np.array(atoms, dtype=np.int64), horizon, base_rate)
-
 
 @dataclass(frozen=True)
 class ControlField:
@@ -162,25 +143,6 @@ class ControlField:
     @classmethod
     def zero(cls, n_atoms: int, n_cells: int, horizon: float, a_eps: float) -> "ControlField":
         return cls(np.zeros((n_atoms, n_cells)), horizon, a_eps)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"{self.n_atoms},{self.n_cells},{self.horizon!r},{self.a_eps!r}\n")
-            for row in self.psi:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "ControlField":
-        with open(path) as fh:
-            head = fh.readline().strip().split(",")
-            n_atoms, n_cells = int(head[0]), int(head[1])
-            horizon, a_eps = float(head[2]), float(head[3])
-            psi = np.array(
-                [[float(v) for v in fh.readline().strip().split(",")] for _ in range(n_atoms)]
-            )
-        if psi.shape != (n_atoms, n_cells):
-            raise ControlError(f"{path}: shape mismatch with header")
-        return cls(psi, horizon, a_eps)
 
 
 @dataclass(frozen=True)

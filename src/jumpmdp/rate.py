@@ -70,9 +70,6 @@ class RateSolution:
     def attained(self) -> bool:
         return math.isfinite(self.value)
 
-    def control_energy(self, dt: float) -> float:
-        return 0.5 * math.fsum((self.u * self.u).ravel()) * dt
-
     def export_csv(self, path) -> None:
         n, d = self.u.shape
         with open(path, "w") as fh:

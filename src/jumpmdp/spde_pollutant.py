@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .jump_sde import ModelSpec, fluid_limit, simulate_jump_path
+from .jump_sde import ModelSpec, check_keys, fluid_limit, simulate_jump_path
 from .mark_space import MarkMeasure
 from .prm import sample_poisson_measure, substream
 
@@ -110,8 +110,22 @@ def _mapping_from_pairs(pairs) -> dict:
     return {tuple(int(j) for j in mode): float(coeff) for mode, coeff in pairs}
 
 
+# keys of the pollutant config block: the model parameters read below, then
+# the convergence-study settings the pollutant command reads
+CONFIG_KEYS = (
+    "d_space", "side", "diffusivity", "velocity", "decay", "radius", "max_mode",
+    "atoms", "horizon", "jump_kernel", "drift_kernels", "probes", "outputs", "x0",
+    "hs_exponent", "ball_points", "quad_points",
+    "epsilon", "seeds", "hs_levels",
+)
+
+
 def params_from_dict(spec: Mapping) -> "PollutantParams":
-    """Build parameters from the JSON-friendly config block."""
+    """Build parameters from the JSON-friendly config block.
+
+    An unknown key raises ModelError listing the valid ones.
+    """
+    check_keys("pollutant", spec, CONFIG_KEYS)
     atoms = np.asarray(spec["atoms"], dtype=float)
     if atoms.ndim != 2 or atoms.shape[1] < 3:
         raise PollutantError("atoms must be rows of (site components, magnitude, weight)")
@@ -314,14 +328,14 @@ def ball_average_coefficients(
     site: np.ndarray,
     radius: float,
     n_per_axis: int = 32,
-    check_refined: bool = True,
 ) -> np.ndarray:
     """Weighted ball averages c^{-1} * int_{|z-site|<=radius} phi_j rho0 dz.
 
     Tensor midpoint rule over the bounding cube of the ball, masked to the
-    ball; the normalizer is the Lebesgue volume of the radius ball.  With
-    check_refined the value is recomputed at twice the resolution and must
-    agree to 1e-4 relative, which catches under-resolved injections.
+    ball; the normalizer is the Lebesgue volume of the radius ball.  The
+    value is recomputed at twice the resolution and must agree to 1e-4
+    relative, which catches under-resolved injections; the refined value is
+    returned.
     """
     site = np.asarray(site, dtype=float).ravel()
     d = len(sys.axes)
@@ -342,17 +356,15 @@ def ball_average_coefficients(
         return np.array([math.fsum(row * rho) for row in vals]) * (cell / vol)
 
     coarse = midpoint(n_per_axis)
-    if check_refined:
-        fine = midpoint(2 * n_per_axis)
-        scale = max(float(np.max(np.abs(fine))), 1e-12)
-        if float(np.max(np.abs(fine - coarse))) > 1e-4 * scale:
-            raise PollutantError(
-                f"ball quadrature at {n_per_axis} points per axis disagrees with "
-                f"the {2 * n_per_axis}-point refinement beyond 1e-4 relative; "
-                "increase ball_points"
-            )
-        return fine
-    return coarse
+    fine = midpoint(2 * n_per_axis)
+    scale = max(float(np.max(np.abs(fine))), 1e-12)
+    if float(np.max(np.abs(fine - coarse))) > 1e-4 * scale:
+        raise PollutantError(
+            f"ball quadrature at {n_per_axis} points per axis disagrees with "
+            f"the {2 * n_per_axis}-point refinement beyond 1e-4 relative; "
+            "increase ball_points"
+        )
+    return fine
 
 
 def _ball_volume(d: int, radius: float) -> float:
@@ -364,10 +376,11 @@ def assemble_model(params: PollutantParams, sys: EigenSystem | None = None) -> M
 
     Drift: diagonal relaxation -(lambda_j + decay) v_j plus reaction terms
     sum_i K_i(probe values) * output_i.  Jump for a mark (x, a): the vector
-    a * K0(probe values) * ball_average(x).  Jacobians follow from the kernel
-    gradients.  Ball averages are precomputed per atom of the mark measure;
-    ball_points must resolve the highest retained mode over the injection
-    ball or the refinement check in ball_average_coefficients trips.
+    a * K0(probe values) * ball_average(x), one column per atom of the mark
+    measure.  Jacobians follow from the kernel gradients.  Ball averages are
+    precomputed once per atom; ball_points must resolve the highest retained
+    mode over the injection ball or the refinement check in
+    ball_average_coefficients trips.
     """
     sys = build_eigensystem(params) if sys is None else sys
     n_modes = sys.n_modes
@@ -382,23 +395,13 @@ def assemble_model(params: PollutantParams, sys: EigenSystem | None = None) -> M
     k0 = params.jump_kernel
     x0 = _coeff_vector(sys, params.x0_coeffs)
 
-    ball_cache: dict[tuple, np.ndarray] = {}
-    for k in range(params.measure.n_atoms):
-        mark = np.atleast_1d(params.measure.marks[k])
-        key = tuple(mark)
-        if key not in ball_cache:
-            ball_cache[key] = ball_average_coefficients(
-                sys, mark[:-1], params.radius, params.ball_points
-            )
-
-    def ball_of(mark) -> np.ndarray:
-        key = tuple(np.atleast_1d(np.asarray(mark, dtype=float)))
-        cached = ball_cache.get(key)
-        if cached is not None:
-            return cached
-        return ball_average_coefficients(
-            sys, np.asarray(key[:-1]), params.radius, params.ball_points
-        )
+    marks = params.measure.marks
+    mags = marks[:, -1]
+    # (n_modes, n_atoms): column k is the ball average around atom k's site
+    balls = np.column_stack([
+        ball_average_coefficients(sys, mark[:-1], params.radius, params.ball_points)
+        for mark in marks
+    ])
 
     def probe_values(v):
         return probes @ v
@@ -419,16 +422,12 @@ def assemble_model(params: PollutantParams, sys: EigenSystem | None = None) -> M
                 jac = jac + np.outer(zvec, np.asarray(ker.grad(p), dtype=float) @ probes)
         return jac
 
-    def jump(v, y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        a = y[-1]
-        return a * float(k0.fn(probe_values(v))) * ball_of(y)
+    def jump(v):
+        return balls * (mags * float(k0.fn(probe_values(v))))
 
-    def jump_jac(v, y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        a = y[-1]
+    def jump_jac(v):
         grad = np.asarray(k0.grad(probe_values(v)), dtype=float) @ probes
-        return a * np.outer(ball_of(y), grad)
+        return mags[:, None, None] * (balls.T[:, :, None] * grad)
 
     return ModelSpec(
         dim=n_modes,

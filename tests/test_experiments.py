@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -50,6 +51,10 @@ def test_config_roundtrip_and_hash(tmp_path):
     assert back == cfg
     assert back.config_hash() == cfg.config_hash()
     assert len(cfg.config_hash()) == 12
+    # where a run writes and how many workers share it leave the hash alone
+    moved = dataclasses.replace(cfg, out_dir=str(tmp_path / "elsewhere"), workers=2)
+    assert moved.config_hash() == cfg.config_hash()
+    assert dataclasses.replace(cfg, seed=cfg.seed + 1).config_hash() != cfg.config_hash()
 
 
 def test_scaling_helpers():
@@ -69,6 +74,23 @@ def test_config_typos_are_named_errors(tmp_path, capsys):
         assert cli.main(["fluid", "--config", str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("FAILED: unknown") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, block, typo, valid",
+    [
+        ("var-rep", "var_rep", "replication", "replications"),
+        ("lemma-check", "lemma", "beta", "betas"),
+        ("pollutant", "pollutant", "max_modes", "max_mode"),
+    ],
+)
+def test_nested_config_typos_are_named_errors(tmp_path, capsys, command, block, typo, valid):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({block: {typo: 10}}))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"FAILED: unknown {block} keys ['{typo}']; valid keys: [")
+    assert f"'{valid}'" in err and "Traceback" not in err
 
 
 def test_nonfinite_paths_fail_in_both_estimators():

@@ -1,0 +1,109 @@
+"""Golden outputs: the CLI's CSV files on tiny configs keep their bytes.
+
+Every CSV cell is written with repr, so a refactor that reorders a sum or
+changes a kernel shows up here as a changed hash.  The hashes were recorded
+with numpy 2.4 and scipy 1.17; another BLAS or numpy build may round a last
+digit differently.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from jumpmdp import cli
+
+CASES = {
+    "mdp-slope": {
+        "model": "two_d_benchmark",
+        "eps_grid": [0.2, 0.1],
+        "replications": 100,
+        "is_replications": 100,
+        "n_cells": 32,
+        "n_cells_analysis": 200,
+    },
+    "simulate": {
+        "model": "two_d_benchmark",
+        "eps_grid": [0.2, 0.05],
+        "replications": 100,
+        "n_cells": 16,
+        "dump_paths": True,
+    },
+    "rate": {
+        "model": "two_d_benchmark",
+        "n_cells_analysis": 200,
+        "rate_targets": [[0.5, -0.2]],
+    },
+    "pollutant": {
+        "pollutant": {
+            "d_space": 1,
+            "velocity": [2.0],
+            "decay": 0.5,
+            "radius": 0.05,
+            "max_mode": 3,
+            "atoms": [[0.3, 1.0, 0.6], [0.7, 2.0, 0.4]],
+            "epsilon": 0.1,
+            "seeds": [0, 1],
+            "hs_levels": [4, 8, 12],
+        },
+    },
+}
+
+# command -> (exit code, {output file: sha256}).  At this size the 2-D slope
+# misses its 25% gate, so mdp-slope exits 1; summary.csv is written first.
+GOLDEN = {
+    "mdp-slope": (1, {
+        "summary.csv": "75fa6ef0b4af4bf880bfe7b68f1db3bce855092c4413d9c5557066313f032e7e",
+    }),
+    "pollutant": (0, {
+        "pollutant_field_T.csv": "485b7a479d5d76def1c6eb21ca8eb06848005185f7a9543d759cbeaa331cdbc8",
+        "pollutant_fluid_coeffs.csv": "11192c5bc1a1345808cfee92bfe030423c27d03e36262ee333ebe568ee0f51c1",
+        "pollutant_modes.csv": "8aebc500888f0f0317e9532be190e5eefcf4cb0dbc5573b50d3ac4f758bb43c5",
+        "pollutant_report.csv": "8ac6af9e32a5a9cbd5706321d3f1bf152b673aed242db9c8913615f0c567f2d9",
+    }),
+    "rate": (0, {
+        "rate_controls_0.csv": "c378c592c348c2b3f8c1778e6c4ec1f906a3b03515246f9831433038f9b60406",
+        "rate_path_0.csv": "7c8fa1604cfa6706036f059870952d8ed65980d7c8a3327801a2655241c9d275",
+        "rate_psi_0.csv": "e6709085841a9ff7003242ca817ce159649acd3028e7e0fa75907c18faa54ee7",
+        "rate_summary.csv": "e0c344f0a4d0fefc54d30ff8b9cd75d30cd522d2ad7ae91d78709fee31c35e44",
+    }),
+    "simulate": (0, {
+        "paths/eps0_rep0.csv": "3343bc1f640fd51755a8f66d41e9b8084e5b6755da6503e1be603efb043600de",
+        "paths/eps0_rep1.csv": "1fb93daab420079ddc8dcbc6641a8bd3a19cdb7d483f60712a91c99a74b2ad73",
+        "paths/eps0_rep2.csv": "321151ee2ec84927be631f0073232744c695ae11c0d3b8b0caef825ff1aa847c",
+        "paths/eps0_rep3.csv": "db75a0e379f7f2e3f59cd8f26f88df9b573a55e410f86ecb341680c7165fb166",
+        "paths/eps0_rep4.csv": "f7e1fff7bbf91cac3d5cb28efd271091174cbac6c2d2b7e269ecaedd2d4bfbf2",
+        "paths/eps1_rep0.csv": "8328255ad8c46e8a1a4ba438e23622584d05b12671647ed37ce5c5cdbd6da918",
+        "paths/eps1_rep1.csv": "9fa5a21a1f33499ee0f497a9c239a3fbb2ffde192c2d7c7f8658ab679b35cf0c",
+        "paths/eps1_rep2.csv": "c25024959238e19e83422e3fa25635e270d9ce6b5e4e25e5b5599ec49142363b",
+        "paths/eps1_rep3.csv": "07cf6f9a2f83b432b00490165eed07144cc8a72cda25cb3b1429f0fe6f835247",
+        "paths/eps1_rep4.csv": "ccbf29dee288229d84f794855c937d8ea349bee4f1af824797d924041a9caa4d",
+        "terminal_stats.csv": "d2bc00ba9253353df97b9ec063c276762dbc75b6cc5f49911c2419a217d5f5b3",
+    }),
+}
+
+
+def run_case(command, out_dir):
+    """Run one CLI command into out_dir; returns (exit code, {file: sha256})."""
+    cfg_path = out_dir / "config.json"
+    cfg_path.write_text(json.dumps(CASES[command]))
+    code = cli.main([command, "--config", str(cfg_path), "--out", str(out_dir / "out")])
+    hashes = {
+        str(p.relative_to(out_dir / "out")): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted((out_dir / "out").rglob("*.csv"))
+    }
+    return code, hashes
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_golden_outputs(command, tmp_path, capsys):
+    code, hashes = run_case(command, tmp_path)
+    expected_code, expected = GOLDEN[command]
+    changed = sorted(
+        name for name in set(hashes) | set(expected) if hashes.get(name) != expected.get(name)
+    )
+    assert code == expected_code and not changed, (
+        f"{command}: exit code {code} (expected {expected_code}), changed files {changed}. "
+        "If the change is intended, update GOLDEN in this file and name the changed "
+        "files in CHANGES.md."
+    )

@@ -9,12 +9,12 @@ from jumpmdp.jump_sde import (
     ModelSpec,
     PathGrid,
     _walk_events,
-    centered_fluctuation,
     fluid_limit,
     simulate_jump_path,
 )
 from jumpmdp.mark_space import MarkMeasure
-from jumpmdp.models import build_model
+from jumpmdp.models import MODEL_BUILDERS, build_model
+from jumpmdp.spde_pollutant import assemble_model, params_from_dict
 from jumpmdp.prm import (
     ControlField,
     PointRealization,
@@ -32,9 +32,9 @@ def still_model(dim=1, x0=0.5):
         horizon=1.0,
         x0=np.full(dim, x0),
         drift=lambda x: np.zeros(dim),
-        jump=lambda x, y: np.full(dim, y),
+        jump=lambda x: np.ones((dim, 1)),
         drift_jac=lambda x: np.zeros((dim, dim)),
-        jump_jac=lambda x, y: np.zeros((dim, dim)),
+        jump_jac=lambda x: np.zeros((1, dim, dim)),
         measure=m,
     )
 
@@ -83,7 +83,7 @@ def test_fluid_constant_when_coefficients_vanish():
     zero_jump = ModelSpec(
         dim=1, horizon=1.0, x0=np.array([0.5]),
         drift=model.drift,
-        jump=lambda x, y: np.zeros(1),
+        jump=lambda x: np.zeros((1, 1)),
         drift_jac=model.drift_jac, jump_jac=model.jump_jac, measure=model.measure,
     )
     path, peak = fluid_limit(zero_jump, 50)
@@ -104,27 +104,14 @@ def test_fluid_rotation_preserves_norm():
     model = ModelSpec(
         dim=2, horizon=1.0, x0=np.array([1.0, 0.0]),
         drift=lambda x: np.array([-x[1], x[0]]),
-        jump=lambda x, y: np.zeros(2),
+        jump=lambda x: np.zeros((2, 1)),
         drift_jac=lambda x: np.array([[0.0, -1.0], [1.0, 0.0]]),
-        jump_jac=lambda x, y: np.zeros((2, 2)),
+        jump_jac=lambda x: np.zeros((1, 2, 2)),
         measure=m,
     )
     path, _ = fluid_limit(model, 1000)
     norms = np.linalg.norm(path.values, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-8
-
-
-def test_centered_fluctuation_algebra():
-    t = np.linspace(0, 1, 11)
-    base = PathGrid(t, np.zeros((11, 1)))
-    same = centered_fluctuation(base, base, 0.3)
-    assert np.all(same.values == 0.0)
-    shifted = PathGrid(t, np.full((11, 1), 0.5))
-    assert np.all(centered_fluctuation(shifted, base, 0.5).values == 1.0)
-    ramp = PathGrid(t, t[:, None])
-    assert np.allclose(centered_fluctuation(ramp, base, 0.5).values[:, 0], 2 * t)
-    with pytest.raises(ModelError):
-        centered_fluctuation(PathGrid(t[:6], np.zeros((6, 1))), base, 1.0)
 
 
 def controlled_path(model, eps, ctrl, seed):
@@ -192,9 +179,9 @@ def test_jump_bookkeeping_on_hand_built_events():
     doubling = ModelSpec(
         dim=1, horizon=1.0, x0=np.array([1.0]),
         drift=lambda x: np.zeros(1),
-        jump=lambda x, y: x / eps,
+        jump=lambda x: (x / eps)[:, None],
         drift_jac=lambda x: np.zeros((1, 1)),
-        jump_jac=lambda x, y: np.eye(1) / eps,
+        jump_jac=lambda x: np.eye(1)[None] / eps,
         measure=m,
     )
     path = simulate_jump_path(doubling, eps, events_at([0.1, 0.2, 0.5, 1.0]), n_cells=4)
@@ -235,19 +222,66 @@ def test_lln_shrinking_deviation():
     assert all(m <= c_fit * math.sqrt(e) + 1e-12 for m, e in zip(means, eps_grid))
 
 
+def two_atom_pollutant():
+    return assemble_model(params_from_dict({
+        "d_space": 1,
+        "velocity": [2.0],
+        "max_mode": 3,
+        "atoms": [[0.3, 1.0, 0.6], [0.7, 2.0, 0.4]],
+        "jump_kernel": {"kind": "tanh", "intercept": 1.0, "amplitude": 0.5, "slope": [0.7]},
+        "probes": [[[[0], 1.0], [[1], 0.5]]],
+    }))
+
+
 def test_model_derivative_validation():
-    for name in ("scalar_benchmark", "two_d_benchmark", "rank_deficient_2d", "linear_gaussian"):
-        build_model(name).validate_derivatives(seed=1)
+    models = [build_model(name) for name in MODEL_BUILDERS] + [two_atom_pollutant()]
+    assert "pure_jump" in MODEL_BUILDERS and models[-1].measure.n_atoms == 2
+    for model in models:
+        n, d = model.measure.n_atoms, model.dim
+        assert model.jump(model.x0).shape == (d, n)
+        assert model.jump_jac(model.x0).shape == (n, d, d)
+        model.validate_derivatives(seed=1)
     broken = ModelSpec(
         dim=1, horizon=1.0, x0=np.zeros(1),
         drift=lambda x: -x,
-        jump=lambda x, y: np.array([y]),
+        jump=lambda x: np.ones((1, 1)),
         drift_jac=lambda x: np.array([[2.0]]),  # wrong on purpose
-        jump_jac=lambda x, y: np.zeros((1, 1)),
+        jump_jac=lambda x: np.zeros((1, 1, 1)),
         measure=MarkMeasure.single_atom(),
     )
     with pytest.raises(ModelError, match="drift_jac"):
         broken.validate_derivatives()
+    # G(x, y) = x * y on marks 1 and 3; the declared slice of atom 1 is wrong
+    m = MarkMeasure.from_atoms([(3.0, 1.0), (1.0, 1.0)])
+    broken = ModelSpec(
+        dim=1, horizon=1.0, x0=np.ones(1),
+        drift=lambda x: -x,
+        jump=lambda x: x[:, None] * m.marks.T,
+        drift_jac=lambda x: -np.eye(1),
+        jump_jac=lambda x: np.ones((2, 1, 1)),
+        measure=m,
+    )
+    with pytest.raises(ModelError, match="jump_jac mismatch .* atom 1"):
+        broken.validate_derivatives()
+
+
+def test_jump_contract_violations_are_named():
+    base = dict(
+        dim=1, horizon=1.0, x0=np.zeros(1),
+        drift=lambda x: -x,
+        drift_jac=lambda x: -np.eye(1),
+        measure=MarkMeasure.single_atom(),
+    )
+
+    def per_mark_jump(x, y):
+        return np.array([y])
+
+    with pytest.raises(ModelError, match=r"jump\(x\) \(.*per_mark_jump\).*\(1, 1\).*TypeError"):
+        ModelSpec(jump=per_mark_jump, jump_jac=lambda x: np.zeros((1, 1, 1)), **base)
+    with pytest.raises(ModelError, match=r"jump\(x\) .*shape \(1, 1\).*gave \(1,\)"):
+        ModelSpec(jump=lambda x: np.ones(1), jump_jac=lambda x: np.zeros((1, 1, 1)), **base)
+    with pytest.raises(ModelError, match=r"jump_jac\(x\) .*shape \(1, 1, 1\).*gave \(1, 1\)"):
+        ModelSpec(jump=lambda x: np.ones((1, 1)), jump_jac=lambda x: np.zeros((1, 1)), **base)
 
 
 def test_scaling_schedule():

@@ -39,9 +39,9 @@ def test_two_atom_norm():
     model = ModelSpec(
         dim=1, horizon=1.0, x0=np.zeros(1),
         drift=lambda x: -x,
-        jump=lambda x, y: np.array([y]),
+        jump=lambda x: m.marks.T,
         drift_jac=lambda x: np.array([[-1.0]]),
-        jump_jac=lambda x, y: np.zeros((1, 1)),
+        jump_jac=lambda x: np.zeros((2, 1, 1)),
         measure=m,
     )
     fluid, _ = fluid_limit(model, 50)
@@ -178,25 +178,6 @@ def test_decomposition_reconstructs_exactly():
         parts = decompose_controlled_path(model, 0.1, ctrl, seed=seed)
         assert parts.reconstruction_gap() < 1e-12
         assert parts.cost.total > 0
-
-
-def test_system_and_covariance_exports(tmp_path):
-    model, sysm = linearize("two_d_benchmark", n_cells=8)
-    sys_file = tmp_path / "system.csv"
-    sysm.export_csv(sys_file)
-    lines = sys_file.read_text().strip().splitlines()
-    assert lines[0].startswith("cell,t_mid,rank,a1_00")
-    assert len(lines) == 9
-    cells = [float(tok) for tok in lines[1].split(",")[1:]]
-    assert all(math.isfinite(v) for v in cells)
-    lim = gaussian_covariance(sysm)
-    cov_file = tmp_path / "cov.csv"
-    lim.export_csv(cov_file)
-    lines = cov_file.read_text().strip().splitlines()
-    assert lines[0] == "t,sigma_00,sigma_01,sigma_10,sigma_11"
-    assert len(lines) == 10
-    first = [float(tok) for tok in lines[1].split(",")]
-    assert first[1:] == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_martingale_term_shrinks():

@@ -242,25 +242,6 @@ def test_thinning_with_dominating_envelope():
     assert 0.9 <= low.var(ddof=1) / low.mean() <= 1.1
 
 
-def test_realization_csv_roundtrip(tmp_path):
-    r = sample_poisson_measure(UNIT, 10.0, 1.0, 8)
-    p = tmp_path / "events.csv"
-    r.to_csv(p)
-    back = PointRealization.from_csv(p, 1.0, 10.0)
-    assert np.array_equal(back.times, r.times)
-    assert np.array_equal(back.atoms, r.atoms)
-
-
-def test_control_field_roundtrip(tmp_path):
-    psi = np.array([[0.1, -0.2, 0.3], [0.0, 0.5, -0.1]])
-    ctrl = ControlField(psi, 2.0, 0.25)
-    p = tmp_path / "ctrl.txt"
-    ctrl.save(p)
-    back = ControlField.load(p)
-    assert np.array_equal(back.psi, ctrl.psi)
-    assert back.horizon == ctrl.horizon and back.a_eps == ctrl.a_eps
-
-
 def test_substream_independence_and_determinism():
     a1 = substream(0, 1, 2).normal(size=4)
     a2 = substream(0, 1, 2).normal(size=4)

@@ -164,9 +164,9 @@ def test_orthogonal_component_is_wasted_energy():
     model = ModelSpec(
         dim=1, horizon=1.0, x0=np.zeros(1),
         drift=lambda x: -x,
-        jump=lambda x, y: np.array([y]),
+        jump=lambda x: m.marks.T,
         drift_jac=lambda x: np.array([[-1.0]]),
-        jump_jac=lambda x, y: np.zeros((1, 1)),
+        jump_jac=lambda x: np.zeros((2, 1, 1)),
         measure=m,
     )
     fluid, _ = fluid_limit(model, 100)
