@@ -90,9 +90,24 @@ def _tanh_kernel(intercept: float, amplitude: float, slope: np.ndarray) -> Kerne
     return KernelSpec(fn=fn, grad=grad)
 
 
+# keys of each kernel kind in a config file
+KERNEL_KEYS = {
+    "constant": ("kind", "value"),
+    "affine": ("kind", "intercept", "slope"),
+    "tanh": ("kind", "intercept", "amplitude", "slope"),
+}
+
+
 def kernel_from_dict(spec: Mapping) -> KernelSpec:
-    """Expression-free kernel catalog for config files."""
+    """Expression-free kernel catalog for config files.
+
+    An unknown key for the kernel's kind raises ModelError listing the valid
+    ones.
+    """
     kind = spec.get("kind", "constant")
+    if kind not in KERNEL_KEYS:
+        raise PollutantError(f"unknown kernel kind {kind!r}")
+    check_keys(f"{kind} kernel", spec, KERNEL_KEYS[kind])
     if kind == "constant":
         return constant_kernel(float(spec.get("value", 1.0)))
     if kind == "affine":
@@ -103,11 +118,15 @@ def kernel_from_dict(spec: Mapping) -> KernelSpec:
             float(spec.get("amplitude", 1.0)),
             spec.get("slope", ()),
         )
-    raise PollutantError(f"unknown kernel kind {kind!r}")
 
 
-def _mapping_from_pairs(pairs) -> dict:
-    return {tuple(int(j) for j in mode): float(coeff) for mode, coeff in pairs}
+def _mapping_from_pairs(block: str, pairs) -> dict:
+    try:
+        return {tuple(int(j) for j in mode): float(coeff) for mode, coeff in pairs}
+    except (TypeError, ValueError) as exc:
+        raise PollutantError(
+            f"{block} must be a list of [[mode...], coefficient] pairs, got {pairs!r}"
+        ) from exc
 
 
 # keys of the pollutant config block: the model parameters read below, then
@@ -123,13 +142,25 @@ CONFIG_KEYS = (
 def params_from_dict(spec: Mapping) -> "PollutantParams":
     """Build parameters from the JSON-friendly config block.
 
-    An unknown key raises ModelError listing the valid ones.
+    An unknown key, here or in a kernel, raises ModelError listing the valid
+    ones.  A malformed probes/outputs/x0 pair list, or a kernel slope without
+    exactly one component per probe, raises PollutantError naming the block.
     """
     check_keys("pollutant", spec, CONFIG_KEYS)
     atoms = np.asarray(spec["atoms"], dtype=float)
     if atoms.ndim != 2 or atoms.shape[1] < 3:
         raise PollutantError("atoms must be rows of (site components, magnitude, weight)")
     measure = MarkMeasure(atoms[:, :-1], atoms[:, -1])
+    probes = spec.get("probes", ())
+
+    def kernel(block, k):
+        if k.get("kind") in ("affine", "tanh") and np.shape(k.get("slope", ())) != (len(probes),):
+            raise PollutantError(
+                f"{block}: slope must have one component per probe ({len(probes)}), "
+                f"got {k.get('slope', ())!r}"
+            )
+        return kernel_from_dict(k)
+
     return PollutantParams(
         d_space=int(spec["d_space"]),
         side=float(spec.get("side", 1.0)),
@@ -140,11 +171,15 @@ def params_from_dict(spec: Mapping) -> "PollutantParams":
         max_mode=int(spec.get("max_mode", 5)),
         measure=measure,
         horizon=float(spec.get("horizon", 1.0)),
-        jump_kernel=kernel_from_dict(spec.get("jump_kernel", {"kind": "constant"})),
-        drift_kernels=tuple(kernel_from_dict(k) for k in spec.get("drift_kernels", ())),
-        probes=tuple(_mapping_from_pairs(p) for p in spec.get("probes", ())),
-        outputs=tuple(_mapping_from_pairs(z) for z in spec.get("outputs", ())),
-        x0_coeffs=_mapping_from_pairs(spec.get("x0", ())),
+        jump_kernel=kernel("jump_kernel", spec.get("jump_kernel", {"kind": "constant"})),
+        drift_kernels=tuple(
+            kernel(f"drift_kernels[{i}]", k) for i, k in enumerate(spec.get("drift_kernels", ()))
+        ),
+        probes=tuple(_mapping_from_pairs(f"probes[{i}]", p) for i, p in enumerate(probes)),
+        outputs=tuple(
+            _mapping_from_pairs(f"outputs[{i}]", z) for i, z in enumerate(spec.get("outputs", ()))
+        ),
+        x0_coeffs=_mapping_from_pairs("x0", spec.get("x0", ())),
         hs_exponent=float(spec.get("hs_exponent", 2.0)),
         ball_points=int(spec.get("ball_points", 32)),
         quad_points=int(spec.get("quad_points", 64)),
@@ -261,18 +296,15 @@ class EigenSystem:
     def eval_modes(self, points: np.ndarray) -> np.ndarray:
         """Eigenfunction values, shape (n_modes, n_points)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        return _mode_products(self._axis_tables(points), self.modes, slice(None))
+
+    def _axis_tables(self, points: np.ndarray) -> list:
+        """Per axis i, the (max_j + 1, n_points) values of phi_j(points[:, i])."""
         max_j = max(max(m) for m in self.modes)
-        per_axis = [
+        return [
             np.array([ax.values(j, points[:, i]) for j in range(max_j + 1)])
             for i, ax in enumerate(self.axes)
         ]
-        out = np.empty((self.n_modes, points.shape[0]))
-        for r, mode in enumerate(self.modes):
-            v = per_axis[0][mode[0]]
-            for i in range(1, len(self.axes)):
-                v = v * per_axis[i][mode[i]]
-            out[r] = v
-        return out
 
     def box_quadrature(self, n_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
         """Tensor Gauss-Legendre nodes and weights on the box."""
@@ -336,6 +368,11 @@ def ball_average_coefficients(
     value is recomputed at twice the resolution and must agree to 1e-4
     relative, which catches under-resolved injections; the refined value is
     returned.
+
+    The per-mode sums over the masked points are exactly rounded (the same
+    bits as math.fsum), computed by blocked error-free extraction over
+    _SUM_BLOCK points at a time, so memory is O(n_modes * _SUM_BLOCK) rather
+    than O(n_modes * n_points).  A non-finite value raises PollutantError.
     """
     site = np.asarray(site, dtype=float).ravel()
     d = len(sys.axes)
@@ -349,11 +386,9 @@ def ball_average_coefficients(
         mask = np.linalg.norm(pts - site, axis=1) <= radius
         cell = (2 * radius / n) ** d
         vol = _ball_volume(d, radius)
-        vals = sys.eval_modes(pts[mask])
-        rho = sys.weight_density(pts[mask])
         # exactly-rounded per-mode sums: coefficients of shared modes agree
         # bit for bit across truncation levels
-        return np.array([math.fsum(row * rho) for row in vals]) * (cell / vol)
+        return _mode_sums(sys, pts[mask]) * (cell / vol)
 
     coarse = midpoint(n_per_axis)
     fine = midpoint(2 * n_per_axis)
@@ -365,6 +400,81 @@ def ball_average_coefficients(
             "increase ball_points"
         )
     return fine
+
+
+# points per block of the exact row sums: an (n_modes, _SUM_BLOCK) block
+# and its extraction buffer stay small enough for the cache
+_SUM_BLOCK = 1024
+
+
+def _mode_sums(sys: EigenSystem, points: np.ndarray) -> np.ndarray:
+    """Exactly rounded sums over the points of phi_j * rho0, per mode j.
+
+    The same bits as math.fsum over each row of eval_modes(points) *
+    weight_density(points), without building that (n_modes, n_points)
+    matrix: the transcendental tables and rho0 are evaluated on all points
+    at once, as eval_modes does, and only the products are formed a block at
+    a time.
+    """
+    tables = sys._axis_tables(points)
+    rho = sys.weight_density(points)
+
+    def block(cols):
+        vals = _mode_products(tables, sys.modes, cols)
+        vals *= rho[cols]
+        return vals
+
+    return _exact_row_sums(sys.n_modes, rho.size, block)
+
+
+def _mode_products(tables: list, modes: Sequence, cols: slice) -> np.ndarray:
+    """Values of each mode on the points cols of the axis tables, (n_modes, len).
+
+    The product runs over the axes in order, ((t0[m0] * t1[m1]) * t2[m2]),
+    so every value has the same bits whichever block of points it sits in.
+    """
+    index = np.asarray(modes)
+    out = tables[0][:, cols][index[:, 0]]
+    for i in range(1, len(tables)):
+        out *= tables[i][:, cols][index[:, i]]
+    return out
+
+
+def _exact_row_sums(n_rows: int, n_cols: int, block: Callable) -> np.ndarray:
+    """Correctly rounded row sums of an (n_rows, n_cols) matrix given in blocks.
+
+    block(cols) returns the columns cols of the matrix as a fresh array,
+    which is overwritten.  Error-free extraction (Rump, Ogita & Oishi,
+    "Accurate floating-point summation, part I", SIAM J. Sci. Comput. 31,
+    2008): with sigma a power of two above 2^ceil(log2(b + 2)) * max|p| per
+    row of a b-column block p, q = (sigma + p) - sigma keeps the leading bits
+    of p on the grid of ulp(sigma), so q sums exactly in any order, and
+    p - q is exact.  Repeating until p is zero splits each row into a few
+    parts that add up exactly to the row's sum; math.fsum of the parts is
+    the correctly rounded sum, the same bits as math.fsum over the row.
+    """
+    parts = [np.zeros(n_rows)]
+    for start in range(0, n_cols, _SUM_BLOCK):
+        p = block(slice(start, min(start + _SUM_BLOCK, n_cols)))
+        shift = math.ceil(math.log2(p.shape[1] + 2))
+        q = np.empty_like(p)
+        while True:
+            mu = np.maximum(p.max(axis=1), -p.min(axis=1))
+            if not mu.any():
+                break
+            _, ex = np.frexp(mu)
+            # sigma <= 2^1023 keeps sigma + p finite
+            if not np.isfinite(mu).all() or ex.max() + shift > 1023:
+                raise PollutantError(
+                    "exact row sum: a value is not finite or too large to extract"
+                )
+            sigma = np.ldexp(1.0, ex + shift)
+            sigma[mu == 0.0] = 0.0
+            np.add(sigma[:, None], p, out=q)
+            q -= sigma[:, None]
+            p -= q
+            parts.append(q.sum(axis=1))
+    return np.array([math.fsum(col) for col in np.array(parts).T])
 
 
 def _ball_volume(d: int, radius: float) -> float:

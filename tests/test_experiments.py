@@ -93,6 +93,30 @@ def test_nested_config_typos_are_named_errors(tmp_path, capsys, command, block, 
     assert f"'{valid}'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key, value, block",
+    [
+        ("probes", [[[0], 1.0]], "probes[0]"),                 # one nesting level short
+        ("outputs", [[[[0], 1.0, 2.0]]], "outputs[0]"),        # a triple, not a pair
+        ("x0", [[0, 0.7]], "x0"),                              # mode not a list
+    ],
+)
+def test_malformed_pollutant_pairs_are_named_errors(tmp_path, capsys, key, value, block):
+    spec = {
+        "d_space": 1,
+        "velocity": [2.0],
+        "max_mode": 3,
+        "atoms": [[0.3, 1.0, 0.6], [0.7, 2.0, 0.4]],
+        key: value,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"pollutant": spec}))
+    assert cli.main(["pollutant", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"FAILED: {block} must be a list of [[mode...], coefficient] pairs")
+    assert "Traceback" not in err
+
+
 def test_nonfinite_paths_fail_in_both_estimators():
     # the fluid limit sits at its fixed point, but the jump SDE's drift
     # -3000 x is far outside RK4's stability region and overflows on 64 cells

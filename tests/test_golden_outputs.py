@@ -47,9 +47,26 @@ CASES = {
             "hs_levels": [4, 8, 12],
         },
     },
+    # the tensor-product path: 9 modes at J = 2 and 25 at 2J on a 2-D box
+    "pollutant-2d": {
+        "pollutant": {
+            "d_space": 2,
+            "velocity": [2.0, 0.0],
+            "decay": 0.5,
+            "radius": 0.05,
+            "max_mode": 2,
+            "atoms": [[0.3, 0.4, 1.0, 0.6], [0.7, 0.6, 2.0, 0.4]],
+            "ball_points": 256,
+            "epsilon": 0.1,
+            "seeds": [0, 1],
+            "hs_levels": [4, 8, 12],
+        },
+    },
 }
+# case -> CLI command, where the case is not named after its command
+COMMANDS = {"pollutant-2d": "pollutant"}
 
-# command -> (exit code, {output file: sha256}).  At this size the 2-D slope
+# case -> (exit code, {output file: sha256}).  At this size the 2-D slope
 # misses its 25% gate, so mdp-slope exits 1; summary.csv is written first.
 GOLDEN = {
     "mdp-slope": (1, {
@@ -60,6 +77,12 @@ GOLDEN = {
         "pollutant_fluid_coeffs.csv": "11192c5bc1a1345808cfee92bfe030423c27d03e36262ee333ebe568ee0f51c1",
         "pollutant_modes.csv": "8aebc500888f0f0317e9532be190e5eefcf4cb0dbc5573b50d3ac4f758bb43c5",
         "pollutant_report.csv": "8ac6af9e32a5a9cbd5706321d3f1bf152b673aed242db9c8913615f0c567f2d9",
+    }),
+    "pollutant-2d": (0, {
+        "pollutant_field_T.csv": "19e9b1c9659ea1fb63338ca26845157644e815463f3cd6501803345e938ceb46",
+        "pollutant_fluid_coeffs.csv": "8e6f8e8c5ca865943b100a3c92ff0e50dd6af891084695bd78a290cae3ef5b2b",
+        "pollutant_modes.csv": "01b375d020dd32684e40f10facb1ccd6d299eb6131ad2d53f639ed7b0cafaa6d",
+        "pollutant_report.csv": "3faa1cacdc123db756ca3a226ba78ee62fb7096ed57896ab611e854365158b2f",
     }),
     "rate": (0, {
         "rate_controls_0.csv": "c378c592c348c2b3f8c1778e6c4ec1f906a3b03515246f9831433038f9b60406",
@@ -83,11 +106,11 @@ GOLDEN = {
 }
 
 
-def run_case(command, out_dir):
-    """Run one CLI command into out_dir; returns (exit code, {file: sha256})."""
+def run_case(case, out_dir):
+    """Run one case's CLI command into out_dir; returns (exit code, {file: sha256})."""
     cfg_path = out_dir / "config.json"
-    cfg_path.write_text(json.dumps(CASES[command]))
-    code = cli.main([command, "--config", str(cfg_path), "--out", str(out_dir / "out")])
+    cfg_path.write_text(json.dumps(CASES[case]))
+    code = cli.main([COMMANDS.get(case, case), "--config", str(cfg_path), "--out", str(out_dir / "out")])
     hashes = {
         str(p.relative_to(out_dir / "out")): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted((out_dir / "out").rglob("*.csv"))
@@ -95,15 +118,15 @@ def run_case(command, out_dir):
     return code, hashes
 
 
-@pytest.mark.parametrize("command", sorted(CASES))
-def test_golden_outputs(command, tmp_path, capsys):
-    code, hashes = run_case(command, tmp_path)
-    expected_code, expected = GOLDEN[command]
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_outputs(case, tmp_path, capsys):
+    code, hashes = run_case(case, tmp_path)
+    expected_code, expected = GOLDEN[case]
     changed = sorted(
         name for name in set(hashes) | set(expected) if hashes.get(name) != expected.get(name)
     )
     assert code == expected_code and not changed, (
-        f"{command}: exit code {code} (expected {expected_code}), changed files {changed}. "
+        f"{case}: exit code {code} (expected {expected_code}), changed files {changed}. "
         "If the change is intended, update GOLDEN in this file and name the changed "
         "files in CHANGES.md."
     )

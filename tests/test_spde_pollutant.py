@@ -1,9 +1,15 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from jumpmdp.jump_sde import fluid_limit, simulate_jump_path
+from jumpmdp import spde_pollutant
+from jumpmdp.jump_sde import ModelError, fluid_limit, simulate_jump_path
 from jumpmdp.mark_space import MarkMeasure
 from jumpmdp.prm import sample_poisson_measure
 from jumpmdp.spde_pollutant import (
@@ -186,6 +192,94 @@ def test_linear_model_decouples_across_truncations():
     assert np.array_equal(f1.values, f2.values[:, idx])
 
 
+def test_ball_coefficients_of_shared_modes_agree_bit_for_bit_2d():
+    # the tensor-product path: modes with components <= 2 get the same bits
+    # at J = 2 and J = 4
+    params = make_params(
+        d_space=2,
+        velocity=(2.0, 0.0),
+        max_mode=2,
+        measure=MarkMeasure.from_atoms([((0.3, 0.4, 1.0), 1.0)]),
+    )
+    sys1 = build_eigensystem(params)
+    sys2 = build_eigensystem(replace(params, max_mode=4))
+    site = np.array([0.3, 0.4])
+    c1 = ball_average_coefficients(sys1, site, 0.05, 256)
+    c2 = ball_average_coefficients(sys2, site, 0.05, 256)
+    idx = [sys2.modes.index(m) for m in sys1.modes]
+    assert c1.tobytes() == c2[idx].tobytes()
+
+
+def fsum_rows(x):
+    # x + 0.0 maps -0.0 to 0.0: a zero sum's sign is not part of the contract
+    return np.array([math.fsum(row) for row in x]) + 0.0
+
+
+def exact_row_sums(x):
+    x = np.asarray(x, dtype=float)
+    return spde_pollutant._exact_row_sums(x.shape[0], x.shape[1], lambda c: x[:, c].copy()) + 0.0
+
+
+def test_exact_row_sums_match_fsum_on_hard_rows():
+    block = spde_pollutant._SUM_BLOCK
+    n = 2 * block + 37  # two full blocks and a short tail
+    tiny = 2.0**-1074
+    rng = np.random.default_rng(5)
+    x = np.zeros((9, n))
+    x[0, [0, 1, n - 1]] = [1e100, 1.0, -1e100]                 # cancellation
+    x[1] = tiny * rng.integers(-5, 6, n)                        # subnormals
+    x[2, [0, n - 1]] = [1.0, 2.0**-53]                          # tie, to even: 1
+    x[3, [0, n - 1]] = [1.0 + 2.0**-52, 2.0**-53]               # tie, to even: up
+    x[4, [0, block, n - 1]] = [1.0, 2.0**-53, tiny]             # sticky bit in the tail
+    # row 5 stays zero, beside nonzero rows
+    x[6] = rng.choice([-1.0, 1.0], n) * 2.0 ** rng.integers(-1000, 1000, n)  # > 600 binades
+    x[7] = rng.standard_normal(n)
+    x[8, n - 1] = -3.5                                          # only in the tail
+    assert fsum_rows(x)[2] == 1.0 and fsum_rows(x)[3] == 1.0 + 2.0**-51
+    assert exact_row_sums(x).tobytes() == fsum_rows(x).tobytes()
+
+
+@given(
+    x=hnp.arrays(
+        float,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+        elements=st.floats(-1e300, 1e300, allow_nan=False),
+    ),
+    block=st.integers(1, 64),
+)
+def test_exact_row_sums_property(x, block):
+    with mock.patch.object(spde_pollutant, "_SUM_BLOCK", block):
+        assert exact_row_sums(x).tobytes() == fsum_rows(x).tobytes()
+
+
+def test_exact_row_sums_reject_nonfinite_and_huge_values():
+    for bad in (math.nan, math.inf, -math.inf, 1e308):
+        with pytest.raises(PollutantError, match="not finite or too large"):
+            exact_row_sums([[1.0, bad, 2.0], [0.0, 0.0, 0.0]])
+
+
+def test_mode_sums_match_fsum_on_a_3d_ball():
+    # assemble_model cannot reach 3-D at this radius (the refinement check
+    # fails), so compare the per-mode sums over the masked points directly
+    params = make_params(
+        d_space=3,
+        velocity=(2.0, 0.0, -1.0),
+        max_mode=2,
+        radius=0.15,
+        measure=MarkMeasure.from_atoms([((0.5, 0.5, 0.5, 1.0), 1.0)]),
+    )
+    sysm = build_eigensystem(params)
+    n, site = 40, np.full(3, 0.5)
+    axis = site[0] - 0.15 + (np.arange(n) + 0.5) * (0.3 / n)
+    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    inside = pts[np.linalg.norm(pts - site, axis=1) <= 0.15]
+    assert inside.shape[0] % spde_pollutant._SUM_BLOCK != 0
+    rho = sysm.weight_density(inside)
+    expected = np.array([math.fsum(row * rho) for row in sysm.eval_modes(inside)])
+    assert sysm.n_modes == 27
+    assert spde_pollutant._mode_sums(sysm, inside).tobytes() == expected.tobytes()
+
+
 def test_convergence_study_reports():
     params = make_params(max_mode=2)
     report = galerkin_convergence_study(params, epsilon=0.1, seeds=[0, 1])
@@ -232,6 +326,28 @@ def test_params_from_dict_and_kernels():
     assert np.allclose(k.grad(np.array([0.5])), [2.0])
     with pytest.raises(PollutantError):
         kernel_from_dict({"kind": "mystery"})
+
+
+def test_kernel_keys_and_slope_lengths_are_checked():
+    with pytest.raises(ModelError, match=r"unknown tanh kernel keys \['slop'\]"):
+        kernel_from_dict({"kind": "tanh", "intercept": 1.0, "amplitude": 0.5, "slop": [0.7]})
+    with pytest.raises(ModelError, match=r"unknown constant kernel keys \['slope'\]"):
+        kernel_from_dict({"kind": "constant", "slope": [0.7]})
+    spec = {
+        "d_space": 1,
+        "velocity": [2.0],
+        "max_mode": 3,
+        "atoms": [[0.3, 1.0, 0.6], [0.7, 2.0, 0.4]],
+        "probes": [[[[0], 1.0], [[1], 0.5]]],
+    }
+    tanh = {"kind": "tanh", "intercept": 1.0, "amplitude": 0.5, "slope": [0.7]}
+    assert params_from_dict({**spec, "jump_kernel": tanh}).probes == ({(0,): 1.0, (1,): 0.5},)
+    for slope in ([0.7, 0.1], [], 0.7):
+        with pytest.raises(PollutantError, match="jump_kernel: slope must have one component"):
+            params_from_dict({**spec, "jump_kernel": {**tanh, "slope": slope}})
+    affine = {"kind": "affine", "intercept": 0.2}  # no slope, one probe
+    with pytest.raises(PollutantError, match=r"drift_kernels\[0\]: slope"):
+        params_from_dict({**spec, "drift_kernels": [affine], "outputs": [[[[0], 1.0]]]})
 
 
 def test_field_snapshot_export(tmp_path):
