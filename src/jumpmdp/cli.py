@@ -51,7 +51,6 @@ DEFAULT_POLLUTANT = {
     "horizon": 1.0,
     "atoms": [[0.3, 1.0, 0.6], [0.7, 2.0, 0.4]],
     "jump_kernel": {"kind": "constant", "value": 1.0},
-    "ball_points": 64,
     "epsilon": 0.05,
     "seeds": [0, 1, 2, 3],
     "hs_levels": [2, 4, 8, 16, 24],

@@ -18,17 +18,21 @@ Per axis the eigenpairs are
 
 with the drift-free limit c -> 0 taken analytically: phi_0 = sqrt(1/side)
 and phi_j = sqrt(2/side) * cos(j pi x / side) (the sine phase tends to
--pi/2; the sign flip is immaterial).
+-pi/2; the sign flip is immaterial).  Each phi_j * rho0 is then a sum of at
+most two exponentials e^{z x}, so the injection-ball averages of the modes
+have a closed form (see ball_average_coefficients).
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from scipy.special import hyp0f1
 
 from .jump_sde import ModelSpec, check_keys, fluid_limit, simulate_jump_path
 from .mark_space import MarkMeasure
@@ -130,7 +134,8 @@ def _mapping_from_pairs(block: str, pairs) -> dict:
 
 
 # keys of the pollutant config block: the model parameters read below, then
-# the convergence-study settings the pollutant command reads
+# the convergence-study settings the pollutant command reads.  ball_points is
+# accepted and ignored: the ball averages are exact, with nothing to resolve.
 CONFIG_KEYS = (
     "d_space", "side", "diffusivity", "velocity", "decay", "radius", "max_mode",
     "atoms", "horizon", "jump_kernel", "drift_kernels", "probes", "outputs", "x0",
@@ -143,17 +148,24 @@ def params_from_dict(spec: Mapping) -> "PollutantParams":
     """Build parameters from the JSON-friendly config block.
 
     An unknown key, here or in a kernel, raises ModelError listing the valid
-    ones.  A malformed probes/outputs/x0 pair list, or a kernel slope without
-    exactly one component per probe, raises PollutantError naming the block.
+    ones.  A kernel that is not a mapping, a probes/outputs/drift_kernels
+    value that is not a list, a malformed probes/outputs/x0 pair list, or a
+    kernel slope without exactly one component per probe raises
+    PollutantError naming the block.
     """
     check_keys("pollutant", spec, CONFIG_KEYS)
     atoms = np.asarray(spec["atoms"], dtype=float)
     if atoms.ndim != 2 or atoms.shape[1] < 3:
         raise PollutantError("atoms must be rows of (site components, magnitude, weight)")
     measure = MarkMeasure(atoms[:, :-1], atoms[:, -1])
+    for block in ("probes", "outputs", "drift_kernels"):
+        if not isinstance(spec.get(block, ()), (list, tuple)):
+            raise PollutantError(f"{block} must be a list, got {spec[block]!r}")
     probes = spec.get("probes", ())
 
     def kernel(block, k):
+        if not isinstance(k, Mapping):
+            raise PollutantError(f"{block} must be a kernel mapping with a 'kind', got {k!r}")
         if k.get("kind") in ("affine", "tanh") and np.shape(k.get("slope", ())) != (len(probes),):
             raise PollutantError(
                 f"{block}: slope must have one component per probe ({len(probes)}), "
@@ -181,7 +193,6 @@ def params_from_dict(spec: Mapping) -> "PollutantParams":
         ),
         x0_coeffs=_mapping_from_pairs("x0", spec.get("x0", ())),
         hs_exponent=float(spec.get("hs_exponent", 2.0)),
-        ball_points=int(spec.get("ball_points", 32)),
         quad_points=int(spec.get("quad_points", 64)),
     )
 
@@ -195,7 +206,8 @@ class PollutantParams:
     ``radius`` around every atom site must lie inside the box.  Probe and
     output functions are given as mode-coefficient mappings
     {multi-index: coefficient}, which keeps them meaningful across
-    truncation levels.
+    truncation levels: a mode above max_mode is dropped, and a multi-index
+    without one component per space dimension raises PollutantError.
     """
 
     d_space: int
@@ -213,7 +225,6 @@ class PollutantParams:
     outputs: tuple = ()
     x0_coeffs: Mapping = field(default_factory=dict)
     hs_exponent: float = 2.0
-    ball_points: int = 32
     quad_points: int = 64
 
     def __post_init__(self) -> None:
@@ -227,6 +238,16 @@ class PollutantParams:
             raise PollutantError("velocity must have one component per space dimension")
         if len(self.outputs) != len(self.drift_kernels):
             raise PollutantError("need one output function per drift kernel")
+        named = [("x0", self.x0_coeffs)]
+        named += [(f"probes[{i}]", p) for i, p in enumerate(self.probes)]
+        named += [(f"outputs[{i}]", z) for i, z in enumerate(self.outputs)]
+        for block, mapping in named:
+            for mode in mapping:
+                if len(mode) != self.d_space:
+                    raise PollutantError(
+                        f"{block}: mode {list(mode)} has {len(mode)} components, "
+                        f"expected one per space dimension ({self.d_space})"
+                    )
         if self.measure.mark_dim != self.d_space + 1:
             raise PollutantError(
                 "marks must be (site components, magnitude); "
@@ -275,6 +296,21 @@ class _Axis:
         alpha = math.atan(-j * math.pi / (l * c))
         return math.sqrt(2.0 / l) * np.exp(c * x) * np.sin(j * math.pi * x / l + alpha)
 
+    def terms(self, j: int) -> list:
+        """phi_j(x) * exp(-2 c x) as (coef, z) pairs: it is sum coef * e^{z x}."""
+        l, c = self.side, self.c
+        if j == 0:
+            return [(float(self.values(0, 0.0)), -2.0 * c)]
+        k = j * math.pi / l
+        if c == 0.0:
+            # sqrt(2/l) cos(k x)
+            half = 0.5 * math.sqrt(2.0 / l)
+            return [(half, 1j * k), (half, -1j * k)]
+        # sqrt(2/l) e^{-c x} sin(k x + alpha), the two terms complex conjugates
+        alpha = math.atan(-j * math.pi / (l * c))
+        coef = math.sqrt(2.0 / l) * cmath.exp(1j * alpha) / 2j
+        return [(coef, complex(-c, k)), (coef.conjugate(), complex(-c, -k))]
+
 
 @dataclass(frozen=True)
 class EigenSystem:
@@ -296,15 +332,16 @@ class EigenSystem:
     def eval_modes(self, points: np.ndarray) -> np.ndarray:
         """Eigenfunction values, shape (n_modes, n_points)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return _mode_products(self._axis_tables(points), self.modes, slice(None))
-
-    def _axis_tables(self, points: np.ndarray) -> list:
-        """Per axis i, the (max_j + 1, n_points) values of phi_j(points[:, i])."""
         max_j = max(max(m) for m in self.modes)
-        return [
+        tables = [
             np.array([ax.values(j, points[:, i]) for j in range(max_j + 1)])
             for i, ax in enumerate(self.axes)
         ]
+        index = np.asarray(self.modes)
+        out = tables[0][index[:, 0]]
+        for i in range(1, len(tables)):
+            out *= tables[i][index[:, i]]
+        return out
 
     def box_quadrature(self, n_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
         """Tensor Gauss-Legendre nodes and weights on the box."""
@@ -355,130 +392,36 @@ def _coeff_vector(sys: EigenSystem, mapping: Mapping) -> np.ndarray:
     return out
 
 
-def ball_average_coefficients(
-    sys: EigenSystem,
-    site: np.ndarray,
-    radius: float,
-    n_per_axis: int = 32,
-) -> np.ndarray:
-    """Weighted ball averages c^{-1} * int_{|z-site|<=radius} phi_j rho0 dz.
+def ball_average_coefficients(sys: EigenSystem, site: np.ndarray, radius: float) -> np.ndarray:
+    """Weighted ball averages |B|^{-1} * int_{|z-site|<=radius} phi_j rho0 dz.
 
-    Tensor midpoint rule over the bounding cube of the ball, masked to the
-    ball; the normalizer is the Lebesgue volume of the radius ball.  The
-    value is recomputed at twice the resolution and must agree to 1e-4
-    relative, which catches under-resolved injections; the refined value is
-    returned.
-
-    The per-mode sums over the masked points are exactly rounded (the same
-    bits as math.fsum), computed by blocked error-free extraction over
-    _SUM_BLOCK points at a time, so memory is O(n_modes * _SUM_BLOCK) rather
-    than O(n_modes * n_points).  A non-finite value raises PollutantError.
+    In closed form: phi_j * rho0 is a sum of exponentials coef * e^{z.x}
+    with complex z (the product over the axes of _Axis.terms), and the mean
+    of e^{z.x} over the ball B(site, r) in R^d is
+    e^{z.site} * 0F1(; d/2 + 1; r^2 (z.z) / 4), entire in z (DLMF 10.25,
+    16.2).  Each mode is evaluated on its own in scalar arithmetic, so a
+    mode's coefficient does not depend on which other modes are retained.
+    A non-finite value raises PollutantError.
     """
     site = np.asarray(site, dtype=float).ravel()
     d = len(sys.axes)
     if site.shape != (d,):
         raise PollutantError(f"site must have {d} components")
-
-    def midpoint(n):
-        axes_pts = [site[i] - radius + (np.arange(n) + 0.5) * (2 * radius / n) for i in range(d)]
-        grids = np.meshgrid(*axes_pts, indexing="ij")
-        pts = np.column_stack([g.ravel() for g in grids])
-        mask = np.linalg.norm(pts - site, axis=1) <= radius
-        cell = (2 * radius / n) ** d
-        vol = _ball_volume(d, radius)
-        # exactly-rounded per-mode sums: coefficients of shared modes agree
-        # bit for bit across truncation levels
-        return _mode_sums(sys, pts[mask]) * (cell / vol)
-
-    coarse = midpoint(n_per_axis)
-    fine = midpoint(2 * n_per_axis)
-    scale = max(float(np.max(np.abs(fine))), 1e-12)
-    if float(np.max(np.abs(fine - coarse))) > 1e-4 * scale:
-        raise PollutantError(
-            f"ball quadrature at {n_per_axis} points per axis disagrees with "
-            f"the {2 * n_per_axis}-point refinement beyond 1e-4 relative; "
-            "increase ball_points"
-        )
-    return fine
-
-
-# points per block of the exact row sums: an (n_modes, _SUM_BLOCK) block
-# and its extraction buffer stay small enough for the cache
-_SUM_BLOCK = 1024
-
-
-def _mode_sums(sys: EigenSystem, points: np.ndarray) -> np.ndarray:
-    """Exactly rounded sums over the points of phi_j * rho0, per mode j.
-
-    The same bits as math.fsum over each row of eval_modes(points) *
-    weight_density(points), without building that (n_modes, n_points)
-    matrix: the transcendental tables and rho0 are evaluated on all points
-    at once, as eval_modes does, and only the products are formed a block at
-    a time.
-    """
-    tables = sys._axis_tables(points)
-    rho = sys.weight_density(points)
-
-    def block(cols):
-        vals = _mode_products(tables, sys.modes, cols)
-        vals *= rho[cols]
-        return vals
-
-    return _exact_row_sums(sys.n_modes, rho.size, block)
-
-
-def _mode_products(tables: list, modes: Sequence, cols: slice) -> np.ndarray:
-    """Values of each mode on the points cols of the axis tables, (n_modes, len).
-
-    The product runs over the axes in order, ((t0[m0] * t1[m1]) * t2[m2]),
-    so every value has the same bits whichever block of points it sits in.
-    """
-    index = np.asarray(modes)
-    out = tables[0][:, cols][index[:, 0]]
-    for i in range(1, len(tables)):
-        out *= tables[i][:, cols][index[:, i]]
+    out = np.empty(sys.n_modes)
+    for n, mode in enumerate(sys.modes):
+        total = 0j
+        try:
+            for combo in itertools.product(*(ax.terms(j) for ax, j in zip(sys.axes, mode))):
+                coef = math.prod(c for c, _ in combo)
+                zs = sum(z * x for (_, z), x in zip(combo, site))
+                zz = sum(z * z for _, z in combo)
+                total += coef * cmath.exp(zs) * hyp0f1(d / 2.0 + 1.0, radius * radius * zz / 4.0)
+        except OverflowError:  # cmath.exp or math.exp beyond the float range
+            total = complex(math.nan)
+        out[n] = total.real
+        if not math.isfinite(out[n]):
+            raise PollutantError(f"ball average of mode {mode} around site {site} is not finite")
     return out
-
-
-def _exact_row_sums(n_rows: int, n_cols: int, block: Callable) -> np.ndarray:
-    """Correctly rounded row sums of an (n_rows, n_cols) matrix given in blocks.
-
-    block(cols) returns the columns cols of the matrix as a fresh array,
-    which is overwritten.  Error-free extraction (Rump, Ogita & Oishi,
-    "Accurate floating-point summation, part I", SIAM J. Sci. Comput. 31,
-    2008): with sigma a power of two above 2^ceil(log2(b + 2)) * max|p| per
-    row of a b-column block p, q = (sigma + p) - sigma keeps the leading bits
-    of p on the grid of ulp(sigma), so q sums exactly in any order, and
-    p - q is exact.  Repeating until p is zero splits each row into a few
-    parts that add up exactly to the row's sum; math.fsum of the parts is
-    the correctly rounded sum, the same bits as math.fsum over the row.
-    """
-    parts = [np.zeros(n_rows)]
-    for start in range(0, n_cols, _SUM_BLOCK):
-        p = block(slice(start, min(start + _SUM_BLOCK, n_cols)))
-        shift = math.ceil(math.log2(p.shape[1] + 2))
-        q = np.empty_like(p)
-        while True:
-            mu = np.maximum(p.max(axis=1), -p.min(axis=1))
-            if not mu.any():
-                break
-            _, ex = np.frexp(mu)
-            # sigma <= 2^1023 keeps sigma + p finite
-            if not np.isfinite(mu).all() or ex.max() + shift > 1023:
-                raise PollutantError(
-                    "exact row sum: a value is not finite or too large to extract"
-                )
-            sigma = np.ldexp(1.0, ex + shift)
-            sigma[mu == 0.0] = 0.0
-            np.add(sigma[:, None], p, out=q)
-            q -= sigma[:, None]
-            p -= q
-            parts.append(q.sum(axis=1))
-    return np.array([math.fsum(col) for col in np.array(parts).T])
-
-
-def _ball_volume(d: int, radius: float) -> float:
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius**d
 
 
 def assemble_model(params: PollutantParams, sys: EigenSystem | None = None) -> ModelSpec:
@@ -488,9 +431,7 @@ def assemble_model(params: PollutantParams, sys: EigenSystem | None = None) -> M
     sum_i K_i(probe values) * output_i.  Jump for a mark (x, a): the vector
     a * K0(probe values) * ball_average(x), one column per atom of the mark
     measure.  Jacobians follow from the kernel gradients.  Ball averages are
-    precomputed once per atom; ball_points must resolve the highest retained
-    mode over the injection ball or the refinement check in
-    ball_average_coefficients trips.
+    computed once per atom, in closed form.
     """
     sys = build_eigensystem(params) if sys is None else sys
     n_modes = sys.n_modes
@@ -509,7 +450,7 @@ def assemble_model(params: PollutantParams, sys: EigenSystem | None = None) -> M
     mags = marks[:, -1]
     # (n_modes, n_atoms): column k is the ball average around atom k's site
     balls = np.column_stack([
-        ball_average_coefficients(sys, mark[:-1], params.radius, params.ball_points)
+        ball_average_coefficients(sys, mark[:-1], params.radius)
         for mark in marks
     ])
 

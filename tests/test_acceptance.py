@@ -241,7 +241,6 @@ def test_criterion_9_pollutant_model():
         params = PollutantParams(
             d_space=1, side=1.0, diffusivity=1.0, velocity=(2.0,),
             decay=0.5, radius=0.05, max_mode=5, measure=measure,
-            ball_points=64,  # resolves the highest retained mode below
         )
         sysm = build_eigensystem(params)
         # spot-check the eigenvalue formula at D = 1, l = 1, V = 2

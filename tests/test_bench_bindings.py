@@ -83,3 +83,16 @@ def test_bound_parameter_names():
     for method in ("from_dict", "from_json_file", "config_hash"):
         assert callable(getattr(cfg_type, method))
     assert {"seed", "out_dir", "workers"} <= {f.name for f in dataclasses.fields(cfg_type)}
+
+
+def test_galerkin_config_is_accepted():
+    # a key rejected here would otherwise first fail in the galerkin benchmark
+    from jumpmdp import spde_pollutant
+
+    config = next(
+        ast.literal_eval(node.value) for node in ast.walk(parsed("workloads.py"))
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "POLLUTANT_2D"
+    )
+    params = spde_pollutant.params_from_dict(config)
+    model = spde_pollutant.assemble_model(params)
+    assert model.dim == (params.max_mode + 1) ** params.d_space

@@ -117,6 +117,32 @@ def test_malformed_pollutant_pairs_are_named_errors(tmp_path, capsys, key, value
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("jump_kernel", "tanh", "jump_kernel must be a kernel mapping"),
+        ("drift_kernels", ["tanh"], "drift_kernels[0] must be a kernel mapping"),
+        ("probes", 5, "probes must be a list, got 5"),
+        ("outputs", 5, "outputs must be a list, got 5"),
+        ("x0", [[[0, 0], 0.7]], "x0: mode [0, 0] has 2 components"),  # d_space is 1
+    ],
+)
+def test_malformed_pollutant_blocks_are_named_errors(tmp_path, capsys, key, value, message):
+    spec = {
+        "d_space": 1,
+        "velocity": [2.0],
+        "max_mode": 3,
+        "atoms": [[0.3, 1.0, 0.6], [0.7, 2.0, 0.4]],
+        key: value,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"pollutant": spec}))
+    assert cli.main(["pollutant", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"FAILED: {message}")
+    assert "Traceback" not in err
+
+
 def test_nonfinite_paths_fail_in_both_estimators():
     # the fluid limit sits at its fixed point, but the jump SDE's drift
     # -3000 x is far outside RK4's stability region and overflows on 64 cells

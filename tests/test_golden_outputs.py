@@ -73,16 +73,16 @@ GOLDEN = {
         "summary.csv": "75fa6ef0b4af4bf880bfe7b68f1db3bce855092c4413d9c5557066313f032e7e",
     }),
     "pollutant": (0, {
-        "pollutant_field_T.csv": "485b7a479d5d76def1c6eb21ca8eb06848005185f7a9543d759cbeaa331cdbc8",
-        "pollutant_fluid_coeffs.csv": "11192c5bc1a1345808cfee92bfe030423c27d03e36262ee333ebe568ee0f51c1",
+        "pollutant_field_T.csv": "24f5ded9213044d7a5e0b7d8e46923cd2707585e3275dc687972dfc5f157f410",
+        "pollutant_fluid_coeffs.csv": "c1e54920ac1169460d14b63c8699b59b9dd2f8272137ce5558b11a5b12269ee7",
         "pollutant_modes.csv": "8aebc500888f0f0317e9532be190e5eefcf4cb0dbc5573b50d3ac4f758bb43c5",
-        "pollutant_report.csv": "8ac6af9e32a5a9cbd5706321d3f1bf152b673aed242db9c8913615f0c567f2d9",
+        "pollutant_report.csv": "276fb5aad3540db194d4766abcb7befe8c12c05e2043241df4bd0923613dd639",
     }),
     "pollutant-2d": (0, {
-        "pollutant_field_T.csv": "19e9b1c9659ea1fb63338ca26845157644e815463f3cd6501803345e938ceb46",
-        "pollutant_fluid_coeffs.csv": "8e6f8e8c5ca865943b100a3c92ff0e50dd6af891084695bd78a290cae3ef5b2b",
+        "pollutant_field_T.csv": "10cfc204004bb55f7f53c526db0be13cacff5359c065a773f4353b7ebc558f12",
+        "pollutant_fluid_coeffs.csv": "cb7aafb03ec7965ecbaf996301b41c4130f4d10a6e28facaa50adea6bfe54c4a",
         "pollutant_modes.csv": "01b375d020dd32684e40f10facb1ccd6d299eb6131ad2d53f639ed7b0cafaa6d",
-        "pollutant_report.csv": "3faa1cacdc123db756ca3a226ba78ee62fb7096ed57896ab611e854365158b2f",
+        "pollutant_report.csv": "e4c9771b66c3e24c7333948e1faf7187adf703fb58e66de761eb82d1873e2ed6",
     }),
     "rate": (0, {
         "rate_controls_0.csv": "c378c592c348c2b3f8c1778e6c4ec1f906a3b03515246f9831433038f9b60406",

@@ -1,14 +1,11 @@
 import math
+import re
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
+from scipy.special import j1
 
-from jumpmdp import spde_pollutant
 from jumpmdp.jump_sde import ModelError, fluid_limit, simulate_jump_path
 from jumpmdp.mark_space import MarkMeasure
 from jumpmdp.prm import sample_poisson_measure
@@ -90,13 +87,6 @@ def test_drift_free_limit_modes():
     vals = sysm.eval_modes(pts)
     assert np.allclose(vals[0], 1.0)  # sqrt(1/l) with l = 1
     assert np.allclose(vals[1], math.sqrt(2.0) * np.cos(math.pi * pts[:, 0]))
-
-
-def test_ball_volume_normalizer_1d():
-    from jumpmdp.spde_pollutant import _ball_volume
-
-    assert _ball_volume(1, 1.0) == pytest.approx(2.0)
-    assert _ball_volume(2, 0.5) == pytest.approx(math.pi * 0.25)
 
 
 def test_ball_average_of_constant_mode_drift_free():
@@ -194,90 +184,112 @@ def test_linear_model_decouples_across_truncations():
 
 def test_ball_coefficients_of_shared_modes_agree_bit_for_bit_2d():
     # the tensor-product path: modes with components <= 2 get the same bits
-    # at J = 2 and J = 4
-    params = make_params(
-        d_space=2,
-        velocity=(2.0, 0.0),
-        max_mode=2,
-        measure=MarkMeasure.from_atoms([((0.3, 0.4, 1.0), 1.0)]),
+    # at J = 2 and J = 4, in 2-D and in 3-D
+    for velocity, site, radius in (
+        ((2.0, 0.0), (0.3, 0.4), 0.05),
+        ((2.0, 0.0, -1.0), (0.5, 0.5, 0.5), 0.15),
+    ):
+        params = make_params(
+            d_space=len(site),
+            velocity=velocity,
+            max_mode=2,
+            radius=radius,
+            measure=MarkMeasure.from_atoms([(site + (1.0,), 1.0)]),
+        )
+        sys1 = build_eigensystem(params)
+        sys2 = build_eigensystem(replace(params, max_mode=4))
+        c1 = ball_average_coefficients(sys1, np.array(site), radius)
+        c2 = ball_average_coefficients(sys2, np.array(site), radius)
+        idx = [sys2.modes.index(m) for m in sys1.modes]
+        assert c1.tobytes() == c2[idx].tobytes()
+
+
+def test_ball_averages_drift_free_closed_forms():
+    # V = 0: phi_j = sqrt(2) cos(j pi x) on [0, 1] and rho0 = 1
+    s, r = 0.37, 0.2
+    sysm = build_eigensystem(make_params(velocity=(0.0,), max_mode=10, radius=r))
+    j = np.arange(11)
+    expected = np.ones(11)
+    expected[1:] = (
+        math.sqrt(2.0) * (np.sin(j[1:] * math.pi * (s + r)) - np.sin(j[1:] * math.pi * (s - r)))
+        / (2.0 * r * j[1:] * math.pi)
     )
-    sys1 = build_eigensystem(params)
-    sys2 = build_eigensystem(replace(params, max_mode=4))
-    site = np.array([0.3, 0.4])
-    c1 = ball_average_coefficients(sys1, site, 0.05, 256)
-    c2 = ball_average_coefficients(sys2, site, 0.05, 256)
-    idx = [sys2.modes.index(m) for m in sys1.modes]
-    assert c1.tobytes() == c2[idx].tobytes()
+    got = ball_average_coefficients(sysm, np.array([s]), r)
+    assert np.max(np.abs(got - expected)) <= 1e-14
 
-
-def fsum_rows(x):
-    # x + 0.0 maps -0.0 to 0.0: a zero sum's sign is not part of the contract
-    return np.array([math.fsum(row) for row in x]) + 0.0
-
-
-def exact_row_sums(x):
-    x = np.asarray(x, dtype=float)
-    return spde_pollutant._exact_row_sums(x.shape[0], x.shape[1], lambda c: x[:, c].copy()) + 0.0
-
-
-def test_exact_row_sums_match_fsum_on_hard_rows():
-    block = spde_pollutant._SUM_BLOCK
-    n = 2 * block + 37  # two full blocks and a short tail
-    tiny = 2.0**-1074
-    rng = np.random.default_rng(5)
-    x = np.zeros((9, n))
-    x[0, [0, 1, n - 1]] = [1e100, 1.0, -1e100]                 # cancellation
-    x[1] = tiny * rng.integers(-5, 6, n)                        # subnormals
-    x[2, [0, n - 1]] = [1.0, 2.0**-53]                          # tie, to even: 1
-    x[3, [0, n - 1]] = [1.0 + 2.0**-52, 2.0**-53]               # tie, to even: up
-    x[4, [0, block, n - 1]] = [1.0, 2.0**-53, tiny]             # sticky bit in the tail
-    # row 5 stays zero, beside nonzero rows
-    x[6] = rng.choice([-1.0, 1.0], n) * 2.0 ** rng.integers(-1000, 1000, n)  # > 600 binades
-    x[7] = rng.standard_normal(n)
-    x[8, n - 1] = -3.5                                          # only in the tail
-    assert fsum_rows(x)[2] == 1.0 and fsum_rows(x)[3] == 1.0 + 2.0**-51
-    assert exact_row_sums(x).tobytes() == fsum_rows(x).tobytes()
-
-
-@given(
-    x=hnp.arrays(
-        float,
-        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
-        elements=st.floats(-1e300, 1e300, allow_nan=False),
-    ),
-    block=st.integers(1, 64),
-)
-def test_exact_row_sums_property(x, block):
-    with mock.patch.object(spde_pollutant, "_SUM_BLOCK", block):
-        assert exact_row_sums(x).tobytes() == fsum_rows(x).tobytes()
-
-
-def test_exact_row_sums_reject_nonfinite_and_huge_values():
-    for bad in (math.nan, math.inf, -math.inf, 1e308):
-        with pytest.raises(PollutantError, match="not finite or too large"):
-            exact_row_sums([[1.0, bad, 2.0], [0.0, 0.0, 0.0]])
-
-
-def test_mode_sums_match_fsum_on_a_3d_ball():
-    # assemble_model cannot reach 3-D at this radius (the refinement check
-    # fails), so compare the per-mode sums over the masked points directly
+    # 2-D: a disk average of cos(k.x) is cos(k.s) * 2 J1(|k| r) / (|k| r)
+    s1, s2, r = 0.35, 0.6, 0.25
     params = make_params(
-        d_space=3,
-        velocity=(2.0, 0.0, -1.0),
-        max_mode=2,
-        radius=0.15,
-        measure=MarkMeasure.from_atoms([((0.5, 0.5, 0.5, 1.0), 1.0)]),
+        d_space=2, velocity=(0.0, 0.0), max_mode=6, radius=r,
+        measure=MarkMeasure.from_atoms([((s1, s2, 1.0), 1.0)]),
     )
     sysm = build_eigensystem(params)
-    n, site = 40, np.full(3, 0.5)
-    axis = site[0] - 0.15 + (np.arange(n) + 0.5) * (0.3 / n)
-    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    inside = pts[np.linalg.norm(pts - site, axis=1) <= 0.15]
-    assert inside.shape[0] % spde_pollutant._SUM_BLOCK != 0
-    rho = sysm.weight_density(inside)
-    expected = np.array([math.fsum(row * rho) for row in sysm.eval_modes(inside)])
-    assert sysm.n_modes == 27
-    assert spde_pollutant._mode_sums(sysm, inside).tobytes() == expected.tobytes()
+    expected = []
+    for a, b in sysm.modes:
+        kr = math.pi * math.hypot(a, b) * r
+        norm = (math.sqrt(2.0) if a else 1.0) * (math.sqrt(2.0) if b else 1.0)
+        bessel = 2.0 * j1(kr) / kr if kr else 1.0
+        expected.append(norm * math.cos(a * math.pi * s1) * math.cos(b * math.pi * s2) * bessel)
+    got = ball_average_coefficients(sysm, np.array([s1, s2]), r)
+    assert np.max(np.abs(got - np.array(expected))) <= 1e-14
+
+
+def polar_ball_average(sysm, site, radius, n):
+    """Ball mean of phi_j * rho0 by a polar product rule with n radial nodes.
+
+    Gauss-Legendre in the radius (weight r^(d-1)), the trapezoid rule in
+    each full angle and, in 3-D, Gauss-Legendre in cos(theta).
+    """
+    d = len(site)
+    x, w = np.polynomial.legendre.leggauss(n)
+    rad = 0.5 * radius * (x + 1.0)
+    wr = 0.5 * radius * w * rad ** (d - 1)
+    phi = 2.0 * math.pi * np.arange(2 * n) / (2 * n)
+    if d == 2:
+        dirs = np.column_stack([np.cos(phi), np.sin(phi)])
+        wd = np.full(2 * n, 2.0 * math.pi / (2 * n))
+    else:
+        ct, wt = np.polynomial.legendre.leggauss(n)
+        st = np.sqrt(1.0 - ct * ct)
+        dirs = np.column_stack([
+            np.outer(st, np.cos(phi)).ravel(),
+            np.outer(st, np.sin(phi)).ravel(),
+            np.repeat(ct, 2 * n),
+        ])
+        wd = np.repeat(wt, 2 * n) * (2.0 * math.pi / (2 * n))
+    points = np.asarray(site) + (rad[:, None, None] * dirs[None]).reshape(-1, d)
+    weights = np.outer(wr, wd).ravel()
+    vals = sysm.eval_modes(points) * sysm.weight_density(points)
+    volume = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius**d
+    return vals @ weights / volume
+
+
+@pytest.mark.parametrize(
+    "velocity, site, radius, max_mode",
+    [
+        ((2.0, -1.0), (0.35, 0.6), 0.3, 10),
+        ((2.0, 0.0, -1.0), (0.5, 0.45, 0.55), 0.15, 4),
+    ],
+)
+def test_ball_averages_with_drift_match_a_polar_rule(velocity, site, radius, max_mode):
+    params = make_params(
+        d_space=len(site), velocity=velocity, max_mode=max_mode, radius=radius,
+        measure=MarkMeasure.from_atoms([(site + (1.0,), 1.0)]),
+    )
+    sysm = build_eigensystem(params)
+    got = ball_average_coefficients(sysm, np.array(site), radius)
+    ref = polar_ball_average(sysm, site, radius, 48)
+    # the reference itself has converged: a coarser rule agrees with it
+    coarse = polar_ball_average(sysm, site, radius, 40)
+    assert np.max(np.abs(coarse - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_ball_average_overflow_is_named():
+    # V = +-2e4: e^{-2 c x} and the 0F1 factor leave the float range
+    for v in (2e4, -2e4):
+        with pytest.raises(PollutantError, match=r"ball average of mode \(0,\) .* is not finite"):
+            assemble_model(make_params(velocity=(v,), max_mode=2))
 
 
 def test_convergence_study_reports():
@@ -348,6 +360,27 @@ def test_kernel_keys_and_slope_lengths_are_checked():
     affine = {"kind": "affine", "intercept": 0.2}  # no slope, one probe
     with pytest.raises(PollutantError, match=r"drift_kernels\[0\]: slope"):
         params_from_dict({**spec, "drift_kernels": [affine], "outputs": [[[[0], 1.0]]]})
+
+
+def test_wrong_length_multi_indices_are_named():
+    spec = {
+        "d_space": 2,
+        "velocity": [2.0, 0.0],
+        "max_mode": 2,
+        "atoms": [[0.3, 0.4, 1.0, 1.0]],
+    }
+    # a mode of the right length above max_mode is dropped, as documented
+    model = assemble_model(params_from_dict({**spec, "x0": [[[0, 7], 0.7], [[1, 0], 0.5]]}))
+    assert model.x0[build_eigensystem(params_from_dict(spec)).modes.index((1, 0))] == 0.5
+    assert np.count_nonzero(model.x0) == 1
+    for block, key, value in (
+        ("x0", "x0", [[[0], 0.7]]),
+        ("probes[1]", "probes", [[[[0, 0], 1.0]], [[[0, 0, 1], 1.0]]]),
+        ("outputs[0]", "outputs", [[[[1], 1.0]]]),
+    ):
+        extra = {"drift_kernels": [{"kind": "constant"}]} if key == "outputs" else {}
+        with pytest.raises(PollutantError, match=r"^" + re.escape(block) + r": mode \["):
+            params_from_dict({**spec, key: value, **extra})
 
 
 def test_field_snapshot_export(tmp_path):
