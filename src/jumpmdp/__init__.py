@@ -6,16 +6,9 @@ two equivalent ways, and Monte Carlo / importance-sampling experiments that
 verify the Gaussian-regime and exponential-decay predictions at desk scale.
 """
 
-from .mark_space import (
-    MarkMeasure,
-    exp_square_integral,
-    integrate,
-    load_measure,
-    save_measure,
-)
+from .mark_space import MarkMeasure
 from .prm import (
     ControlField,
-    CostReport,
     PointRealization,
     entropy_integrand,
     log_likelihood_ratio,
@@ -32,7 +25,6 @@ from .jump_sde import (
     simulate_jump_path,
 )
 from .mdp_limit import (
-    GaussianLimit,
     LinearizedSystem,
     build_linearization,
     decompose_controlled_path,
@@ -47,7 +39,6 @@ from .rate import (
     rate_of_path,
     rate_to_point,
     sphere_minimum,
-    verify_rate_equivalence,
 )
 from .models import MODEL_BUILDERS, build_model
 from .experiments import (

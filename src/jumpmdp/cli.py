@@ -242,7 +242,7 @@ def cmd_pollutant(cfg: ExperimentConfig) -> None:
             fh.write(f"hs_sum_level{level},{plain!r}\n")
             fh.write(f"hs_witness_level{level},{witness!r}\n")
     print(f"pollutant: orthonormality defect {defect:.2e}; {report.summary()}")
-    if defect > 1e-6:
+    if not defect <= 1e-6:
         raise CheckFailure(
             f"eigenfunction orthonormality defect {defect!r} > 1e-6",
             cfg.config_hash(), cfg.seed,

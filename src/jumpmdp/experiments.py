@@ -116,9 +116,6 @@ class ExperimentConfig:
         object.__setattr__(self, "eps_grid", eps)
         object.__setattr__(self, "rate_targets", tuple(tuple(z) if np.ndim(z) else (z,) for z in self.rate_targets))
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, default=list)
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         check_keys("config", data, [f.name for f in fields(cls)])
@@ -488,7 +485,7 @@ def run_clt_check(cfg: ExperimentConfig, out_dir: str | None = None) -> CltResul
     model = build_model(cfg.model, cfg.model_params)
     fine, _ = fluid_limit(model, cfg.n_cells_analysis)
     sys_fine = build_linearization(model, fine)
-    sigma_t = gaussian_covariance(sys_fine).terminal()
+    sigma_t = gaussian_covariance(sys_fine)[-1]
     fluid_end = fluid_limit(model, cfg.n_cells)[0].terminal()
     with _monte_carlo(cfg) as collect:
         xt = collect("terminal_batch", (SLOT_CLT, 0, cfg.clt_epsilon), cfg.clt_replications)
@@ -695,7 +692,7 @@ def verify_entropy_tail_bounds(
                 excluded.append((name, float(eps), math.inf))
                 continue
             ctrl = ControlField(psi, horizon, a)
-            cost = tilt_cost(ctrl, measure).total
+            cost = tilt_cost(ctrl, measure)
             if cost > m_bound * a * a:
                 excluded.append((name, float(eps), cost))
                 continue

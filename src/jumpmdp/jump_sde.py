@@ -270,7 +270,7 @@ def fluid_limit(model: ModelSpec, n_cells: int = 1000) -> tuple[PathGrid, float]
     for i in range(1, n_cells + 1):
         x = rk4_step(rhs, x, h)
         if not np.all(np.isfinite(x)):
-            raise ModelError(f"fluid limit blew up at t={grid[i]!r}")
+            raise ModelError(f"fluid limit blew up at t={float(grid[i])!r}")
         out[i] = x
     path = PathGrid(grid, out)
     return path, path.sup_norm()

@@ -1,42 +1,25 @@
-"""Finite atomic measures on the mark space and their exact L2 geometry.
+"""Finite atomic measures on the mark space.
 
 Every integral against the jump-mark measure in this package is a finite
 weighted sum over atoms, so inner products, norms and entropy costs carry no
 inner-quadrature error.  Continuous mark laws must be discretized by the
 caller (atoms + weights); sigma-finite measures without such a discretization
-are out of scope.
-
-Marks are points of R^m.  Functions are evaluated atom by atom; for m == 1
-the mark is passed to the callable as a plain float, otherwise as a length-m
-array.
+are out of scope.  Marks are points of R^m.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "MarkSpaceError",
-    "EvaluationError",
-    "MarkMeasure",
-    "integrate",
-    "exp_square_integral",
-    "load_measure",
-    "save_measure",
-]
+__all__ = ["MarkSpaceError", "MarkMeasure"]
 
 
 class MarkSpaceError(ValueError):
-    """Invalid measure or function data."""
-
-
-class EvaluationError(MarkSpaceError):
-    """A mark function produced a non-finite value at some atom."""
+    """Invalid measure data."""
 
 
 @dataclass(frozen=True)
@@ -80,11 +63,6 @@ class MarkMeasure:
     def mark_dim(self) -> int:
         return self.marks.shape[1]
 
-    def atom(self, k: int):
-        """Mark of atom k, as a float when marks are one-dimensional."""
-        row = self.marks[k]
-        return float(row[0]) if self.mark_dim == 1 else row
-
     @classmethod
     def from_atoms(
         cls, atoms: Sequence[tuple[float | Sequence[float], float]]
@@ -112,90 +90,3 @@ def _merge_duplicates(marks: np.ndarray, weights: np.ndarray):
     out_weights = np.zeros(out_marks.shape[0])
     np.add.at(out_weights, group, weights)
     return out_marks, out_weights
-
-
-def evaluate_on_atoms(f, measure: MarkMeasure) -> np.ndarray:
-    """Evaluate f on every atom; raises EvaluationError naming a bad atom."""
-    rows = []
-    for k in range(measure.n_atoms):
-        v = np.asarray(f(measure.atom(k)), dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise EvaluationError(
-                f"f is not finite at atom {k} (mark {measure.atom(k)!r})"
-            )
-        rows.append(v)
-    return np.array(rows)
-
-
-def integrate(f, measure: MarkMeasure) -> float | np.ndarray:
-    """Integral of f against the measure: sum_k f(y_k) w_k.
-
-    Compensated summation keeps the result exact to ~1e-16 relative, so the
-    linearity invariant holds at the 1e-12 level for free.  Vector-valued f
-    integrates componentwise.
-    """
-    vals = evaluate_on_atoms(f, measure)
-    if vals.ndim == 1:
-        return math.fsum(vals * measure.weights)
-    return np.array(
-        [math.fsum(vals[:, j] * measure.weights) for j in range(vals.shape[1])]
-    )
-
-
-def exp_square_integral(h, measure: MarkMeasure, delta: float) -> float:
-    """Numeric spot-check of sub-Gaussian integrability of an envelope h.
-
-    Returns the integral of exp(delta * h^2) over the atoms.  For a finite
-    atomic measure this is always finite unless exp overflows, in which case
-    +inf is returned and the offending atom is reported via a warning.  The
-    value is advisory: it cannot certify the property for a continuum model
-    the atoms were sampled from.
-    """
-    if delta <= 0:
-        raise MarkSpaceError(f"delta must be > 0, got {delta}")
-    hv = evaluate_on_atoms(h, measure)
-    if hv.ndim != 1:
-        raise MarkSpaceError("exp_square_integral expects a scalar function")
-    with np.errstate(over="ignore"):
-        terms = np.exp(delta * hv * hv) * measure.weights
-    if np.any(np.isinf(terms)):
-        k = int(np.argmax(np.isinf(terms)))
-        warnings.warn(
-            f"exp(delta*h^2) overflowed at atom {k} (mark {measure.atom(k)!r}); "
-            "reporting +inf",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return math.inf
-    return math.fsum(terms)
-
-
-def load_measure(path) -> MarkMeasure:
-    """Read a measure file: one whitespace-separated row per atom,
-    mark components first, weight last."""
-    marks, weights = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            s = line.split("#", 1)[0].strip()
-            if not s:
-                continue
-            parts = [float(tok) for tok in s.split()]
-            if len(parts) < 2:
-                raise MarkSpaceError(f"{path}:{lineno}: need mark components and a weight")
-            if parts[-1] < 0:
-                raise MarkSpaceError(f"{path}:{lineno}: weight must be >= 0")
-            marks.append(parts[:-1])
-            weights.append(parts[-1])
-    if not marks:
-        raise MarkSpaceError(f"{path}: no atoms")
-    dims = {len(m) for m in marks}
-    if len(dims) != 1:
-        raise MarkSpaceError(f"{path}: inconsistent mark dimensions {sorted(dims)}")
-    return MarkMeasure(np.array(marks), np.array(weights))
-
-
-def save_measure(measure: MarkMeasure, path) -> None:
-    with open(path, "w") as fh:
-        for k in range(measure.n_atoms):
-            comps = " ".join(repr(float(c)) for c in measure.marks[k])
-            fh.write(f"{comps} {float(measure.weights[k])!r}\n")

@@ -26,11 +26,10 @@ import numpy as np
 
 from .jump_sde import ModelError, ModelSpec, PathGrid, _walk_events, rk4_step
 from .mark_space import MarkMeasure
-from .prm import ControlField, CostReport, sample_controlled_measure, tilt_cost
+from .prm import ControlField, sample_controlled_measure
 
 __all__ = [
     "LinearizedSystem",
-    "GaussianLimit",
     "build_linearization",
     "solve_limit_path",
     "solve_limit_path_from_u",
@@ -74,17 +73,6 @@ class LinearizedSystem:
     def psi_from_coefficients(self, u: np.ndarray) -> np.ndarray:
         """Control field values sum_j u_j(s) e_j(y, s), shape (n_atoms, n_cells)."""
         return np.einsum("cj,cjk->kc", u, self.frame)
-
-
-@dataclass(frozen=True)
-class GaussianLimit:
-    """Covariance of the small-noise Gaussian process sharing the rate function."""
-
-    times: np.ndarray
-    covariances: np.ndarray    # (n_cells + 1, d, d)
-
-    def terminal(self) -> np.ndarray:
-        return self.covariances[-1]
 
 
 def _weighted_frame(gvals: np.ndarray, weights: np.ndarray, order: Sequence[int]):
@@ -199,11 +187,12 @@ def _integrate_cells(sys: LinearizedSystem, forcing: np.ndarray) -> PathGrid:
     return PathGrid(sys.times, out)
 
 
-def gaussian_covariance(sys: LinearizedSystem) -> GaussianLimit:
+def gaussian_covariance(sys: LinearizedSystem) -> np.ndarray:
     """Covariance along the Gaussian limit: S' = A1 S + S A1' + A A'.
 
     Solved by RK4 with per-cell frozen coefficients, starting from zero and
-    re-symmetrized each step.
+    re-symmetrized each step.  Returns the (n_cells + 1, d, d) covariances at
+    sys.times.
     """
     n, d = sys.n_cells, sys.dim
     h = sys.dt
@@ -216,7 +205,7 @@ def gaussian_covariance(sys: LinearizedSystem) -> GaussianLimit:
         s = rk4_step(lambda m: a1 @ m + m @ a1.T + q, s, h)
         s = 0.5 * (s + s.T)
         covs[c + 1] = s
-    return GaussianLimit(times=sys.times, covariances=covs)
+    return covs
 
 
 @dataclass(frozen=True)
@@ -237,7 +226,6 @@ class FluctuationParts:
     coefficient_gap: PathGrid
     coupling: PathGrid
     forcing: PathGrid
-    cost: CostReport
 
     def reconstruction(self) -> np.ndarray:
         return (
@@ -332,5 +320,4 @@ def decompose_controlled_path(
         coefficient_gap=mk("coeff"),
         coupling=mk("coup"),
         forcing=mk("force"),
-        cost=tilt_cost(ctrl, model.measure),
     )

@@ -23,7 +23,6 @@ __all__ = [
     "entropy_integrand",
     "PointRealization",
     "ControlField",
-    "CostReport",
     "substream",
     "sample_poisson_measure",
     "sample_controlled_measure",
@@ -67,7 +66,6 @@ class PointRealization:
     times: np.ndarray
     atoms: np.ndarray
     horizon: float
-    base_rate: float
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -140,18 +138,6 @@ class ControlField:
         idx = np.floor(np.asarray(t, dtype=float) / self.dt).astype(np.int64)
         return np.clip(idx, 0, self.n_cells - 1)
 
-    @classmethod
-    def zero(cls, n_atoms: int, n_cells: int, horizon: float, a_eps: float) -> "ControlField":
-        return cls(np.zeros((n_atoms, n_cells)), horizon, a_eps)
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """Total entropy cost of a tilt and its per-(atom, cell) breakdown."""
-
-    total: float
-    per_cell: np.ndarray
-
 
 def _draw_times(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.ndarray:
     """n sorted, strictly increasing times in (lo, hi]; ties are resampled."""
@@ -182,7 +168,7 @@ def sample_poisson_measure(
         atoms = rng.choice(measure.n_atoms, size=n, p=p)
     else:
         atoms = np.empty(0, dtype=np.int64)
-    return PointRealization(times, atoms, horizon, theta)
+    return PointRealization(times, atoms, horizon)
 
 
 def sample_controlled_measure(
@@ -219,14 +205,14 @@ def sample_controlled_measure(
         times_all.append(t)
         atoms_all.append(np.repeat(np.arange(measure.n_atoms), m))
     if not times_all:
-        return PointRealization(np.empty(0), np.empty(0, dtype=np.int64), ctrl.horizon, theta)
+        return PointRealization(np.empty(0), np.empty(0, dtype=np.int64), ctrl.horizon)
     times = np.concatenate(times_all)
     atoms = np.concatenate(atoms_all)
     order = np.argsort(times, kind="stable")
-    return PointRealization(times[order], atoms[order], ctrl.horizon, theta)
+    return PointRealization(times[order], atoms[order], ctrl.horizon)
 
 
-def tilt_cost(ctrl: ControlField, measure: MarkMeasure) -> CostReport:
+def tilt_cost(ctrl: ControlField, measure: MarkMeasure) -> float:
     """Entropy cost of a tilt: sum of entropy_integrand(phi) * w * dt.
 
     Zero exactly when phi is identically one.
@@ -234,7 +220,7 @@ def tilt_cost(ctrl: ControlField, measure: MarkMeasure) -> CostReport:
     if ctrl.n_atoms != measure.n_atoms:
         raise ControlError("control field does not match the measure's atoms")
     per_cell = entropy_integrand(ctrl.phi) * measure.weights[:, None] * ctrl.dt
-    return CostReport(total=math.fsum(per_cell.ravel()), per_cell=per_cell)
+    return math.fsum(per_cell.ravel())
 
 
 def log_likelihood_ratio(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jump_sde import ModelError, PathGrid
-from .mdp_limit import LinearizedSystem, solve_limit_path, solve_limit_path_from_u
+from .mdp_limit import LinearizedSystem, solve_limit_path_from_u
 
 __all__ = [
     "InadmissiblePathError",
@@ -38,8 +38,6 @@ __all__ = [
     "controllability_gramian",
     "rate_to_point",
     "sphere_minimum",
-    "EquivalenceReport",
-    "verify_rate_equivalence",
 ]
 
 PINV_RTOL = 1e-10
@@ -217,46 +215,3 @@ def sphere_minimum(
         return math.inf, np.zeros(gram.matrix.shape[0])
     zstar = radius * vecs[:, -1]
     return radius**2 / (2.0 * lam), zstar
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Both evaluations of the rate on one control, with replay diagnostics."""
-
-    rate_value: float
-    control_cost: float
-    replay_gap: float
-    minimality_ok: bool
-    replay_ok: bool
-
-
-def verify_rate_equivalence(
-    sys: LinearizedSystem,
-    psi,
-    tol: float = 1e-8,
-    replay_tol: float = 1e-6,
-) -> EquivalenceReport:
-    """Check that the path-wise rate never exceeds the control's energy.
-
-    Drives the limit path with psi, evaluates the path-wise rate, and
-    confirms (i) rate <= half the squared L2 norm of psi plus tol, and
-    (ii) re-solving from the recovered cellwise control reproduces the path.
-    Equality in (i) holds exactly when psi lies cellwise in the span of the
-    frame; any orthogonal component costs energy without moving the path.
-    """
-    from .mdp_limit import _as_psi_array  # shared validation
-
-    arr = _as_psi_array(sys, psi)
-    eta = solve_limit_path(sys, arr)
-    sol = rate_of_path(sys, eta)
-    w = sys.measure.weights
-    cost = 0.5 * math.fsum((arr * arr * w[:, None]).ravel()) * sys.dt
-    replay = solve_limit_path_from_u(sys, sol.u)
-    gap = float(np.max(np.abs(replay.values - eta.values)))
-    return EquivalenceReport(
-        rate_value=sol.value,
-        control_cost=cost,
-        replay_gap=gap,
-        minimality_ok=bool(sol.value <= cost + tol),
-        replay_ok=bool(gap <= replay_tol),
-    )

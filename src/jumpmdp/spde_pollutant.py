@@ -288,8 +288,12 @@ class _Axis:
         if j == 0:
             if c == 0.0:
                 amp = math.sqrt(1.0 / l)
-            else:
+            elif c > 0.0:
                 amp = math.sqrt(2.0 * c / (1.0 - math.exp(-2.0 * c * l)))
+            else:
+                # the same amplitude with a negative exp argument: it underflows
+                # toward 0 for a strong upstream drift instead of overflowing
+                amp = math.sqrt(2.0 * c / math.expm1(2.0 * c * l)) * math.exp(c * l)
             return np.full_like(x, amp)
         if c == 0.0:
             return math.sqrt(2.0 / l) * np.cos(j * math.pi * x / l)

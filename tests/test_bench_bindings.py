@@ -96,3 +96,22 @@ def test_galerkin_config_is_accepted():
     params = spde_pollutant.params_from_dict(config)
     model = spde_pollutant.assemble_model(params)
     assert model.dim == (params.max_mode + 1) ** params.d_space
+
+
+def test_exports_resolve():
+    # a deletion that misses an __all__ entry or a package import fails here
+    import jumpmdp
+
+    with open(jumpmdp.__file__) as fh:
+        imports = [
+            node for node in ast.walk(ast.parse(fh.read()))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+        ]
+    assert imports
+    for name in sorted(set(MODULES) | {node.module for node in imports}):
+        for export in getattr(module(name), "__all__", ()):
+            assert hasattr(module(name), export), f"{name}.__all__: {export}"
+    for node in imports:
+        exported = getattr(module(node.module), "__all__", ())
+        for alias in node.names:
+            assert alias.name in exported, f"{node.module}: {alias.name} not in __all__"

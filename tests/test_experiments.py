@@ -43,10 +43,14 @@ def test_config_validation():
         ExperimentConfig(beta=1.5)
 
 
+def to_json(cfg):
+    return json.dumps(dataclasses.asdict(cfg), sort_keys=True, default=list)
+
+
 def test_config_roundtrip_and_hash(tmp_path):
     cfg = ExperimentConfig(**SMALL)
     path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
+    path.write_text(to_json(cfg))
     back = ExperimentConfig.from_json_file(path)
     assert back == cfg
     assert back.config_hash() == cfg.config_hash()
@@ -141,6 +145,26 @@ def test_malformed_pollutant_blocks_are_named_errors(tmp_path, capsys, key, valu
     err = capsys.readouterr().err
     assert err.startswith(f"FAILED: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "max_mode, message",
+    [
+        (2, "fluid limit blew up at t=0.065"),
+        (0, "eigenfunction orthonormality defect nan"),
+    ],
+)
+def test_negative_velocity_fails_with_a_named_error(tmp_path, capsys, max_mode, message):
+    # velocity -2000 overflows the weight density: the orthonormality defect
+    # is NaN, and with modes above 0 the fluid limit blows up
+    spec = {"d_space": 1, "velocity": [-2000.0], "max_mode": max_mode, "atoms": [[0.3, 1.0, 1.0]]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"pollutant": spec}))
+    with np.errstate(all="ignore"):
+        assert cli.main(["pollutant", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"FAILED: {message}")
+    assert "np.float64" not in err
 
 
 def test_nonfinite_paths_fail_in_both_estimators():
@@ -340,7 +364,7 @@ def test_cli_fluid_rate_lemma_varrep(tmp_path):
         **SMALL,
     )
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(cfg.to_json())
+    cfg_path.write_text(to_json(cfg))
     for cmd in ("fluid", "rate", "lemma-check", "var-rep"):
         code = cli.main([cmd, "--config", str(cfg_path)])
         assert code == 0, cmd
@@ -374,7 +398,7 @@ def test_cli_simulate_and_pollutant(tmp_path):
         },
     )
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(cfg.to_json())
+    cfg_path.write_text(to_json(cfg))
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
     assert cli.main(["pollutant", "--config", str(cfg_path)]) == 0
     out = tmp_path / "out"
@@ -391,7 +415,7 @@ def test_cli_clt_and_slope_trivial_configs(tmp_path):
         **SMALL,
     )
     p1 = tmp_path / "clt.json"
-    p1.write_text(clt_cfg.to_json())
+    p1.write_text(to_json(clt_cfg))
     assert cli.main(["clt-check", "--config", str(p1)]) == 0
     assert (tmp_path / "clt" / "clt_check.csv").exists()
 
@@ -401,7 +425,7 @@ def test_cli_clt_and_slope_trivial_configs(tmp_path):
         **SMALL,
     )
     p2 = tmp_path / "slope.json"
-    p2.write_text(slope_cfg.to_json())
+    p2.write_text(to_json(slope_cfg))
     assert cli.main(["mdp-slope", "--config", str(p2)]) == 0
     summary = (tmp_path / "slope" / "summary.csv").read_text().splitlines()
     assert len(summary) == 1 + 2 * len(slope_cfg.eps_grid)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -41,7 +42,7 @@ def still_model(dim=1, x0=0.5):
 
 def events_at(times, horizon=1.0):
     t = np.asarray(times, dtype=float)
-    return PointRealization(t, np.zeros(t.size, dtype=np.int64), horizon, 1.0)
+    return PointRealization(t, np.zeros(t.size, dtype=np.int64), horizon)
 
 
 def test_no_events_no_drift_constant():
@@ -122,10 +123,10 @@ def controlled_path(model, eps, ctrl, seed):
 
 def test_controlled_cost_deterministic_and_zero_control_law():
     model = build_model("scalar_benchmark")
-    ctrl = ControlField.zero(1, 16, 1.0, 0.5)
+    ctrl = ControlField(np.zeros((1, 16)), 1.0, 0.5)
     p1 = controlled_path(model, 0.1, ctrl, seed=1)
     p2 = controlled_path(model, 0.1, ctrl, seed=2)
-    assert tilt_cost(ctrl, model.measure).total == 0.0
+    assert tilt_cost(ctrl, model.measure) == 0.0
     assert p1.n_cells == ctrl.n_cells
     assert not np.array_equal(p1.values, p2.values)
 
@@ -143,7 +144,7 @@ def test_controlled_compensator_mean():
     se = vals.std(ddof=1) / math.sqrt(n_rep)
     assert abs(vals.mean() - 2.0) <= 3.0 * se
     # phi = 2 on one unit atom over T = 1: cost = 2 log 2 - 2 + 1
-    assert tilt_cost(ctrl, model.measure).total == pytest.approx(2 * math.log(2) - 1)
+    assert tilt_cost(ctrl, model.measure) == pytest.approx(2 * math.log(2) - 1)
 
 
 def test_walk_events_order_and_left_limits():
@@ -193,6 +194,18 @@ def test_nonfinite_path_names_grid_time():
     model = build_model("linear_gaussian", {"rate": -3000.0, "gain": 3000.0, "x0": 1.0})
     with pytest.raises(ModelError, match=r"blew up at t="), np.errstate(all="ignore"):
         simulate_jump_path(model, 0.2, events_at([]), n_cells=64)
+
+
+def test_fluid_limit_blow_up_names_a_plain_time():
+    # x' = -3000 x + 1 from x0 = 0.5 overflows RK4 on 64 cells
+    model = dataclasses.replace(
+        still_model(),
+        drift=lambda x: -3000.0 * x,
+        drift_jac=lambda x: np.array([[-3000.0]]),
+    )
+    with pytest.raises(ModelError, match=r"fluid limit blew up at t=") as info, np.errstate(all="ignore"):
+        fluid_limit(model, 64)
+    assert "np.float64" not in str(info.value)
 
 
 def test_grid_refinement_stability():

@@ -12,7 +12,6 @@ from jumpmdp.rate import (
     rate_of_path,
     rate_to_point,
     sphere_minimum,
-    verify_rate_equivalence,
 )
 
 
@@ -138,20 +137,32 @@ def test_consistency_triangle():
             assert sol.value == pytest.approx(energy, abs=1e-10)
 
 
+def rate_and_cost(sysm, psi):
+    """Path-wise rate of the path psi drives, psi's weighted control cost,
+    and the gap between that path and the replay of the recovered control."""
+    eta = solve_limit_path(sysm, psi)
+    sol = rate_of_path(sysm, eta)
+    w = sysm.measure.weights
+    cost = 0.5 * math.fsum((psi * psi * w[:, None]).ravel()) * sysm.dt
+    replay = solve_limit_path_from_u(sysm, sol.u)
+    gap = float(np.max(np.abs(replay.values - eta.values)))
+    return sol.value, cost, gap
+
+
 def test_equivalence_report_frame_form():
     sysm = linearize("two_d_benchmark", n_cells=150)
     rng = np.random.default_rng(7)
     u = rng.normal(size=(sysm.n_cells, 2))
     psi = sysm.psi_from_coefficients(u)
-    rep = verify_rate_equivalence(sysm, psi)
-    assert rep.minimality_ok and rep.replay_ok
-    assert rep.rate_value == pytest.approx(rep.control_cost, abs=1e-8)
+    rate, cost, gap = rate_and_cost(sysm, psi)
+    assert rate <= cost + 1e-8 and gap <= 1e-6
+    assert rate == pytest.approx(cost, abs=1e-8)
 
 
 def test_equivalence_zero_control():
     sysm = linearize("scalar_benchmark", n_cells=100)
-    rep = verify_rate_equivalence(sysm, np.zeros((1, 100)))
-    assert rep.rate_value == 0.0 and rep.control_cost == 0.0
+    rate, cost, _ = rate_and_cost(sysm, np.zeros((1, 100)))
+    assert rate == 0.0 and cost == 0.0
 
 
 def test_orthogonal_component_is_wasted_energy():
@@ -176,9 +187,9 @@ def test_orthogonal_component_is_wasted_energy():
     eta_base = solve_limit_path(sysm, base)
     eta_both = solve_limit_path(sysm, base + orth)
     assert np.max(np.abs(eta_base.values - eta_both.values)) < 1e-12
-    rep = verify_rate_equivalence(sysm, base + orth)
-    assert rep.minimality_ok
-    assert rep.rate_value < rep.control_cost - 0.5  # strictly cheaper
+    rate, cost, _ = rate_and_cost(sysm, base + orth)
+    assert rate <= cost + 1e-8
+    assert rate < cost - 0.5  # strictly cheaper
 
 
 def test_terminal_rate_matches_least_norm_oracle():

@@ -292,6 +292,22 @@ def test_ball_average_overflow_is_named():
             assemble_model(make_params(velocity=(v,), max_mode=2))
 
 
+def test_mode_zero_amplitude_with_upstream_drift():
+    # for c < 0 phi_0's amplitude keeps its exp argument negative; at moderate
+    # c it agrees with the direct form sqrt(2c / (1 - exp(-2 c side)))
+    for side in (1.0, 1.5, 2.0):
+        for v in (-1.0, -2.0, -10.0, -100.0):
+            sysm = build_eigensystem(make_params(velocity=(v,), side=side, max_mode=0))
+            c = float(sysm.drift_coefficients[0])
+            assert c < 0
+            direct = math.sqrt(2.0 * c / (1.0 - math.exp(-2.0 * c * side)))
+            amp = float(sysm.eval_modes(np.zeros((1, 1)))[0, 0])
+            assert math.isclose(amp, direct, rel_tol=1e-15, abs_tol=0.0)
+    # where the direct form overflows, the amplitude underflows toward 0
+    sysm = build_eigensystem(make_params(velocity=(-2000.0,), max_mode=0))
+    assert 0.0 <= float(sysm.eval_modes(np.zeros((1, 1)))[0, 0]) < 1e-300
+
+
 def test_convergence_study_reports():
     params = make_params(max_mode=2)
     report = galerkin_convergence_study(params, epsilon=0.1, seeds=[0, 1])
