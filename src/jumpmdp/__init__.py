@@ -30,7 +30,6 @@ from .mdp_limit import (
     decompose_controlled_path,
     gaussian_covariance,
     solve_limit_path,
-    solve_limit_path_from_u,
 )
 from .rate import (
     Gramian,

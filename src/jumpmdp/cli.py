@@ -131,7 +131,6 @@ def cmd_rate(cfg: ExperimentConfig) -> None:
         for k, z in enumerate(targets):
             sol = rate_to_point(sysm, np.asarray(z, dtype=float))
             fh.write(f"point_{k},{sol.value!r},{sol.residual!r}\n")
-            sol.export_csv(os.path.join(out, f"rate_controls_{k}.csv"))
             sol.path.to_csv(os.path.join(out, f"rate_path_{k}.csv"))
             with open(os.path.join(out, f"rate_psi_{k}.csv"), "w") as pfh:
                 for prow in sol.psi:
@@ -211,6 +210,11 @@ def cmd_pollutant(cfg: ExperimentConfig) -> None:
     params = spp.params_from_dict(spec)
     sysm = spp.build_eigensystem(params)
     defect = spp.orthonormality_defect(sysm, params.quad_points)
+    if not defect <= 1e-6:  # also catches a NaN defect
+        raise CheckFailure(
+            f"eigenfunction orthonormality defect {defect!r} is not within 1e-6",
+            cfg.config_hash(), cfg.seed,
+        )
     with open(os.path.join(out, "pollutant_modes.csv"), "w") as fh:
         fh.write("mode,eigenvalue\n")
         for m, lam in zip(sysm.modes, sysm.eigenvalues):
@@ -242,11 +246,6 @@ def cmd_pollutant(cfg: ExperimentConfig) -> None:
             fh.write(f"hs_sum_level{level},{plain!r}\n")
             fh.write(f"hs_witness_level{level},{witness!r}\n")
     print(f"pollutant: orthonormality defect {defect:.2e}; {report.summary()}")
-    if not defect <= 1e-6:
-        raise CheckFailure(
-            f"eigenfunction orthonormality defect {defect!r} > 1e-6",
-            cfg.config_hash(), cfg.seed,
-        )
     plain_sums = [sums[level][0] for level in levels]
     if len(plain_sums) >= 2 and abs(plain_sums[-1] - plain_sums[-2]) > 1e-8:
         raise CheckFailure(

@@ -558,7 +558,7 @@ def entropy_bound_constants(
     """Supremum ratios on a log grid of [0, 1e6] plus per-beta knots.
 
     The knots {beta, 1 - beta, 1 + beta} are where the restricted suprema
-    are attained, so downstream bound checks hold without grid slack.
+    are reached, so downstream bound checks hold without grid slack.
     Monotonicity of tail_abs and tail_linear in beta is asserted here.
     """
     betas = tuple(float(b) for b in betas)

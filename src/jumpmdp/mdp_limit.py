@@ -4,23 +4,18 @@ Per time cell (coefficients frozen at the cell midpoint of the fluid path)
 this module builds:
 
 * the linearized drift matrix  A1(s) = Db(x0(s)) + sum_k DxG(x0(s), y_k) w_k,
-* an orthonormal frame e_j(., s) spanning {G_i(x0(s), .)} in L2 of the mark
-  measure, and the gain matrix A_ij(s) = <G_i, e_j>,
+* the jump values G_i(x0(s), y_k) on the atoms, whose gain matrix
+  B(s) = G(s) diag(sqrt(w)) carries a control in the atom coordinates
+  u_k = sqrt(w_k) psi(y_k) of L2 of the mark measure,
 * the Lyapunov covariance of the matching small-noise Gaussian process, and
 * a replay decomposition of controlled fluctuation paths into drift,
   martingale, coefficient, coupling and forcing terms whose sum reconstructs
   the path exactly.
-
-Frames are recomputed independently per cell.  Only the span and A A^T enter
-any downstream quantity, so sign or rotation discontinuities across cells are
-harmless; a regression test pins that order-invariance.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -32,13 +27,10 @@ __all__ = [
     "LinearizedSystem",
     "build_linearization",
     "solve_limit_path",
-    "solve_limit_path_from_u",
     "gaussian_covariance",
     "FluctuationParts",
     "decompose_controlled_path",
 ]
-
-FRAME_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -47,10 +39,7 @@ class LinearizedSystem:
 
     times: np.ndarray          # (n_cells + 1,)
     drift_mat: np.ndarray      # (n_cells, d, d)
-    gain: np.ndarray           # (n_cells, d, d), zero columns where rank drops
-    frame: np.ndarray          # (n_cells, d, n_atoms) orthonormal rows per cell
     jump_vals: np.ndarray      # (n_cells, d, n_atoms) values G_i(x0, y_k)
-    rank: np.ndarray           # (n_cells,)
     measure: MarkMeasure
 
     @property
@@ -65,46 +54,19 @@ class LinearizedSystem:
     def dim(self) -> int:
         return self.drift_mat.shape[1]
 
+    @property
+    def gain(self) -> np.ndarray:
+        """B = G diag(sqrt(w)) per cell, (n_cells, d, n_atoms); B B' = G diag(w) G'."""
+        return self.jump_vals * np.sqrt(self.measure.weights)
+
     def forcing_from_psi(self, psi: np.ndarray) -> np.ndarray:
         """Cellwise integral of psi(y, s) G(x0(s), y) against the marks."""
         w = self.measure.weights
         return np.einsum("cik,kc->ci", self.jump_vals, psi * w[:, None])
 
-    def psi_from_coefficients(self, u: np.ndarray) -> np.ndarray:
-        """Control field values sum_j u_j(s) e_j(y, s), shape (n_atoms, n_cells)."""
-        return np.einsum("cj,cjk->kc", u, self.frame)
 
-
-def _weighted_frame(gvals: np.ndarray, weights: np.ndarray, order: Sequence[int]):
-    """Modified Gram-Schmidt in the weighted inner product, with rank tolerance."""
-    d, n_atoms = gvals.shape
-    frame = np.zeros((d, n_atoms))
-    norms = np.sqrt(np.maximum(np.sum(gvals * gvals * weights, axis=1), 0.0))
-    max_norm = float(norms.max()) if d else 0.0
-    accepted: list[int] = []
-    for j in order:
-        v = gvals[j].copy()
-        for _ in range(2):  # one re-orthogonalization pass
-            for i in accepted:
-                v = v - np.dot(v * weights, frame[i]) * frame[i]
-        nrm = math.sqrt(max(np.dot(v * weights, v), 0.0))
-        if max_norm > 0 and nrm > FRAME_RANK_TOL * max_norm:
-            frame[j] = v / nrm
-            accepted.append(j)
-    return frame, len(accepted)
-
-
-def build_linearization(
-    model: ModelSpec,
-    fluid_path: PathGrid,
-    frame_order: Sequence[int] | None = None,
-) -> LinearizedSystem:
-    """Freeze the linearized coefficients per cell of the fluid path grid.
-
-    frame_order optionally fixes the order in which the jump-coefficient
-    functions enter the orthogonalization; any order spans the same space and
-    leaves every downstream quantity unchanged.
-    """
+def build_linearization(model: ModelSpec, fluid_path: PathGrid) -> LinearizedSystem:
+    """Freeze the linearized coefficients per cell of the fluid path grid."""
     if fluid_path.dim != model.dim:
         raise ModelError("fluid path dimension does not match the model")
     n = fluid_path.n_cells
@@ -112,14 +74,8 @@ def build_linearization(
     meas = model.measure
     n_atoms = meas.n_atoms
     w = meas.weights
-    order = list(range(d)) if frame_order is None else list(frame_order)
-    if sorted(order) != list(range(d)):
-        raise ModelError("frame_order must be a permutation of the components")
     a1 = np.empty((n, d, d))
-    gain = np.zeros((n, d, d))
-    frame = np.zeros((n, d, n_atoms))
     jv = np.empty((n, d, n_atoms))
-    rank = np.empty(n, dtype=np.int64)
     for c in range(n):
         xmid = 0.5 * (fluid_path.values[c] + fluid_path.values[c + 1])
         m = np.asarray(model.drift_jac(xmid), dtype=float).copy()
@@ -128,17 +84,7 @@ def build_linearization(
             m += w[k] * jacs[k]
         a1[c] = m
         jv[c] = model.jump(xmid)
-        frame[c], rank[c] = _weighted_frame(jv[c], w, order)
-        gain[c] = jv[c] @ (frame[c] * w).T
-    return LinearizedSystem(
-        times=fluid_path.times,
-        drift_mat=a1,
-        gain=gain,
-        frame=frame,
-        jump_vals=jv,
-        rank=rank,
-        measure=meas,
-    )
+    return LinearizedSystem(times=fluid_path.times, drift_mat=a1, jump_vals=jv, measure=meas)
 
 
 def _as_psi_array(sys: LinearizedSystem, psi) -> np.ndarray:
@@ -156,26 +102,7 @@ def solve_limit_path(sys: LinearizedSystem, psi) -> PathGrid:
     Solves x' = A1(s) x + integral of psi(y, s) G(x0(s), y) over marks,
     x(0) = 0, with per-cell frozen coefficients.
     """
-    arr = _as_psi_array(sys, psi)
-    forcing = sys.forcing_from_psi(arr)
-    return _integrate_cells(sys, forcing)
-
-
-def solve_limit_path_from_u(sys: LinearizedSystem, u: np.ndarray) -> PathGrid:
-    """Limit fluctuation path driven by cellwise controls u through the gain.
-
-    u has shape (n_cells, d); solves x' = A1(s) x + A(s) u(s), x(0) = 0.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    if u.shape != (sys.n_cells, sys.dim):
-        raise ModelError(f"u must have shape ({sys.n_cells}, {sys.dim}), got {u.shape}")
-    forcing = np.einsum("cij,cj->ci", sys.gain, u)
-    return _integrate_cells(sys, forcing)
-
-
-def _integrate_cells(sys: LinearizedSystem, forcing: np.ndarray) -> PathGrid:
+    forcing = sys.forcing_from_psi(_as_psi_array(sys, psi))
     n, d = sys.n_cells, sys.dim
     h = sys.dt
     out = np.zeros((n + 1, d))
@@ -188,7 +115,7 @@ def _integrate_cells(sys: LinearizedSystem, forcing: np.ndarray) -> PathGrid:
 
 
 def gaussian_covariance(sys: LinearizedSystem) -> np.ndarray:
-    """Covariance along the Gaussian limit: S' = A1 S + S A1' + A A'.
+    """Covariance along the Gaussian limit: S' = A1 S + S A1' + G diag(w) G'.
 
     Solved by RK4 with per-cell frozen coefficients, starting from zero and
     re-symmetrized each step.  Returns the (n_cells + 1, d, d) covariances at
@@ -198,10 +125,10 @@ def gaussian_covariance(sys: LinearizedSystem) -> np.ndarray:
     h = sys.dt
     covs = np.zeros((n + 1, d, d))
     s = np.zeros((d, d))
+    gain = sys.gain
     for c in range(n):
         a1 = sys.drift_mat[c]
-        q = sys.gain[c] @ sys.gain[c].T
-
+        q = gain[c] @ gain[c].T
         s = rk4_step(lambda m: a1 @ m + m @ a1.T + q, s, h)
         s = 0.5 * (s + s.T)
         covs[c + 1] = s

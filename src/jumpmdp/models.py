@@ -69,7 +69,7 @@ def linear_gaussian(
 ) -> ModelSpec:
     """d = 1, drift rate*x and jump gain*mark on a unit atom.
 
-    The linearization has A1 = rate and gain |gain|, matching the scalar
+    The linearization has A1 = rate and gain `gain`, matching the scalar
     closed forms W(T) = gain^2 (e^{2 rate T} - 1) / (2 rate).
     """
     rate = float(rate)
@@ -96,8 +96,8 @@ def two_d_benchmark(
     """d = 2 benchmark with state-dependent jump coefficient.
 
     Two mark atoms make the jump functions y and y^2 independent in the
-    mark space, so the orthonormal frame has full rank and the gain matrix
-    varies along the fluid path through the sin term.
+    mark space, so the gain has full rank and varies along the fluid path
+    through the sin term.
     """
     measure = MarkMeasure.from_atoms([(1.0, 1.0), (2.0, 0.5)])
     y = measure.marks[:, 0]
@@ -130,7 +130,7 @@ def two_d_benchmark(
 
 
 def rank_deficient_2d(horizon: float = 1.0, factor: float = 2.0) -> ModelSpec:
-    """d = 2 with proportional jump components; the frame has rank one."""
+    """d = 2 with proportional jump components; the gain has rank one."""
     measure = MarkMeasure.single_atom(1.0, 1.0)
     y = measure.marks[:, 0]
     return ModelSpec(

@@ -1,11 +1,11 @@
 """Quadratic deviation rates for the linearized fluctuation dynamics.
 
-Two equivalent evaluations are provided: path-wise (minimal mark-space
-control energy steering the linearized equation along a given path) and
-cellwise through the frame (minimal L2 energy of finite-dimensional controls
-acting through the gain matrix).  The terminal-constraint rate uses the
+Two evaluations are provided: path-wise (minimal mark-space control energy
+steering the linearized equation along a given path) and terminal (the
 minimum-energy control of classical linear-quadratic theory, built from a
-controllability Gramian.
+controllability Gramian).  Controls act through the gain B = G diag(sqrt(w))
+in the atom coordinates u_k = sqrt(w_k) psi(y_k), so |u|^2 is the L2 norm
+of psi against the mark measure.
 
 All evaluations share the per-cell frozen-coefficient RK4 convention of the
 limit-path solvers: a cell step is the affine map
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jump_sde import ModelError, PathGrid
-from .mdp_limit import LinearizedSystem, solve_limit_path_from_u
+from .mdp_limit import LinearizedSystem, solve_limit_path
 
 __all__ = [
     "InadmissiblePathError",
@@ -51,29 +51,17 @@ class InadmissiblePathError(ValueError):
 
 @dataclass(frozen=True)
 class RateSolution:
-    """Rate value with the optimizing controls and the steered path.
+    """Rate value with the optimizing control and the steered path.
 
     value is math.inf when the path (or target) is unreachable; residual then
     carries the worst range-test violation.  When finite,
-    value = 0.5 * sum |u|^2 dt = 0.5 * ||psi||^2 in L2(marks x time).
+    value = 0.5 * ||psi||^2 in L2(marks x time).
     """
 
     value: float
-    u: np.ndarray            # (n_cells, d), piecewise constant
-    psi: np.ndarray          # (n_atoms, n_cells)
+    psi: np.ndarray          # (n_atoms, n_cells), piecewise constant
     path: PathGrid
     residual: float
-
-    @property
-    def attained(self) -> bool:
-        return math.isfinite(self.value)
-
-    def export_csv(self, path) -> None:
-        n, d = self.u.shape
-        with open(path, "w") as fh:
-            fh.write("cell," + ",".join(f"u_{i + 1}" for i in range(d)) + "\n")
-            for c in range(n):
-                fh.write(f"{c}," + ",".join(repr(float(v)) for v in self.u[c]) + "\n")
 
 
 @dataclass(frozen=True)
@@ -87,7 +75,6 @@ class Gramian:
 
     matrix: np.ndarray       # (d, d) symmetric PSD
     flow: np.ndarray         # (n_cells, d, d)
-    times: np.ndarray
 
 
 def cell_propagators(sys: LinearizedSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -116,9 +103,12 @@ def rate_of_path(
     """Minimal control energy steering the linearized dynamics along a path.
 
     Per cell the forcing consistent with the discrete flow is recovered, the
-    minimal-norm control through the gain is taken (pseudo-inverse with the
-    module-wide rank tolerance), and any cell whose forcing leaves the range
-    of the gain makes the rate infinite, with the violation reported.
+    minimal-norm control u = B^+ f through the gain is taken (pseudo-inverse
+    with the module-wide rank tolerance), and any cell whose forcing leaves
+    the range of the gain makes the rate infinite, with the violation
+    reported.  u lies in the row space of B, u = B' v with v = (B^+)' u, so
+    psi = G' v equals u / sqrt(w) on atoms of positive weight without a
+    division.
     """
     if not np.array_equal(path.times, sys.times):
         raise ModelError("path grid does not match the linearized system grid")
@@ -127,23 +117,24 @@ def rate_of_path(
         raise InadmissiblePathError(
             "path must start at zero; the rate is +inf off the admissible class"
         )
-    n, d = sys.n_cells, sys.dim
+    n = sys.n_cells
     prop, src = cell_propagators(sys)
-    u = np.zeros((n, d))
+    gain = sys.gain
+    u = np.zeros((n, sys.measure.n_atoms))
+    psi = np.zeros((sys.measure.n_atoms, n))
     worst = 0.0
     feasible = True
     for c in range(n):
         f = np.linalg.solve(src[c], eta[c + 1] - prop[c] @ eta[c])
-        uc = np.linalg.pinv(sys.gain[c], rcond=pinv_rtol) @ f
-        u[c] = uc
-        resid = float(np.linalg.norm(sys.gain[c] @ uc - f))
+        pinv = np.linalg.pinv(gain[c], rcond=pinv_rtol)
+        u[c] = pinv @ f
+        psi[:, c] = sys.jump_vals[c].T @ (pinv.T @ u[c])
+        resid = float(np.linalg.norm(gain[c] @ u[c] - f))
         worst = max(worst, resid)
         if resid > range_tol * (1.0 + float(np.linalg.norm(f))):
             feasible = False
-    psi = sys.psi_from_coefficients(u)
-    steered = solve_limit_path_from_u(sys, u)
     value = 0.5 * math.fsum((u * u).ravel()) * sys.dt if feasible else math.inf
-    return RateSolution(value=value, u=u, psi=psi, path=steered, residual=worst)
+    return RateSolution(value=value, psi=psi, path=solve_limit_path(sys, psi), residual=worst)
 
 
 def controllability_gramian(sys: LinearizedSystem) -> Gramian:
@@ -159,7 +150,7 @@ def controllability_gramian(sys: LinearizedSystem) -> Gramian:
     b = np.einsum("cij,cjk->cik", flow, sys.gain)
     w = np.einsum("cik,clk->il", b, b) * dt
     w = 0.5 * (w + w.T)
-    return Gramian(matrix=w, flow=flow, times=sys.times)
+    return Gramian(matrix=w, flow=flow)
 
 
 def _psd_pinv(w: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -180,7 +171,7 @@ def rate_to_point(
     """Minimum-energy rate for hitting the terminal point z.
 
     value = 0.5 * z' W^+ z with the minimum-energy control
-    u(s) = gain(s)' flow(s)' W^+ z; replaying the control reproduces the
+    psi(y, s) = G(s, y)' flow(s)' W^+ z; replaying the control reproduces the
     terminal point whenever z lies in the range of W, otherwise the rate is
     infinite with the range residual attached.
     """
@@ -193,11 +184,9 @@ def rate_to_point(
     xi = wp @ z
     resid = float(np.linalg.norm(w @ xi - z))
     feasible = resid <= range_tol * (1.0 + float(np.linalg.norm(z)))
-    u = np.einsum("cjk,cij,i->ck", sys.gain, gram.flow, xi)
-    psi = sys.psi_from_coefficients(u)
-    steered = solve_limit_path_from_u(sys, u)
+    psi = np.einsum("cjk,cij,i->kc", sys.jump_vals, gram.flow, xi)
     value = 0.5 * float(z @ xi) if feasible else math.inf
-    return RateSolution(value=value, u=u, psi=psi, path=steered, residual=resid)
+    return RateSolution(value=value, psi=psi, path=solve_limit_path(sys, psi), residual=resid)
 
 
 def sphere_minimum(
@@ -206,7 +195,7 @@ def sphere_minimum(
     """Minimum of the terminal rate over the sphere |z| = radius.
 
     For the quadratic form 0.5 z' W^+ z the minimum over the sphere is
-    radius^2 / (2 * lambda_max(W)), attained along the top eigenvector; exact
+    radius^2 / (2 * lambda_max(W)), reached along the top eigenvector; exact
     via the eigendecomposition, no iterative optimizer involved.
     """
     vals, vecs = np.linalg.eigh(gram.matrix)

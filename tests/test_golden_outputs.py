@@ -14,6 +14,16 @@ import pytest
 from jumpmdp import cli
 
 CASES = {
+    "clt-check": {
+        "model": "two_d_benchmark",
+        "clt_epsilon": 0.05,
+        "clt_replications": 200,
+        "n_cells": 32,
+        "n_cells_analysis": 200,
+    },
+    "fluid": {"model": "two_d_benchmark", "n_cells_analysis": 200},
+    "lemma-check": {"lemma": {"betas": [1.0, 2.0, 5.0], "eps": [0.1], "m_bound": 2.0}},
+    "var-rep": {"var_rep": {"replications": 2000}},
     "mdp-slope": {
         "model": "two_d_benchmark",
         "eps_grid": [0.2, 0.1],
@@ -69,8 +79,21 @@ COMMANDS = {"pollutant-2d": "pollutant"}
 # case -> (exit code, {output file: sha256}).  At this size the 2-D slope
 # misses its 25% gate, so mdp-slope exits 1; summary.csv is written first.
 GOLDEN = {
+    "clt-check": (0, {
+        "clt_check.csv": "e9c101471c4abe7b394753f67759eef661f0c2e5311fc0451db75a26f2efefdb",
+    }),
+    "fluid": (0, {
+        "fluid.csv": "7b60050e6534186acc75a606ab4fb8d0b52104eb29226de3eb4de7418ad86d3d",
+    }),
+    "lemma-check": (0, {
+        "lemma_bounds.csv": "85e127cd64945d1e8732672e709c36fe0669ee5ac4b729b4618a7b46e59534d4",
+        "lemma_constants.csv": "9758825b67f9bc5aa33f76401a0cc987bf1c21fbafc531f3ee758b90e719b359",
+    }),
+    "var-rep": (0, {
+        "var_rep.csv": "87f2286485b4006cd00082da305461a65d351893a17b7fa42bbf1c10b16adee9",
+    }),
     "mdp-slope": (1, {
-        "summary.csv": "75fa6ef0b4af4bf880bfe7b68f1db3bce855092c4413d9c5557066313f032e7e",
+        "summary.csv": "000b74118e54d49e5300ae890093d03b7ba940b541e5e8bda6d2c26037bf9673",
     }),
     "pollutant": (0, {
         "pollutant_field_T.csv": "24f5ded9213044d7a5e0b7d8e46923cd2707585e3275dc687972dfc5f157f410",
@@ -85,10 +108,9 @@ GOLDEN = {
         "pollutant_report.csv": "e4c9771b66c3e24c7333948e1faf7187adf703fb58e66de761eb82d1873e2ed6",
     }),
     "rate": (0, {
-        "rate_controls_0.csv": "c378c592c348c2b3f8c1778e6c4ec1f906a3b03515246f9831433038f9b60406",
-        "rate_path_0.csv": "7c8fa1604cfa6706036f059870952d8ed65980d7c8a3327801a2655241c9d275",
-        "rate_psi_0.csv": "e6709085841a9ff7003242ca817ce159649acd3028e7e0fa75907c18faa54ee7",
-        "rate_summary.csv": "e0c344f0a4d0fefc54d30ff8b9cd75d30cd522d2ad7ae91d78709fee31c35e44",
+        "rate_path_0.csv": "65db55bea079ad38b28d3d3b7f9fca02012a2fce4385013b3df715a51ae21be1",
+        "rate_psi_0.csv": "eea01c8f5fd492ed889412dfdd11061e41c8fcb559c2f40c9bd66da56b0c8924",
+        "rate_summary.csv": "b21c9f7b0aed6ed24606f7eae98838edae065cfa87a542d4e3a45da1a3542633",
     }),
     "simulate": (0, {
         "paths/eps0_rep0.csv": "3343bc1f640fd51755a8f66d41e9b8084e5b6755da6503e1be603efb043600de",

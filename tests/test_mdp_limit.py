@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from jumpmdp.jump_sde import fluid_limit
 from jumpmdp.mark_space import MarkMeasure
@@ -10,25 +9,20 @@ from jumpmdp.mdp_limit import (
     decompose_controlled_path,
     gaussian_covariance,
     solve_limit_path,
-    solve_limit_path_from_u,
 )
 from jumpmdp.models import build_model
 from jumpmdp.prm import ControlField, tilt_cost, truncated_tilt
-from jumpmdp.rate import rate_of_path
 
 
-def linearize(name, params=None, n_cells=200, **kw):
+def linearize(name, params=None, n_cells=200):
     model = build_model(name, params or {})
     fluid, _ = fluid_limit(model, n_cells)
-    return model, build_linearization(model, fluid, **kw)
+    return model, build_linearization(model, fluid)
 
 
 def test_single_atom_frame():
     model, sysm = linearize("scalar_benchmark")
     assert np.allclose(sysm.gain, 1.0)
-    assert np.all(sysm.rank == 1)
-    # normalized frame function is identically 1 on the single atom
-    assert np.allclose(sysm.frame, 1.0)
     assert np.allclose(sysm.drift_mat, -1.0)
 
 
@@ -46,27 +40,15 @@ def test_two_atom_norm():
     )
     fluid, _ = fluid_limit(model, 50)
     sysm = build_linearization(model, fluid)
-    assert np.allclose(sysm.gain[:, 0, 0], math.sqrt(5.0))
+    assert np.allclose(np.einsum("cik,cik->c", sysm.gain, sysm.gain), 5.0)
 
 
 def test_rank_deficient_gain():
     model, sysm = linearize("rank_deficient_2d")
-    assert np.all(sysm.rank == 1)
-    assert np.allclose(sysm.gain[:, :, 1], 0.0)
+    assert all(np.linalg.matrix_rank(g) == 1 for g in sysm.gain)
     gram = np.einsum("cik,clk,k->cil", sysm.jump_vals, sysm.jump_vals, sysm.measure.weights)
     recon = np.einsum("cij,clj->cil", sysm.gain, sysm.gain)
     assert np.max(np.abs(gram - recon)) < 1e-10
-
-
-def test_frame_orthonormality_and_gram_consistency():
-    model, sysm = linearize("two_d_benchmark")
-    w = sysm.measure.weights
-    for c in range(0, sysm.n_cells, 37):
-        gram_e = np.einsum("ik,jk,k->ij", sysm.frame[c], sysm.frame[c], w)
-        kept = np.flatnonzero(np.abs(np.diag(gram_e)) > 0.5)
-        assert np.max(np.abs(gram_e[np.ix_(kept, kept)] - np.eye(kept.size))) < 1e-10
-        gram_g = np.einsum("ik,jk,k->ij", sysm.jump_vals[c], sysm.jump_vals[c], w)
-        assert np.max(np.abs(sysm.gain[c] @ sysm.gain[c].T - gram_g)) < 1e-10
 
 
 def test_limit_path_zero_and_linearity():
@@ -91,30 +73,21 @@ def test_limit_path_scalar_closed_form():
     assert np.max(np.abs(path.values[:, 0] - exact)) < 1e-8
 
 
-def test_limit_path_from_u_matches_psi_route():
-    model, sysm = linearize("two_d_benchmark", n_cells=300)
-    rng = np.random.default_rng(2)
-    u = rng.normal(size=(sysm.n_cells, 2))
-    psi = sysm.psi_from_coefficients(u)
-    via_psi = solve_limit_path(sysm, psi)
-    via_u = solve_limit_path_from_u(sysm, u)
-    assert np.max(np.abs(via_psi.values - via_u.values)) < 1e-8
-
-
 def test_limit_path_from_u_trivial_cases():
+    # a unit atom of weight 1: the control psi is its own atom coordinate u
     model, sysm = linearize("linear_gaussian", {"rate": 0.0, "gain": 1.0}, n_cells=100)
-    zero = solve_limit_path_from_u(sysm, np.zeros((100, 1)))
+    zero = solve_limit_path(sysm, np.zeros((1, 100)))
     assert np.all(zero.values == 0.0)
-    ramp = solve_limit_path_from_u(sysm, np.ones((100, 1)))
+    ramp = solve_limit_path(sysm, np.ones((1, 100)))
     assert np.max(np.abs(ramp.values[:, 0] - ramp.times)) < 1e-12
 
 
 def test_gain_times_u_equals_mark_integral():
     model, sysm = linearize("two_d_benchmark", n_cells=64)
     rng = np.random.default_rng(3)
-    u = rng.normal(size=(sysm.n_cells, 2))
-    psi = sysm.psi_from_coefficients(u)
-    lhs = np.einsum("cij,cj->ci", sysm.gain, u)
+    psi = rng.normal(size=(2, sysm.n_cells))
+    u = np.sqrt(sysm.measure.weights)[:, None] * psi
+    lhs = np.einsum("cik,kc->ci", sysm.gain, u)
     rhs = sysm.forcing_from_psi(psi)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -141,21 +114,6 @@ def test_covariance_psd():
     for c in range(0, 151, 10):
         vals = np.linalg.eigvalsh(covs[c])
         assert vals.min() >= -1e-10
-
-
-def test_frame_order_invariance():
-    model = build_model("two_d_benchmark")
-    fluid, _ = fluid_limit(model, 120)
-    sys_a = build_linearization(model, fluid)
-    sys_b = build_linearization(model, fluid, frame_order=[1, 0])
-    rng = np.random.default_rng(4)
-    psi = rng.normal(size=(2, 120))
-    path_a = solve_limit_path(sys_a, psi)
-    path_b = solve_limit_path(sys_b, psi)
-    assert np.max(np.abs(path_a.values - path_b.values)) < 1e-9
-    ra = rate_of_path(sys_a, path_a)
-    rb = rate_of_path(sys_b, path_b)
-    assert ra.value == pytest.approx(rb.value, abs=1e-10)
 
 
 def test_decomposition_zero_control_no_events():

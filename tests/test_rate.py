@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jumpmdp.jump_sde import PathGrid, fluid_limit
-from jumpmdp.mdp_limit import build_linearization, solve_limit_path, solve_limit_path_from_u
+from jumpmdp.mdp_limit import build_linearization, solve_limit_path
 from jumpmdp.models import build_model
 from jumpmdp.rate import (
     InadmissiblePathError,
@@ -26,7 +26,7 @@ def test_zero_path_zero_rate():
     zero = PathGrid(sysm.times, np.zeros((sysm.n_cells + 1, 2)))
     sol = rate_of_path(sysm, zero)
     assert sol.value == 0.0
-    assert np.all(sol.u == 0.0)
+    assert np.all(sol.psi == 0.0)
 
 
 def test_linear_path_unit_control():
@@ -34,7 +34,7 @@ def test_linear_path_unit_control():
     sysm = linearize("linear_gaussian", {"rate": 0.0, "gain": 1.0}, n_cells=500)
     eta = PathGrid(sysm.times, sysm.times[:, None])
     sol = rate_of_path(sysm, eta)
-    assert np.max(np.abs(sol.u - 1.0)) < 1e-12
+    assert np.max(np.abs(sol.psi - 1.0)) < 1e-12
     assert sol.value == pytest.approx(0.5, rel=1e-12)
 
 
@@ -127,13 +127,14 @@ def test_psi_cost_identity():
 def test_consistency_triangle():
     sysm = linearize("two_d_benchmark", n_cells=200)
     rng = np.random.default_rng(6)
+    w = sysm.measure.weights
     for _ in range(10):
-        u = rng.normal(size=(sysm.n_cells, 2))
-        eta = solve_limit_path_from_u(sysm, u)
-        energy = 0.5 * float(np.sum(u * u)) * sysm.dt
+        psi = rng.normal(size=(2, sysm.n_cells))
+        eta = solve_limit_path(sysm, psi)
+        energy = 0.5 * float(np.sum(psi * psi * w[:, None])) * sysm.dt
         sol = rate_of_path(sysm, eta)
         assert sol.value <= energy + 1e-8
-        if np.all(sysm.rank == 2):
+        if all(np.linalg.matrix_rank(g) == 2 for g in sysm.gain):
             assert sol.value == pytest.approx(energy, abs=1e-10)
 
 
@@ -144,16 +145,14 @@ def rate_and_cost(sysm, psi):
     sol = rate_of_path(sysm, eta)
     w = sysm.measure.weights
     cost = 0.5 * math.fsum((psi * psi * w[:, None]).ravel()) * sysm.dt
-    replay = solve_limit_path_from_u(sysm, sol.u)
-    gap = float(np.max(np.abs(replay.values - eta.values)))
+    gap = float(np.max(np.abs(sol.path.values - eta.values)))
     return sol.value, cost, gap
 
 
 def test_equivalence_report_frame_form():
     sysm = linearize("two_d_benchmark", n_cells=150)
     rng = np.random.default_rng(7)
-    u = rng.normal(size=(sysm.n_cells, 2))
-    psi = sysm.psi_from_coefficients(u)
+    psi = rng.normal(size=(2, sysm.n_cells))
     rate, cost, gap = rate_and_cost(sysm, psi)
     assert rate <= cost + 1e-8 and gap <= 1e-6
     assert rate == pytest.approx(cost, abs=1e-8)
@@ -166,7 +165,7 @@ def test_equivalence_zero_control():
 
 
 def test_orthogonal_component_is_wasted_energy():
-    # two atoms, scalar jump value y: the frame spans one direction of the
+    # two atoms, scalar jump value y: the gain spans one direction of the
     # two-dimensional atom space; (2, -1)/weights direction is orthogonal
     from jumpmdp.jump_sde import ModelSpec
     from jumpmdp.mark_space import MarkMeasure
@@ -192,6 +191,39 @@ def test_orthogonal_component_is_wasted_energy():
     assert rate < cost - 0.5  # strictly cheaper
 
 
+def test_zero_weight_atom_in_the_rate_chain():
+    # the second atom has weight 0: it moves nothing, so only G(., y_1) =
+    # (1, 1) is reachable.  psi on that atom is not determined by the rate
+    # and is not pinned here.
+    from jumpmdp.jump_sde import ModelSpec
+    from jumpmdp.mark_space import MarkMeasure
+
+    m = MarkMeasure.from_atoms([(1.0, 1.0), (2.0, 0.0)])
+    model = ModelSpec(
+        dim=2, horizon=1.0, x0=np.zeros(2),
+        drift=lambda x: -x,
+        jump=lambda x: np.array([[1.0, 1.0], [1.0, -1.0]]),
+        drift_jac=lambda x: -np.eye(2),
+        jump_jac=lambda x: np.zeros((2, 2, 2)),
+        measure=m,
+    )
+    fluid, _ = fluid_limit(model, 100)
+    sysm = build_linearization(model, fluid)
+    w = sysm.measure.weights
+    sol = rate_to_point(sysm, np.array([1.0, 1.0]))
+    assert math.isfinite(sol.value) and np.all(np.isfinite(sol.psi))
+    psi_cost = 0.5 * float(np.sum(sol.psi**2 * w[:, None])) * sysm.dt
+    assert psi_cost == pytest.approx(sol.value, rel=1e-10)
+    assert np.linalg.norm(sol.path.terminal() - 1.0) <= 1e-8
+    off = rate_to_point(sysm, np.array([1.0, -1.0]))
+    assert off.value == math.inf
+    assert off.residual > 0.1
+    rate, cost, gap = rate_and_cost(sysm, sol.psi)
+    assert rate == pytest.approx(cost, rel=1e-10)
+    assert rate == pytest.approx(sol.value, rel=1e-8)
+    assert gap <= 1e-12
+
+
 def test_terminal_rate_matches_least_norm_oracle():
     # independent route: stack the discrete reachability map over all cells
     # and take the minimal-norm least-squares control
@@ -201,7 +233,7 @@ def test_terminal_rate_matches_least_norm_oracle():
     prop, src = cell_propagators(sysm)
     n, d = sysm.n_cells, sysm.dim
     acc = np.eye(d)
-    blocks = np.empty((n, d, d))
+    blocks = np.empty((n, d, sysm.measure.n_atoms))
     for c in range(n - 1, -1, -1):
         blocks[c] = acc @ src[c] @ sysm.gain[c]
         acc = acc @ prop[c]
