@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .jump_sde import ModelError, check_keys, fluid_limit, simulate_jump_path
+from .jump_sde import ModelError, check_keys, fluid_limit, simulate_jump_path, simulate_jump_paths
 from .mdp_limit import build_linearization, gaussian_covariance
 from .models import build_model
 from .prm import (
@@ -29,7 +29,6 @@ from .prm import (
     sample_poisson_measure,
     substream,
     tilt_cost,
-    truncated_tilt,
 )
 from .rate import controllability_gramian, rate_to_point, sphere_minimum
 
@@ -113,6 +112,9 @@ class ExperimentConfig:
             raise ModelError("need at least 100 replications")
         if not (0 < self.beta <= 1):
             raise ModelError("beta must lie in (0, 1]")
+        for key in ("n_cells", "n_cells_analysis", "workers"):
+            if getattr(self, key) < 1:
+                raise ModelError(f"{key} must be at least 1, got {getattr(self, key)!r}")
         object.__setattr__(self, "eps_grid", eps)
         object.__setattr__(self, "rate_targets", tuple(tuple(z) if np.ndim(z) else (z,) for z in self.rate_targets))
 
@@ -201,7 +203,7 @@ class _Engine:
     """Per-process state for Monte Carlo batches.
 
     Given the optimal control psi*, the engine also holds the fluid terminal
-    on the simulation grid and the two antipodal truncated tilts per eps that
+    on the simulation grid and the two antipodal clipped tilts per eps that
     importance sampling needs.
     """
 
@@ -213,22 +215,27 @@ class _Engine:
             self.fluid_end = fluid_limit(self.model, cfg.n_cells)[0].terminal()
             for eps in cfg.eps_grid:
                 a = cfg.a_eps(eps)
+                # clipped, not zeroed, where |psi*| > beta / a: phi >= 1 - beta
+                # still holds, and those cells keep pushing toward the event.
+                # A NaN cell (a degenerate rate analysis) is zeroed, as the
+                # truncated tilt does, so the simulation reports the failure.
+                clipped = np.clip(np.nan_to_num(psi_star), -cfg.beta / a, cfg.beta / a)
                 self.tilts.append((
-                    truncated_tilt(psi_star, self.model.horizon, a, cfg.beta),
-                    truncated_tilt(-psi_star, self.model.horizon, a, cfg.beta),
+                    ControlField(clipped, self.model.horizon, a),
+                    ControlField(-clipped, self.model.horizon, a),
                 ))
 
     def terminal_batch(self, slot: int, eps_idx: int, epsilon: float, lo: int, hi: int) -> np.ndarray:
         """X(T) for replications lo..hi-1 on streams (seed, slot, eps_idx, r)."""
         theta = 1.0 / epsilon
-        out = np.empty((hi - lo, self.model.dim))
-        for r in range(lo, hi):
-            events = sample_poisson_measure(
+        events = [
+            sample_poisson_measure(
                 self.model.measure, theta, self.model.horizon,
                 substream(self.cfg.seed, slot, eps_idx, r),
             )
-            out[r - lo] = simulate_jump_path(self.model, epsilon, events, self.cfg.n_cells).terminal()
-        return out
+            for r in range(lo, hi)
+        ]
+        return simulate_jump_paths(self.model, epsilon, events, self.cfg.n_cells)[:, -1]
 
     def is_batch(self, eps_idx: int, lo: int, hi: int) -> np.ndarray:
         """Importance-sampling weights 1{|Y(T)|>=c} dP/dQ for the tilt mixture."""
@@ -238,20 +245,22 @@ class _Engine:
         ctrl_plus, ctrl_minus = self.tilts[eps_idx]
         c = self.cfg.threshold
         meas = self.model.measure
-        out = np.empty(hi - lo)
-        for r in range(lo, hi):
-            ctrl = ctrl_plus if r % 2 == 0 else ctrl_minus
-            events = sample_controlled_measure(
-                meas, theta, ctrl, substream(self.cfg.seed, SLOT_IS, eps_idx, r)
+        events = [
+            sample_controlled_measure(
+                meas, theta, ctrl_plus if r % 2 == 0 else ctrl_minus,
+                substream(self.cfg.seed, SLOT_IS, eps_idx, r),
             )
-            path = simulate_jump_path(self.model, eps, events, self.cfg.n_cells)
-            if float(np.linalg.norm((path.terminal() - self.fluid_end) / a)) < c:
-                out[r - lo] = 0.0
+            for r in range(lo, hi)
+        ]
+        terminals = simulate_jump_paths(self.model, eps, events, self.cfg.n_cells)[:, -1]
+        out = np.zeros(hi - lo)
+        for i, (ev, y) in enumerate(zip(events, (terminals - self.fluid_end) / a)):
+            if float(np.linalg.norm(y)) < c:
                 continue
-            lr_p = log_likelihood_ratio(events, ctrl_plus, meas, theta)
-            lr_m = log_likelihood_ratio(events, ctrl_minus, meas, theta)
+            lr_p = log_likelihood_ratio(ev, ctrl_plus, meas, theta)
+            lr_m = log_likelihood_ratio(ev, ctrl_minus, meas, theta)
             log_mix = np.logaddexp(lr_p, lr_m) - math.log(2.0)
-            out[r - lo] = math.exp(-log_mix)
+            out[i] = math.exp(-log_mix)
         return out
 
 
@@ -268,8 +277,14 @@ def _worker_call(task):
     return getattr(_WORKER_ENGINE, method)(*args)
 
 
-def _chunks(n: int, workers: int) -> list[tuple[int, int]]:
-    size = max(50, -(-n // max(1, 4 * workers)))
+def _chunks(n: int) -> list[tuple[int, int]]:
+    """Replication ranges of the batches; they depend on n alone, not on workers.
+
+    A batch holds an eighth of n, at least 50 and at most 1000 replications:
+    enough rows to amortize the per-step cost of the lockstep integrator,
+    few enough that its arrays stay a few MB.
+    """
+    size = min(1000, max(50, -(-n // 8)))
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
@@ -281,7 +296,7 @@ def _monte_carlo(cfg: ExperimentConfig, psi_star: np.ndarray | None = None):
     method, run in chunks and returned in replication order.
     """
     def tasks(method, args, n):
-        return [(method, args + (lo, hi)) for lo, hi in _chunks(n, cfg.workers)]
+        return [(method, args + (lo, hi)) for lo, hi in _chunks(n)]
 
     if cfg.workers <= 1:
         engine = _Engine(cfg, psi_star)
@@ -369,8 +384,8 @@ def run_mdp_slope(cfg: ExperimentConfig, out_dir: str | None = None) -> SlopeRes
     """Estimate deviation probabilities across the eps grid, plain and tilted.
 
     For each eps: p(eps) = P(|Y(T)| >= c) by plain Monte Carlo and by
-    importance sampling driven by the optimal terminal control truncated at
-    beta, mixed over the two antipodal sphere minimizers.  The slope column
+    importance sampling driven by the optimal terminal control clipped at
+    beta / a(eps), mixed over the two antipodal sphere minimizers.  The slope column
     -b(eps) log p_hat is left empty for rows whose plain estimate is zero.
     """
     model = build_model(cfg.model, cfg.model_params)

@@ -10,7 +10,7 @@ placement bias that would otherwise pollute slope estimates at small eps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "PathGrid",
     "rk4_step",
     "simulate_jump_path",
+    "simulate_jump_paths",
     "fluid_limit",
 ]
 
@@ -43,11 +44,15 @@ def check_keys(block: str, data, valid) -> None:
 class ModelSpec:
     """Coefficients of the jump SDE and their derivatives.
 
-    drift(x) -> (d,) and drift_jac(x) -> (d, d).  The model evaluates the jump
-    coefficient on every atom of its measure at once: jump(x) -> (d, n_atoms)
-    has column k equal to G(x, y_k), and jump_jac(x) -> (n_atoms, d, d) has
-    slice k equal to DxG(x, y_k), with atoms in the measure's merged and
-    sorted order (measure.marks).
+    drift(x) and jump(x) take a state x of shape (..., d): a single state
+    (d,) or a batch of them.  drift returns (..., d).  The model evaluates
+    the jump coefficient on every atom of its measure at once: jump(x) ->
+    (..., d, n_atoms) has column k equal to G(x, y_k), with atoms in the
+    measure's merged and sorted order (measure.marks).  A batch row's value
+    must not depend on the other rows, and a single state keeps its own
+    (cheapest) evaluation.  The Jacobians take a single state:
+    drift_jac(x) -> (d, d), and jump_jac(x) -> (n_atoms, d, d) has slice k
+    equal to DxG(x, y_k).
     """
 
     dim: int
@@ -68,21 +73,28 @@ class ModelSpec:
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
         n, d = self.measure.n_atoms, self.dim
-        for name, want in (("jump", (d, n)), ("jump_jac", (n, d, d))):
+        stack = np.stack([x0, x0])
+        for name, x, want in (
+            ("jump", x0, (d, n)),
+            ("jump_jac", x0, (n, d, d)),
+            ("drift", stack, (2, d)),
+            ("jump", stack, (2, d, n)),
+        ):
             fn = getattr(self, name)
             try:
-                got = getattr(fn(x0), "shape", "no array")
-            except TypeError as exc:
-                got = f"a TypeError ({exc})"
+                got = getattr(fn(x), "shape", "no array")
+            except (TypeError, ValueError) as exc:
+                got = f"a {type(exc).__name__} ({exc})"
             if got != want:
+                where = "x0" if x.ndim == 1 else f"a (2, {d}) stack of x0"
                 raise ModelError(
                     f"{name}(x) ({getattr(fn, '__qualname__', fn)}) must return an array of "
-                    f"shape {want} (one entry per atom); at x0 it gave {got}"
+                    f"shape {want}; at {where} it gave {got}"
                 )
 
     def compensator(self, x: np.ndarray) -> np.ndarray:
         """Mean jump drift at state x: sum_k G(x, y_k) w_k."""
-        return (self.jump(x) * self.measure.weights).sum(axis=1)
+        return (self.jump(x) * self.measure.weights).sum(axis=-1)
 
     def validate_derivatives(self, seed: int = 0, n_points: int = 5, step: float = 1e-5) -> None:
         """Central finite differences must match the declared Jacobians."""
@@ -166,7 +178,7 @@ class PathGrid:
                 fh.write(f"{float(t)!r}," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
-def rk4_step(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
+def rk4_step(f: Callable, x: np.ndarray, h: float | np.ndarray) -> np.ndarray:
     k1 = f(x)
     k2 = f(x + (0.5 * h) * k1)
     k3 = f(x + (0.5 * h) * k2)
@@ -174,39 +186,103 @@ def rk4_step(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _walk_events(
-    grid: np.ndarray,
-    event_times: np.ndarray,
-    advance: Callable,
-    apply_jump: Callable,
-    record: Callable,
-) -> None:
-    """Visit grid times and event times in time order.
+def _event_schedule(
+    grid: np.ndarray, realizations: Sequence[PointRealization]
+) -> tuple[np.ndarray, ...]:
+    """Per-step arrays (h, cell, record, atom), each of shape (B, L).
 
-    advance(i, h) moves the state forward by h inside cell i (the cell
-    ending at grid[i]), apply_jump(k) applies event k to the left-limit state
-    at its exact time, and record(i) stores the state at grid[i].  An event on
-    a grid time is recorded before its jump, so the grid value is the left
-    limit; an event at T is applied after the last record.
+    Row b merges the grid times grid[1:] with the event times of
+    realizations[b] into one breakpoint sequence.  Step p of a row advances
+    the state by h inside cell `cell` (the cell ending at grid[cell]), then
+    stores the state as grid value `record` (or -1), then applies a jump with
+    atom `atom` (or -1).  An event on a grid time follows the grid step, with
+    h = 0, so the grid value is the left limit; an event at T comes after
+    the last record.  h is the difference of consecutive breakpoints.  Rows
+    are padded to a common length L with h = 0 steps that neither record
+    nor jump.
     """
-    n_ev = event_times.size
-    j = 0
-    t = 0.0
-    for i in range(1, grid.size):
-        t_next = grid[i]
-        while j < n_ev and event_times[j] <= t_next:
-            s = event_times[j]
-            if s > t:
-                advance(i, s - t)
-                t = s
-            if s == t_next:
-                record(i)
-            apply_jump(j)
-            j += 1
-        if t < t_next:
-            advance(i, t_next - t)
-            t = t_next
-            record(i)
+    n = grid.size - 1
+    counts = np.array([r.n_events for r in realizations], dtype=np.int64)
+    b, length = counts.size, n + int(counts.max(initial=0))
+    times = np.concatenate([np.empty(0)] + [r.times for r in realizations])
+    atoms = np.concatenate([np.empty(0, dtype=np.int64)] + [r.atoms for r in realizations])
+    ev_row = np.repeat(np.arange(b), counts)
+    ev_rank = np.arange(times.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # grid steps at or before each event; a tie puts the grid step first
+    grid_before = np.searchsorted(grid[1:], times, side="right")
+    ev_pos = ev_rank + grid_before
+    # ev_count[b, k]: events of row b with exactly k grid steps before them
+    ev_count = np.bincount(ev_row * (n + 1) + grid_before, minlength=b * (n + 1)).reshape(b, n + 1)
+    # grid step i follows i - 1 grid steps and every event before grid[i]
+    grid_pos = np.arange(n) + np.cumsum(ev_count, axis=1)[:, :n]
+    rows = np.arange(b)[:, None]
+
+    breaks = np.full((b, length), grid[n])
+    breaks[rows, grid_pos] = grid[1:]
+    breaks[ev_row, ev_pos] = times
+    h = np.diff(breaks, axis=1, prepend=0.0)
+    cell = np.full((b, length), n)
+    cell[rows, grid_pos] = np.arange(1, n + 1)
+    cell[ev_row, ev_pos] = np.searchsorted(grid, times, side="left")
+    record = np.full((b, length), -1)
+    record[rows, grid_pos] = np.arange(1, n + 1)
+    atom = np.full((b, length), -1)
+    atom[ev_row, ev_pos] = atoms
+    return h, cell, record, atom
+
+
+def simulate_jump_paths(
+    model: ModelSpec,
+    epsilon: float,
+    realizations: Sequence[PointRealization],
+    n_cells: int = 64,
+) -> np.ndarray:
+    """Integrate the jump SDE along each event realization, all in lockstep.
+
+    Drift is advanced by RK4 over each interval between breakpoints (grid
+    times and event times merged); at an event (s, y) the state jumps by
+    eps * G(x(s-), y).  Every row walks the same number of padded steps
+    (see _event_schedule) through one batched drift and jump evaluation per
+    stage, and each row's arithmetic is that of the row integrated alone.
+    Returns the (B, n_cells + 1, d) states on the uniform grid; an event on
+    a grid time leaves the left limit there.  A non-finite state on the grid
+    raises ModelError naming the first bad grid time of the first bad row.
+    """
+    if epsilon <= 0:
+        raise ModelError("epsilon must be positive")
+    for events in realizations:
+        if events.n_events and (events.times[0] < 0 or events.times[-1] > model.horizon):
+            raise ModelError("event times outside [0, horizon]")
+    grid = np.linspace(0.0, model.horizon, n_cells + 1)
+    h, _, record, atom = _event_schedule(grid, realizations)
+    b, length = h.shape
+    rows = np.arange(b)
+    # step-major copies: the loop reads one column per step
+    h_steps = np.ascontiguousarray(h.T)[:, :, None]
+    moving, jumping = h_steps > 0, np.ascontiguousarray(atom.T)[:, :, None] >= 0
+    atom_steps = np.maximum(atom.T, 0)
+    all_moving = moving.all(axis=(1, 2)).tolist()
+    any_jump = jumping.any(axis=(1, 2)).tolist()
+    drift, jump = model.drift, model.jump
+    states = np.empty((b, length, model.dim))  # after each step's advance
+    x = np.tile(model.x0, (b, 1))
+    for p in range(length):
+        stepped = rk4_step(drift, x, h_steps[p])
+        x = stepped if all_moving[p] else np.where(moving[p], stepped, x)
+        states[:, p] = x
+        if any_jump[p]:
+            kicked = x + epsilon * jump(x)[rows, :, atom_steps[p]]
+            x = np.where(jumping[p], kicked, x)
+    out = np.empty((b, n_cells + 1, model.dim))
+    out[:, 0] = model.x0
+    # each row records grid values 1..n in step order
+    out[:, 1:] = states[record >= 0].reshape(b, n_cells, model.dim)
+    finite = np.isfinite(out).all(axis=2)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        first = int(np.argmin(finite[row]))
+        raise ModelError(f"jump path blew up at t={float(grid[first])!r} (eps={epsilon!r})")
+    return out
 
 
 def simulate_jump_path(
@@ -215,41 +291,9 @@ def simulate_jump_path(
     events: PointRealization,
     n_cells: int = 64,
 ) -> PathGrid:
-    """Integrate the jump SDE along a fixed event realization.
-
-    Drift is advanced by RK4 over each interval between breakpoints (grid
-    times and event times merged); at an event (s, y) the state jumps by
-    eps * G(x(s-), y).  The returned path samples the solution on the uniform
-    grid; if an event lands exactly on a grid time the recorded value is the
-    left limit.  A non-finite state on the grid raises ModelError.
-    """
-    if epsilon <= 0:
-        raise ModelError("epsilon must be positive")
-    if events.n_events and (events.times[0] < 0 or events.times[-1] > model.horizon):
-        raise ModelError("event times outside [0, horizon]")
-    grid = np.linspace(0.0, model.horizon, n_cells + 1)
-    out = np.empty((n_cells + 1, model.dim))
-    x = model.x0.copy()
-    out[0] = x
-    drift, jump, ev_k = model.drift, model.jump, events.atoms
-
-    def advance(i, h):
-        nonlocal x
-        x = rk4_step(drift, x, h)
-
-    def apply_jump(k):
-        nonlocal x
-        x = x + epsilon * jump(x)[:, ev_k[k]]
-
-    def record(i):
-        out[i] = x
-
-    _walk_events(grid, events.times, advance, apply_jump, record)
-    finite = np.isfinite(out).all(axis=1)
-    if not finite.all():
-        first = int(np.argmin(finite))
-        raise ModelError(f"jump path blew up at t={float(grid[first])!r} (eps={epsilon!r})")
-    return PathGrid(grid, out)
+    """One path of simulate_jump_paths, on its uniform grid."""
+    values = simulate_jump_paths(model, epsilon, [events], n_cells)[0]
+    return PathGrid(np.linspace(0.0, model.horizon, n_cells + 1), values)
 
 
 def fluid_limit(model: ModelSpec, n_cells: int = 1000) -> tuple[PathGrid, float]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jump_sde import ModelError, ModelSpec, PathGrid, _walk_events, rk4_step
+from .jump_sde import ModelError, ModelSpec, PathGrid, _event_schedule, rk4_step
 from .mark_space import MarkMeasure
 from .prm import ControlField, sample_controlled_measure
 
@@ -177,7 +177,7 @@ def decompose_controlled_path(
 
     The controlled state, the fluid path and every time integral are advanced
     jointly by one RK4 pass over shared breakpoints (grid cells and event
-    times, walked by the same loop as simulate_jump_path), so the five terms
+    times, in the step order of simulate_jump_path's schedule), so the five terms
     cancel algebraically against the fluctuation.
     """
     if abs(ctrl.horizon - model.horizon) > 1e-12 * max(1.0, model.horizon):
@@ -226,18 +226,16 @@ def decompose_controlled_path(
         rec["coup"][i] = ebar - c0
         rec["force"][i] = c0
 
-    def advance(i, h):
-        nonlocal z
-        psi_cell = psi[:, i - 1]
-        z = rk4_step(lambda v: rhs(v, psi_cell), z, h)
-
-    def apply_jump(k):
-        nonlocal jumpsum
-        g = model.jump(z[0])[:, events.atoms[k]]
-        jumpsum = jumpsum + g
-        z[0] = z[0] + epsilon * g
-
-    _walk_events(grid, events.times, advance, apply_jump, record)
+    for h, cell, i, atom in zip(*(col[0].tolist() for col in _event_schedule(grid, [events]))):
+        if h > 0:
+            psi_cell = psi[:, cell - 1]
+            z = rk4_step(lambda v: rhs(v, psi_cell), z, h)
+        if i >= 0:
+            record(i)
+        if atom >= 0:
+            g = model.jump(z[0])[:, atom]
+            jumpsum = jumpsum + g
+            z[0] = z[0] + epsilon * g
 
     mk = lambda key: PathGrid(grid, rec[key])
     return FluctuationParts(

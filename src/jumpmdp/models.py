@@ -4,7 +4,7 @@ Models are registered builders keyed by name and configured purely by
 numeric parameters, so experiment configs stay expression-free and worker
 processes can rebuild any model from its (name, params) pair.  Each builder
 evaluates its jump coefficient on the marks of its own measure, in the
-measure's atom order (see ModelSpec).
+measure's atom order, for a single state or a batch (see ModelSpec).
 """
 
 from __future__ import annotations
@@ -18,6 +18,21 @@ from .jump_sde import ModelError, ModelSpec
 from .mark_space import MarkMeasure
 
 __all__ = ["MODEL_BUILDERS", "build_model"]
+
+
+def _constant_jump(values: np.ndarray):
+    """jump(x) for a state-independent (d, n_atoms) coefficient.
+
+    A single state gets the read-only array itself; a batch gets a
+    broadcast view of it.
+    """
+    values = np.array(values, dtype=float)
+    values.setflags(write=False)
+
+    def jump(x):
+        return values if x.ndim == 1 else np.broadcast_to(values, x.shape[:-1] + values.shape)
+
+    return jump
 
 
 def scalar_benchmark(
@@ -35,13 +50,9 @@ def scalar_benchmark(
     """
     decay = float(decay)
     measure = MarkMeasure.single_atom(mark, weight)
-    marks = measure.marks.T  # (1, n_atoms), a read-only view returned by every call
 
     def drift(x):
         return -decay * x
-
-    def jump(x):
-        return marks
 
     def drift_jac(x):
         return np.array([[-decay]])
@@ -54,7 +65,7 @@ def scalar_benchmark(
         horizon=float(horizon),
         x0=np.array([float(x0)]),
         drift=drift,
-        jump=jump,
+        jump=_constant_jump(measure.marks.T),
         drift_jac=drift_jac,
         jump_jac=jump_jac,
         measure=measure,
@@ -75,13 +86,12 @@ def linear_gaussian(
     rate = float(rate)
     gain = float(gain)
     measure = MarkMeasure.single_atom(1.0, 1.0)
-    marks = measure.marks.T
     return ModelSpec(
         dim=1,
         horizon=float(horizon),
         x0=np.array([float(x0)]),
         drift=lambda x: rate * x,
-        jump=lambda x: gain * marks,
+        jump=_constant_jump(gain * measure.marks.T),
         drift_jac=lambda x: np.array([[rate]]),
         jump_jac=lambda x: np.zeros((1, 1, 1)),
         measure=measure,
@@ -104,10 +114,15 @@ def two_d_benchmark(
     m = np.array([[-1.0, coupling], [0.0, -0.5]])
 
     def drift(x):
-        return m @ x
+        # a batch sums each row's two products itself, so a row's value does
+        # not depend on the batch (a BLAS product may round it differently)
+        return m @ x if x.ndim == 1 else (x[..., None, :] * m).sum(axis=-1)
 
     def jump(x):
-        return np.array([y * (1.0 + wobble * math.sin(x[0])), y * y])
+        if x.ndim == 1:
+            return np.array([y * (1.0 + wobble * math.sin(x[0])), y * y])
+        scaled = y * (1.0 + wobble * np.sin(x[..., 0:1]))
+        return np.stack([scaled, np.broadcast_to(y * y, scaled.shape)], axis=-2)
 
     def drift_jac(x):
         return m
@@ -138,7 +153,7 @@ def rank_deficient_2d(horizon: float = 1.0, factor: float = 2.0) -> ModelSpec:
         horizon=float(horizon),
         x0=np.zeros(2),
         drift=lambda x: -x,
-        jump=lambda x: np.array([y, factor * y]),
+        jump=_constant_jump(np.array([y, factor * y])),
         drift_jac=lambda x: -np.eye(2),
         jump_jac=lambda x: np.zeros((1, 2, 2)),
         measure=measure,
@@ -154,14 +169,12 @@ def pure_jump(
     """No drift; each event shifts every component by eps*mark."""
     d = int(dim)
     measure = MarkMeasure.single_atom(mark, weight)
-    shifts = np.tile(measure.marks.T, (d, 1))
-    shifts.setflags(write=False)  # returned by every call, so never written
     return ModelSpec(
         dim=d,
         horizon=float(horizon),
         x0=np.zeros(d),
-        drift=lambda x: np.zeros(d),
-        jump=lambda x: shifts,
+        drift=lambda x: np.zeros(x.shape),
+        jump=_constant_jump(np.tile(measure.marks.T, (d, 1))),
         drift_jac=lambda x: np.zeros((d, d)),
         jump_jac=lambda x: np.zeros((1, d, d)),
         measure=measure,

@@ -180,7 +180,8 @@ def sample_controlled_measure(
     the cell envelope phi_max = max_k phi(k, cell) is sampled, and each point
     is kept independently with probability phi / phi_max (drawn as the
     equivalent binomial).  Counts in any (atom, cell) are therefore Poisson
-    with mean theta * w_k * dt * phi(k, cell).
+    with mean theta * w_k * dt * phi(k, cell), and each event's time is
+    uniform on its cell whatever its atom.
     """
     if theta <= 0:
         raise ControlError("theta must be positive")
@@ -195,20 +196,28 @@ def sample_controlled_measure(
     with np.errstate(invalid="ignore", divide="ignore"):
         accept_p = np.where(phi_max[None, :] > 0, phi / phi_max[None, :], 0.0)
     kept = rng.binomial(base, accept_p)
-    times_all, atoms_all = [], []
-    for c in range(ctrl.n_cells):
-        m = kept[:, c]
-        total = int(m.sum())
-        if total == 0:
-            continue
-        t = _draw_times(rng, total, c * dt, min((c + 1) * dt, ctrl.horizon))
-        times_all.append(t)
-        atoms_all.append(np.repeat(np.arange(measure.n_atoms), m))
-    if not times_all:
+    per_cell = kept.sum(axis=0)
+    total = int(per_cell.sum())
+    if total == 0:
         return PointRealization(np.empty(0), np.empty(0, dtype=np.int64), ctrl.horizon)
-    times = np.concatenate(times_all)
-    atoms = np.concatenate(atoms_all)
-    order = np.argsort(times, kind="stable")
+    # one uniform draw per event, in cell order: cell c maps u to lo + (hi - lo) * u
+    # on (c dt, min((c + 1) dt, T)], exactly what rng.uniform(lo, hi) would draw
+    lo = np.arange(ctrl.n_cells) * dt
+    hi = np.minimum(np.arange(1, ctrl.n_cells + 1) * dt, ctrl.horizon)
+    cells = np.repeat(np.arange(ctrl.n_cells), per_cell)
+    times = lo[cells] + (hi - lo)[cells] * rng.random(total)
+    starts = np.cumsum(per_cell) - per_cell
+    while True:
+        order = np.argsort(times, kind="stable")
+        ties = np.flatnonzero(np.diff(times[order]) == 0)
+        bad = np.union1d(cells[times <= lo[cells]], cells[order[ties]])
+        if bad.size == 0:
+            break
+        for c in bad:  # probability-zero branch: redraw the whole cell
+            times[starts[c]:starts[c] + per_cell[c]] = rng.uniform(lo[c], hi[c], size=per_cell[c])
+    # label the draws before sorting, so that within a cell every atom's
+    # times are iid uniform and no atom takes the earliest ones
+    atoms = np.repeat(np.tile(np.arange(measure.n_atoms), ctrl.n_cells), kept.T.ravel())
     return PointRealization(times[order], atoms[order], ctrl.horizon)
 
 

@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.special import hyp0f1
 
-from .jump_sde import ModelSpec, check_keys, fluid_limit, simulate_jump_path
+from .jump_sde import ModelSpec, check_keys, fluid_limit, simulate_jump_paths
 from .mark_space import MarkMeasure
 from .prm import sample_poisson_measure, substream
 
@@ -63,20 +63,32 @@ class PollutantError(ValueError):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Scalar reaction kernel on probe values, with its gradient."""
+    """Scalar reaction kernel on probe values, with its gradient.
+
+    fn maps probe values of shape (..., n_probes) to kernel values of shape
+    (...), a float for one probe vector; grad takes one probe vector.
+    """
 
     fn: Callable
     grad: Callable
 
 
 def constant_kernel(value: float = 1.0) -> KernelSpec:
-    return KernelSpec(fn=lambda p: value, grad=lambda p: np.zeros(np.asarray(p).size))
+    return KernelSpec(
+        fn=lambda p: value if np.ndim(p) == 1 else np.full(np.shape(p)[:-1], value),
+        grad=lambda p: np.zeros(np.asarray(p).size),
+    )
+
+
+def _project(p, slope: np.ndarray):
+    """slope . p over the last axis, summed row by row for a batch."""
+    return (np.asarray(p, dtype=float) * slope).sum(axis=-1)
 
 
 def _affine_kernel(intercept: float, slope: np.ndarray) -> KernelSpec:
     slope = np.asarray(slope, dtype=float)
     return KernelSpec(
-        fn=lambda p: intercept + float(slope @ np.asarray(p, dtype=float)),
+        fn=lambda p: intercept + _project(p, slope),
         grad=lambda p: slope.copy(),
     )
 
@@ -85,7 +97,7 @@ def _tanh_kernel(intercept: float, amplitude: float, slope: np.ndarray) -> Kerne
     slope = np.asarray(slope, dtype=float)
 
     def fn(p):
-        return intercept + amplitude * math.tanh(float(slope @ np.asarray(p, dtype=float)))
+        return intercept + amplitude * np.tanh(_project(p, slope))
 
     def grad(p):
         t = math.tanh(float(slope @ np.asarray(p, dtype=float)))
@@ -459,14 +471,15 @@ def assemble_model(params: PollutantParams, sys: EigenSystem | None = None) -> M
     ])
 
     def probe_values(v):
-        return probes @ v
+        # a batch sums row by row, so a row's value does not depend on the batch
+        return probes @ v if v.ndim == 1 else (v[..., None, :] * probes).sum(axis=-1)
 
     def drift(v):
         out = -relax * v
         if kernels:
             p = probe_values(v)
             for ker, zvec in zip(kernels, outputs):
-                out = out + float(ker.fn(p)) * zvec
+                out = out + np.multiply.outer(ker.fn(p), zvec)
         return out
 
     def drift_jac(v):
@@ -478,7 +491,8 @@ def assemble_model(params: PollutantParams, sys: EigenSystem | None = None) -> M
         return jac
 
     def jump(v):
-        return balls * (mags * float(k0.fn(probe_values(v))))
+        k = k0.fn(probe_values(v))
+        return balls * (mags * (float(k) if v.ndim == 1 else k[..., None, None]))
 
     def jump_jac(v):
         grad = np.asarray(k0.grad(probe_values(v)), dtype=float) @ probes
@@ -596,15 +610,14 @@ def galerkin_convergence_study(
     fluid_gap = weighted_gap(fluid1.values, fluid2.values)
 
     a_eps = epsilon**rho
-    gaps = np.empty(len(seeds))
     theta = 1.0 / epsilon
-    for i, seed in enumerate(seeds):
-        events = sample_poisson_measure(params.measure, theta, params.horizon, substream(seed, 77))
-        p1 = simulate_jump_path(model1, epsilon, events, n_cells)
-        p2 = simulate_jump_path(model2, epsilon, events, n_cells)
-        y1 = (p1.values - fluid1.values) / a_eps
-        y2 = (p2.values - fluid2.values) / a_eps
-        gaps[i] = weighted_gap(y1, y2)
+    events = [
+        sample_poisson_measure(params.measure, theta, params.horizon, substream(seed, 77))
+        for seed in seeds
+    ]
+    y1 = (simulate_jump_paths(model1, epsilon, events, n_cells) - fluid1.values) / a_eps
+    y2 = (simulate_jump_paths(model2, epsilon, events, n_cells) - fluid2.values) / a_eps
+    gaps = np.array([weighted_gap(v1, v2) for v1, v2 in zip(y1, y2)])
     return ConvergenceReport(
         level=params.max_mode,
         refined_level=fine.max_mode,

@@ -81,6 +81,23 @@ def test_config_typos_are_named_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, config, extra, key",
+    [
+        ("fluid", {"n_cells_analysis": 0}, [], "n_cells_analysis"),
+        ("simulate", {"n_cells": 0, "eps_grid": [0.2], "replications": 100}, [], "n_cells"),
+        ("fluid", {"workers": -3}, [], "workers"),
+        ("fluid", {}, ["--workers", "0"], "workers"),
+    ],
+)
+def test_counts_below_one_are_named_errors(tmp_path, capsys, command, config, extra, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"FAILED: {key} must be at least 1, got ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "command, block, typo, valid",
     [
         ("var-rep", "var_rep", "replication", "replications"),
@@ -290,7 +307,7 @@ def test_estimate_row_csv(tmp_path):
     assert ",," in lines[2]  # empty slope column, never -inf arithmetic
 
 
-def test_slope_determinism_and_worker_invariance(tmp_path):
+def test_slope_determinism_and_worker_invariance(tmp_path, monkeypatch):
     cfg = ExperimentConfig(seed=3, **SMALL)
     r1 = run_mdp_slope(cfg, out_dir=str(tmp_path / "a"))
     r2 = run_mdp_slope(cfg, out_dir=str(tmp_path / "b"))
@@ -302,6 +319,11 @@ def test_slope_determinism_and_worker_invariance(tmp_path):
     r3 = run_mdp_slope(cfg2, out_dir=str(tmp_path / "c"))
     assert r3.rows == r1.rows
     assert (tmp_path / "c" / "summary.csv").read_bytes() == csv_a
+    # ragged batches of 7 replications, on the pool and off it
+    monkeypatch.setattr(experiments, "_chunks", lambda n: [(lo, min(lo + 7, n)) for lo in range(0, n, 7)])
+    for name, workers in (("d", 1), ("e", 2)):
+        run_mdp_slope(dataclasses.replace(cfg, workers=workers), out_dir=str(tmp_path / name))
+        assert (tmp_path / name / "summary.csv").read_bytes() == csv_a
 
 
 def test_slope_rows_sane():

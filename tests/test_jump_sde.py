@@ -3,15 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpmdp.experiments import ExperimentConfig
 from jumpmdp.jump_sde import (
     ModelError,
     ModelSpec,
     PathGrid,
-    _walk_events,
+    _event_schedule,
     fluid_limit,
     simulate_jump_path,
+    simulate_jump_paths,
 )
 from jumpmdp.mark_space import MarkMeasure
 from jumpmdp.models import MODEL_BUILDERS, build_model
@@ -32,8 +35,8 @@ def still_model(dim=1, x0=0.5):
         dim=dim,
         horizon=1.0,
         x0=np.full(dim, x0),
-        drift=lambda x: np.zeros(dim),
-        jump=lambda x: np.ones((dim, 1)),
+        drift=lambda x: np.zeros(x.shape),
+        jump=lambda x: np.ones(x.shape + (1,)),
         drift_jac=lambda x: np.zeros((dim, dim)),
         jump_jac=lambda x: np.zeros((1, dim, dim)),
         measure=m,
@@ -84,7 +87,7 @@ def test_fluid_constant_when_coefficients_vanish():
     zero_jump = ModelSpec(
         dim=1, horizon=1.0, x0=np.array([0.5]),
         drift=model.drift,
-        jump=lambda x: np.zeros((1, 1)),
+        jump=lambda x: np.zeros(x.shape + (1,)),
         drift_jac=model.drift_jac, jump_jac=model.jump_jac, measure=model.measure,
     )
     path, peak = fluid_limit(zero_jump, 50)
@@ -104,8 +107,8 @@ def test_fluid_rotation_preserves_norm():
     m = MarkMeasure.single_atom(1.0, 1.0)
     model = ModelSpec(
         dim=2, horizon=1.0, x0=np.array([1.0, 0.0]),
-        drift=lambda x: np.array([-x[1], x[0]]),
-        jump=lambda x: np.zeros((2, 1)),
+        drift=lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
+        jump=lambda x: np.zeros(x.shape + (1,)),
         drift_jac=lambda x: np.array([[0.0, -1.0], [1.0, 0.0]]),
         jump_jac=lambda x: np.zeros((1, 2, 2)),
         measure=m,
@@ -147,18 +150,19 @@ def test_controlled_compensator_mean():
     assert tilt_cost(ctrl, model.measure) == pytest.approx(2 * math.log(2) - 1)
 
 
-def test_walk_events_order_and_left_limits():
+def test_event_schedule_order_and_left_limits():
     # 4 cells of width 0.25: two events inside cell 1, one on grid time 0.5,
-    # one at T
+    # one at T; atom k labels event k
     grid = np.linspace(0.0, 1.0, 5)
-    times = np.array([0.1, 0.2, 0.5, 1.0])
+    events = PointRealization(np.array([0.1, 0.2, 0.5, 1.0]), np.arange(4), 1.0)
     calls = []
-    _walk_events(
-        grid, times,
-        advance=lambda i, h: calls.append(("advance", i, round(h, 12))),
-        apply_jump=lambda k: calls.append(("jump", k)),
-        record=lambda i: calls.append(("record", i)),
-    )
+    for h, cell, record, atom in zip(*(col[0].tolist() for col in _event_schedule(grid, [events]))):
+        if h > 0:
+            calls.append(("advance", cell, round(h, 12)))
+        if record >= 0:
+            calls.append(("record", record))
+        if atom >= 0:
+            calls.append(("jump", atom))
     assert calls == [
         ("advance", 1, 0.1), ("jump", 0),
         ("advance", 1, 0.1), ("jump", 1),
@@ -167,6 +171,12 @@ def test_walk_events_order_and_left_limits():
         ("advance", 3, 0.25), ("record", 3),
         ("advance", 4, 0.25), ("record", 4), ("jump", 3),
     ]
+    # in a batch, the shorter row is padded with steps that do nothing
+    h, _, record, atom = _event_schedule(grid, [events, events_at([])])
+    assert h.shape == (2, 8)
+    assert np.array_equal(h[0], np.diff([0.0, 0.1, 0.2, 0.25, 0.5, 0.5, 0.75, 1.0, 1.0]))
+    assert h[1].tolist()[4:] == [0.0] * 4 and record[1].tolist() == [1, 2, 3, 4, -1, -1, -1, -1]
+    assert np.all(atom[1] == -1)
 
 
 def test_jump_bookkeeping_on_hand_built_events():
@@ -179,8 +189,8 @@ def test_jump_bookkeeping_on_hand_built_events():
     m = MarkMeasure.single_atom(1.0, 1.0)
     doubling = ModelSpec(
         dim=1, horizon=1.0, x0=np.array([1.0]),
-        drift=lambda x: np.zeros(1),
-        jump=lambda x: (x / eps)[:, None],
+        drift=lambda x: np.zeros(x.shape),
+        jump=lambda x: (x / eps)[..., None],
         drift_jac=lambda x: np.zeros((1, 1)),
         jump_jac=lambda x: np.eye(1)[None] / eps,
         measure=m,
@@ -246,6 +256,38 @@ def two_atom_pollutant():
     }))
 
 
+def batch_models():
+    # coupling 0.3 makes two_d_benchmark's drift products inexact, where a
+    # BLAS product of a batch rounds differently from one of a single row
+    return [build_model(name) for name in MODEL_BUILDERS] + [
+        build_model("two_d_benchmark", {"coupling": 0.3}),
+        two_atom_pollutant(),
+    ]
+
+
+GRID_8 = np.linspace(0.0, 1.0, 9)
+# event times: grid times (T included) or any time in (0, T]
+EVENT_TIME = st.one_of(st.integers(1, 8).map(lambda i: float(GRID_8[i])), st.floats(0.0, 1.0, exclude_min=True))
+
+
+@settings(max_examples=10)
+@given(rows=st.lists(st.lists(EVENT_TIME, max_size=10), min_size=50, max_size=50), atom_seed=st.integers(0, 2**32 - 1))
+def test_batched_rows_match_single_paths(rows, atom_seed):
+    rng = np.random.default_rng(atom_seed)
+    for model in batch_models():
+        events = []
+        for row in rows:
+            t = np.unique(row)
+            events.append(PointRealization(t, rng.integers(0, model.measure.n_atoms, t.size), 1.0))
+        singles = np.stack([simulate_jump_path(model, 0.1, ev, n_cells=8).values for ev in events])
+        for size in (1, 3, 50):
+            batched = np.concatenate([
+                simulate_jump_paths(model, 0.1, events[lo:lo + size], n_cells=8)
+                for lo in range(0, len(events), size)
+            ])
+            assert batched.tobytes() == singles.tobytes()
+
+
 def test_model_derivative_validation():
     models = [build_model(name) for name in MODEL_BUILDERS] + [two_atom_pollutant()]
     assert "pure_jump" in MODEL_BUILDERS and models[-1].measure.n_atoms == 2
@@ -257,7 +299,7 @@ def test_model_derivative_validation():
     broken = ModelSpec(
         dim=1, horizon=1.0, x0=np.zeros(1),
         drift=lambda x: -x,
-        jump=lambda x: np.ones((1, 1)),
+        jump=lambda x: np.ones(x.shape + (1,)),
         drift_jac=lambda x: np.array([[2.0]]),  # wrong on purpose
         jump_jac=lambda x: np.zeros((1, 1, 1)),
         measure=MarkMeasure.single_atom(),
@@ -269,7 +311,7 @@ def test_model_derivative_validation():
     broken = ModelSpec(
         dim=1, horizon=1.0, x0=np.ones(1),
         drift=lambda x: -x,
-        jump=lambda x: x[:, None] * m.marks.T,
+        jump=lambda x: x[..., None] * m.marks.T,
         drift_jac=lambda x: -np.eye(1),
         jump_jac=lambda x: np.ones((2, 1, 1)),
         measure=m,
@@ -295,6 +337,14 @@ def test_jump_contract_violations_are_named():
         ModelSpec(jump=lambda x: np.ones(1), jump_jac=lambda x: np.zeros((1, 1, 1)), **base)
     with pytest.raises(ModelError, match=r"jump_jac\(x\) .*shape \(1, 1, 1\).*gave \(1, 1\)"):
         ModelSpec(jump=lambda x: np.ones((1, 1)), jump_jac=lambda x: np.zeros((1, 1)), **base)
+    # right at one state, but blind to a batch
+    with pytest.raises(ModelError, match=r"jump\(x\) .*shape \(2, 1, 1\); at a \(2, 1\) stack of x0 it gave \(1, 1\)"):
+        ModelSpec(jump=lambda x: np.ones((1, 1)), jump_jac=lambda x: np.zeros((1, 1, 1)), **base)
+    with pytest.raises(ModelError, match=r"drift\(x\) .*shape \(2, 1\).*stack of x0 it gave a TypeError"):
+        ModelSpec(
+            jump=lambda x: np.ones(x.shape + (1,)), jump_jac=lambda x: np.zeros((1, 1, 1)),
+            **{**base, "drift": lambda x: np.array([float(-x[0])])},
+        )
 
 
 def test_scaling_schedule():

@@ -33,7 +33,7 @@ def test_two_atom_norm():
     model = ModelSpec(
         dim=1, horizon=1.0, x0=np.zeros(1),
         drift=lambda x: -x,
-        jump=lambda x: m.marks.T,
+        jump=lambda x: np.broadcast_to(m.marks.T, x.shape[:-1] + (1, 2)),
         drift_jac=lambda x: np.array([[-1.0]]),
         jump_jac=lambda x: np.zeros((2, 1, 1)),
         measure=m,

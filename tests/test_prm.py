@@ -242,6 +242,20 @@ def test_thinning_with_dominating_envelope():
     assert 0.9 <= low.var(ddof=1) / low.mean() <= 1.1
 
 
+def test_tilted_atom_times_are_uniform_within_a_cell():
+    # one cell with phi = 1 and two equal-weight atoms: each atom's event
+    # times are uniform on (0, T], so both means sit at T / 2
+    m = MarkMeasure.from_atoms([(0.0, 1.0), (1.0, 1.0)])
+    ctrl = ControlField(np.zeros((2, 1)), 1.0, 0.5)
+    times = [[], []]
+    for r in range(2000):
+        out = sample_controlled_measure(m, 3.0, ctrl, substream(77, r))
+        for k in range(2):
+            times[k].extend(out.times[out.atoms == k])
+    for t in map(np.asarray, times):
+        assert abs(t.mean() - 0.5) <= 3.0 * t.std(ddof=1) / math.sqrt(t.size)
+
+
 def test_substream_independence_and_determinism():
     a1 = substream(0, 1, 2).normal(size=4)
     a2 = substream(0, 1, 2).normal(size=4)

@@ -174,7 +174,7 @@ def test_orthogonal_component_is_wasted_energy():
     model = ModelSpec(
         dim=1, horizon=1.0, x0=np.zeros(1),
         drift=lambda x: -x,
-        jump=lambda x: m.marks.T,
+        jump=lambda x: np.broadcast_to(m.marks.T, x.shape[:-1] + (1, 2)),
         drift_jac=lambda x: np.array([[-1.0]]),
         jump_jac=lambda x: np.zeros((2, 1, 1)),
         measure=m,
@@ -202,7 +202,7 @@ def test_zero_weight_atom_in_the_rate_chain():
     model = ModelSpec(
         dim=2, horizon=1.0, x0=np.zeros(2),
         drift=lambda x: -x,
-        jump=lambda x: np.array([[1.0, 1.0], [1.0, -1.0]]),
+        jump=lambda x: np.broadcast_to([[1.0, 1.0], [1.0, -1.0]], x.shape[:-1] + (2, 2)),
         drift_jac=lambda x: -np.eye(2),
         jump_jac=lambda x: np.zeros((2, 2, 2)),
         measure=m,
