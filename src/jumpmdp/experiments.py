@@ -18,15 +18,15 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .jump_sde import ModelError, check_keys, fluid_limit, simulate_jump_path, simulate_jump_paths
+from .jump_sde import ModelError, PathGrid, check_keys, fluid_limit, simulate_jump_paths
 from .mdp_limit import build_linearization, gaussian_covariance
 from .models import build_model
 from .prm import (
     ControlField,
     entropy_integrand,
-    log_likelihood_ratio,
-    sample_controlled_measure,
-    sample_poisson_measure,
+    log_likelihood_ratios,
+    sample_controlled_batch,
+    sample_poisson_batch,
     substream,
     tilt_cost,
 )
@@ -112,9 +112,9 @@ class ExperimentConfig:
             raise ModelError("need at least 100 replications")
         if not (0 < self.beta <= 1):
             raise ModelError("beta must lie in (0, 1]")
-        for key in ("n_cells", "n_cells_analysis", "workers"):
-            if getattr(self, key) < 1:
-                raise ModelError(f"{key} must be at least 1, got {getattr(self, key)!r}")
+        for key, least in (("n_cells", 1), ("n_cells_analysis", 1), ("workers", 1), ("clt_replications", 2)):
+            if getattr(self, key) < least:
+                raise ModelError(f"{key} must be at least {least}, got {getattr(self, key)!r}")
         object.__setattr__(self, "eps_grid", eps)
         object.__setattr__(self, "rate_targets", tuple(tuple(z) if np.ndim(z) else (z,) for z in self.rate_targets))
 
@@ -227,14 +227,8 @@ class _Engine:
 
     def terminal_batch(self, slot: int, eps_idx: int, epsilon: float, lo: int, hi: int) -> np.ndarray:
         """X(T) for replications lo..hi-1 on streams (seed, slot, eps_idx, r)."""
-        theta = 1.0 / epsilon
-        events = [
-            sample_poisson_measure(
-                self.model.measure, theta, self.model.horizon,
-                substream(self.cfg.seed, slot, eps_idx, r),
-            )
-            for r in range(lo, hi)
-        ]
+        rngs = [substream(self.cfg.seed, slot, eps_idx, r) for r in range(lo, hi)]
+        events = sample_poisson_batch(self.model.measure, 1.0 / epsilon, self.model.horizon, rngs)
         return simulate_jump_paths(self.model, epsilon, events, self.cfg.n_cells)[:, -1]
 
     def is_batch(self, eps_idx: int, lo: int, hi: int) -> np.ndarray:
@@ -245,22 +239,18 @@ class _Engine:
         ctrl_plus, ctrl_minus = self.tilts[eps_idx]
         c = self.cfg.threshold
         meas = self.model.measure
-        events = [
-            sample_controlled_measure(
-                meas, theta, ctrl_plus if r % 2 == 0 else ctrl_minus,
-                substream(self.cfg.seed, SLOT_IS, eps_idx, r),
-            )
-            for r in range(lo, hi)
-        ]
+        events = sample_controlled_batch(
+            meas, theta,
+            [ctrl_plus if r % 2 == 0 else ctrl_minus for r in range(lo, hi)],
+            [substream(self.cfg.seed, SLOT_IS, eps_idx, r) for r in range(lo, hi)],
+        )
         terminals = simulate_jump_paths(self.model, eps, events, self.cfg.n_cells)[:, -1]
+        hits = [i for i, y in enumerate((terminals - self.fluid_end) / a) if float(np.linalg.norm(y)) >= c]
+        lr_p = log_likelihood_ratios(events, ctrl_plus, meas, theta, hits)
+        lr_m = log_likelihood_ratios(events, ctrl_minus, meas, theta, hits)
+        log_mix = np.logaddexp(lr_p, lr_m) - math.log(2.0)
         out = np.zeros(hi - lo)
-        for i, (ev, y) in enumerate(zip(events, (terminals - self.fluid_end) / a)):
-            if float(np.linalg.norm(y)) < c:
-                continue
-            lr_p = log_likelihood_ratio(ev, ctrl_plus, meas, theta)
-            lr_m = log_likelihood_ratio(ev, ctrl_minus, meas, theta)
-            log_mix = np.logaddexp(lr_p, lr_m) - math.log(2.0)
-            out[i] = math.exp(-log_mix)
+        out[hits] = [math.exp(-v) for v in log_mix.tolist()]
         return out
 
 
@@ -354,14 +344,12 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         if cfg.dump_paths:
             pdir = os.path.join(out_dir, "paths")
             os.makedirs(pdir, exist_ok=True)
+            grid = np.linspace(0.0, model.horizon, cfg.n_cells + 1)
             for eps_idx, eps in enumerate(cfg.eps_grid):
-                for r in range(min(5, cfg.replications)):
-                    events = sample_poisson_measure(
-                        model.measure, 1.0 / eps, model.horizon,
-                        substream(cfg.seed, SLOT_SIM, eps_idx, r),
-                    )
-                    path = simulate_jump_path(model, eps, events, cfg.n_cells)
-                    path.to_csv(os.path.join(pdir, f"eps{eps_idx}_rep{r}.csv"))
+                rngs = [substream(cfg.seed, SLOT_SIM, eps_idx, r) for r in range(min(5, cfg.replications))]
+                events = sample_poisson_batch(model.measure, 1.0 / eps, model.horizon, rngs)
+                for r, values in enumerate(simulate_jump_paths(model, eps, events, cfg.n_cells)):
+                    PathGrid(grid, values).to_csv(os.path.join(pdir, f"eps{eps_idx}_rep{r}.csv"))
     return stats
 
 

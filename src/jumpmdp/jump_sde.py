@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .mark_space import MarkMeasure
-from .prm import PointRealization
+from .prm import EventBatch, PointRealization
 
 __all__ = [
     "ModelError",
@@ -186,13 +186,11 @@ def rk4_step(f: Callable, x: np.ndarray, h: float | np.ndarray) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _event_schedule(
-    grid: np.ndarray, realizations: Sequence[PointRealization]
-) -> tuple[np.ndarray, ...]:
+def _event_schedule(grid: np.ndarray, events: EventBatch) -> tuple[np.ndarray, ...]:
     """Per-step arrays (h, cell, record, atom), each of shape (B, L).
 
-    Row b merges the grid times grid[1:] with the event times of
-    realizations[b] into one breakpoint sequence.  Step p of a row advances
+    Row b merges the grid times grid[1:] with the event times of row b of
+    the batch into one breakpoint sequence.  Step p of a row advances
     the state by h inside cell `cell` (the cell ending at grid[cell]), then
     stores the state as grid value `record` (or -1), then applies a jump with
     atom `atom` (or -1).  An event on a grid time follows the grid step, with
@@ -202,12 +200,11 @@ def _event_schedule(
     nor jump.
     """
     n = grid.size - 1
-    counts = np.array([r.n_events for r in realizations], dtype=np.int64)
+    times, atoms, offsets = events.times, events.atoms, events.offsets
+    counts = np.diff(offsets)
     b, length = counts.size, n + int(counts.max(initial=0))
-    times = np.concatenate([np.empty(0)] + [r.times for r in realizations])
-    atoms = np.concatenate([np.empty(0, dtype=np.int64)] + [r.atoms for r in realizations])
     ev_row = np.repeat(np.arange(b), counts)
-    ev_rank = np.arange(times.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    ev_rank = np.arange(times.size) - offsets[ev_row]
     # grid steps at or before each event; a tie puts the grid step first
     grid_before = np.searchsorted(grid[1:], times, side="right")
     ev_pos = ev_rank + grid_before
@@ -234,10 +231,10 @@ def _event_schedule(
 def simulate_jump_paths(
     model: ModelSpec,
     epsilon: float,
-    realizations: Sequence[PointRealization],
+    events: EventBatch | Sequence[PointRealization],
     n_cells: int = 64,
 ) -> np.ndarray:
-    """Integrate the jump SDE along each event realization, all in lockstep.
+    """Integrate the jump SDE along each row of events, all in lockstep.
 
     Drift is advanced by RK4 over each interval between breakpoints (grid
     times and event times merged); at an event (s, y) the state jumps by
@@ -245,16 +242,18 @@ def simulate_jump_paths(
     (see _event_schedule) through one batched drift and jump evaluation per
     stage, and each row's arithmetic is that of the row integrated alone.
     Returns the (B, n_cells + 1, d) states on the uniform grid; an event on
-    a grid time leaves the left limit there.  A non-finite state on the grid
-    raises ModelError naming the first bad grid time of the first bad row.
+    a grid time leaves the left limit there.  A sequence of realizations is
+    stacked into one batch first.  A non-finite state on the grid raises
+    ModelError naming the first bad grid time of the first bad row.
     """
     if epsilon <= 0:
         raise ModelError("epsilon must be positive")
-    for events in realizations:
-        if events.n_events and (events.times[0] < 0 or events.times[-1] > model.horizon):
-            raise ModelError("event times outside [0, horizon]")
+    if not isinstance(events, EventBatch):
+        events = EventBatch.stack(events)
+    if events.times.size and events.times.max() > model.horizon:
+        raise ModelError("event times outside [0, horizon]")
     grid = np.linspace(0.0, model.horizon, n_cells + 1)
-    h, _, record, atom = _event_schedule(grid, realizations)
+    h, _, record, atom = _event_schedule(grid, events)
     b, length = h.shape
     rows = np.arange(b)
     # step-major copies: the loop reads one column per step
@@ -292,7 +291,7 @@ def simulate_jump_path(
     n_cells: int = 64,
 ) -> PathGrid:
     """One path of simulate_jump_paths, on its uniform grid."""
-    values = simulate_jump_paths(model, epsilon, [events], n_cells)[0]
+    values = simulate_jump_paths(model, epsilon, events, n_cells)[0]
     return PathGrid(np.linspace(0.0, model.horizon, n_cells + 1), values)
 
 

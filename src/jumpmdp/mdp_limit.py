@@ -226,7 +226,7 @@ def decompose_controlled_path(
         rec["coup"][i] = ebar - c0
         rec["force"][i] = c0
 
-    for h, cell, i, atom in zip(*(col[0].tolist() for col in _event_schedule(grid, [events]))):
+    for h, cell, i, atom in zip(*(col[0].tolist() for col in _event_schedule(grid, events))):
         if h > 0:
             psi_cell = psi[:, cell - 1]
             z = rk4_step(lambda v: rhs(v, psi_cell), z, h)

@@ -1,20 +1,21 @@
 """Poisson random measures on marks x time, tilted sampling, and tilt costs.
 
-A realization is a finite list of (time, atom) events on [0, T] driven by a
-base intensity theta * (measure x Lebesgue).  Intensity tilts phi(y, s) are
-piecewise constant on a uniform time grid, which makes the entropy cost and
-the Girsanov likelihood ratio exact sums.  All sampling is a pure function of
-(inputs, seed): replications get independent keyed streams, so results do not
-depend on how work is split across processes.
+A realization is a finite list of (time, atom) events on (0, T] driven by a
+base intensity theta * (measure x Lebesgue); an EventBatch holds those of a
+chunk of replications, one row each, in CSR form.  Intensity tilts phi(y, s)
+are piecewise constant on a uniform time grid, which makes the entropy cost
+and the Girsanov likelihood ratio exact sums.  All sampling is a pure
+function of (inputs, seed): replications get independent keyed streams, so
+results do not depend on how work is split across processes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from .mark_space import MarkMeasure
 
@@ -22,11 +23,15 @@ __all__ = [
     "ControlError",
     "entropy_integrand",
     "PointRealization",
+    "EventBatch",
     "ControlField",
     "substream",
+    "sample_poisson_batch",
     "sample_poisson_measure",
+    "sample_controlled_batch",
     "sample_controlled_measure",
     "tilt_cost",
+    "log_likelihood_ratios",
     "log_likelihood_ratio",
     "truncated_tilt",
 ]
@@ -43,6 +48,8 @@ def entropy_integrand(r):
     Nonnegative, strictly convex, and zero exactly at r = 1.  Accepts scalars
     or arrays.
     """
+    from scipy.special import xlogy  # imported on use: it is slow to load, and sampling never needs it
+
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0):
         raise ControlError("entropy_integrand needs r >= 0")
@@ -60,30 +67,79 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class PointRealization:
-    """Sampled point measure: strictly increasing times with atom indices."""
+class EventBatch:
+    """Point measures of a chunk of rows in CSR form.
+
+    Row i holds times[offsets[i]:offsets[i + 1]], strictly increasing in
+    (0, horizon], and the atom indices at the same positions.  A
+    ControlError names the first row that breaks this.
+    """
 
     times: np.ndarray
     atoms: np.ndarray
+    offsets: np.ndarray
     horizon: float
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
         atoms = np.asarray(self.atoms, dtype=np.int64)
-        if times.shape != atoms.shape:
-            raise ControlError("times and atoms must align")
-        if times.size and (times[0] <= 0 or times[-1] > self.horizon):
-            raise ControlError("event times must lie in (0, T]")
-        if times.size > 1 and np.any(np.diff(times) <= 0):
-            raise ControlError("event times must be strictly increasing")
-        times.setflags(write=False)
-        atoms.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "atoms", atoms)
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        if times.ndim != 1 or times.shape != atoms.shape:
+            raise ControlError("times and atoms must be aligned 1-D arrays")
+        if offsets.ndim != 1 or offsets.size == 0:
+            raise ControlError("offsets must hold each row's start, then the event count")
+        shrinking = offsets[1:] < offsets[:-1]
+        if offsets[0] != 0 or offsets[-1] != times.size or np.count_nonzero(shrinking):
+            # name the first shrinking row, else the first or the last row
+            row = np.argmax(shrinking) if shrinking.any() else 0 if offsets[0] else max(offsets.size - 2, 0)
+            raise ControlError(f"row {row}: offsets must rise from 0 to the event count {times.size}")
+        # prev[i]: the time event i must follow, the row's previous event or
+        # 0 at a row start (an empty row's start is the next row's)
+        prev = np.concatenate([[0.0], times])
+        prev[offsets[:-1]] = 0.0
+        bad = ~((times > prev[:-1]) & (times <= self.horizon))
+        if np.count_nonzero(bad):
+            i = np.flatnonzero(bad)[0]
+            what = "lie in (0, T]" if not 0 < times[i] <= self.horizon else "be strictly increasing"
+            row = np.searchsorted(offsets, i, side="right") - 1
+            raise ControlError(f"row {row}: event times must {what}")
+        for name, arr in (("times", times), ("atoms", atoms), ("offsets", offsets)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def stack(cls, realizations: Sequence["PointRealization"]) -> "EventBatch":
+        """One row per realization, on the longest of their horizons."""
+        return cls(
+            np.concatenate([np.empty(0)] + [r.times for r in realizations]),
+            np.concatenate([np.empty(0, dtype=np.int64)] + [r.atoms for r in realizations]),
+            np.cumsum([0] + [r.n_events for r in realizations]),
+            max(r.horizon for r in realizations),
+        )
+
+    @property
+    def n_rows(self) -> int:
+        return self.offsets.size - 1
 
     @property
     def n_events(self) -> int:
         return self.times.size
+
+    def row(self, i: int) -> "PointRealization":
+        """Row i, sharing this batch's arrays; a row of a checked batch needs no new checks."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        row = object.__new__(PointRealization)
+        values = (self.times[lo:hi], self.atoms[lo:hi], self.offsets[i:i + 2] - lo, self.horizon)
+        for name, value in zip(("times", "atoms", "offsets", "horizon"), values):
+            object.__setattr__(row, name, value)
+        return row
+
+
+class PointRealization(EventBatch):
+    """One sampled point measure: a batch of one row."""
+
+    def __init__(self, times, atoms, horizon: float) -> None:
+        super().__init__(times, atoms, (0, np.size(times)), horizon)
 
 
 @dataclass(frozen=True)
@@ -139,86 +195,118 @@ class ControlField:
         return np.clip(idx, 0, self.n_cells - 1)
 
 
-def _draw_times(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.ndarray:
-    """n sorted, strictly increasing times in (lo, hi]; ties are resampled."""
-    if n == 0:
-        return np.empty(0)
-    t = np.sort(rng.uniform(lo, hi, size=n))
-    while np.any(t <= lo) or (t.size > 1 and np.any(np.diff(t) == 0)):
-        t = np.sort(rng.uniform(lo, hi, size=n))  # probability-zero branch
-    return t
+def _place_events(rngs, draws, per_cell: np.ndarray, horizon: float):
+    """(times in draw order, permutation sorting each row, row offsets).
+
+    per_cell[b, c] of row b's uniform draws, in order, fall in cell c: u maps
+    to lo + (hi - lo) * u on (lo, hi] = (c dt, min((c + 1) dt, T)], exactly
+    what rng.uniform(lo, hi) would draw.
+    """
+    n_cells = per_cell.shape[1]
+    edges = np.minimum(np.arange(n_cells + 1) * (horizon / n_cells), horizon)
+    lo, hi = edges[:-1], edges[1:]
+    cell_starts = np.concatenate([[0], per_cell.ravel().cumsum()])
+    key = np.arange(per_cell.size).repeat(per_cell.ravel())  # b * n_cells + c
+    rows, cells = np.divmod(key, n_cells)
+    left = lo[cells]
+    times = left + (hi - lo)[cells] * np.concatenate([np.empty(0), *draws])
+    while True:
+        order = np.lexsort((times, rows))
+        ranked = times[order]
+        tied = ranked[1:] == ranked[:-1]
+        if np.count_nonzero(tied):
+            tied &= rows[order[1:]] == rows[order[:-1]]  # times of two rows may tie
+        on_edge = times <= left
+        if not (np.count_nonzero(tied) or np.count_nonzero(on_edge)):
+            return times, order, cell_starts[::n_cells]
+        # probability zero: redraw every cell with a tie or a time on its
+        # left edge from the row's generator, lowest cell first, and check again
+        for k in np.union1d(key[on_edge], key[order[:-1][tied]]).tolist():
+            b, c = divmod(k, n_cells)
+            times[cell_starts[k]:cell_starts[k + 1]] = rngs[b].uniform(lo[c], hi[c], size=per_cell[b, c])
+
+
+def sample_poisson_batch(
+    measure: MarkMeasure, theta: float, horizon: float, rngs: Sequence[np.random.Generator]
+) -> EventBatch:
+    """One Poisson random measure per generator, with intensity theta * measure x dt.
+
+    Row b draws from rngs[b] alone: a count Poisson(theta * mass * T), iid
+    uniform times on (0, T], then marks for the sorted times, iid in
+    proportion to the weights, by the uniforms and cumulative-sum lookup
+    that Generator.choice(n_atoms, size=n, p=weights / mass) uses.
+    """
+    if theta <= 0 or horizon <= 0:
+        raise ControlError("theta and horizon must be positive")
+    lam = theta * measure.total_mass * horizon
+    counts = np.array([rng.poisson(lam) if lam > 0 else 0 for rng in rngs], dtype=np.int64)
+    draws = [rng.random(n) for rng, n in zip(rngs, counts.tolist())]
+    times, order, offsets = _place_events(rngs, draws, counts[:, None], horizon)
+    atoms = np.empty(0, dtype=np.int64)
+    if measure.total_mass > 0:
+        cdf = (measure.weights / measure.total_mass).cumsum()
+        cdf /= cdf[-1]
+        marks = [rng.random(n) for rng, n in zip(rngs, counts.tolist())]
+        atoms = cdf.searchsorted(np.concatenate([np.empty(0), *marks]), side="right")
+    return EventBatch(times[order], atoms, offsets, horizon)
 
 
 def sample_poisson_measure(
     measure: MarkMeasure, theta: float, horizon: float, seed
 ) -> PointRealization:
-    """Sample a Poisson random measure with intensity theta * measure x dt.
-
-    Event count is Poisson(theta * mass * T), times are iid uniform on (0, T],
-    marks iid proportional to the atom weights.
-    """
-    if theta <= 0 or horizon <= 0:
-        raise ControlError("theta and horizon must be positive")
+    """One row of sample_poisson_batch, drawn from seed or substream(seed)."""
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
-    lam = theta * measure.total_mass * horizon
-    n = int(rng.poisson(lam)) if lam > 0 else 0
-    times = _draw_times(rng, n, 0.0, horizon)
-    if measure.total_mass > 0:
-        p = measure.weights / measure.total_mass
-        atoms = rng.choice(measure.n_atoms, size=n, p=p)
-    else:
-        atoms = np.empty(0, dtype=np.int64)
-    return PointRealization(times, atoms, horizon)
+    return sample_poisson_batch(measure, theta, horizon, [rng]).row(0)
 
 
-def sample_controlled_measure(
-    measure: MarkMeasure, theta: float, ctrl: ControlField, seed
-) -> PointRealization:
-    """Sample a tilted point measure with intensity theta * phi(y, s) * w dy ds.
+def sample_controlled_batch(
+    measure: MarkMeasure,
+    theta: float,
+    ctrls: Sequence[ControlField],
+    rngs: Sequence[np.random.Generator],
+) -> EventBatch:
+    """One tilted point measure per generator; row b has intensity
+    theta * phi_b(y, s) * w dy ds with phi_b = ctrls[b].phi.
 
     Thinning construction: within each time cell a dominating measure with
     the cell envelope phi_max = max_k phi(k, cell) is sampled, and each point
     is kept independently with probability phi / phi_max (drawn as the
     equivalent binomial).  Counts in any (atom, cell) are therefore Poisson
     with mean theta * w_k * dt * phi(k, cell), and each event's time is
-    uniform on its cell whatever its atom.
+    uniform on its cell whatever its atom.  The controls must share one
+    grid; a row draws from rngs[b] alone.
     """
     if theta <= 0:
         raise ControlError("theta must be positive")
-    if ctrl.n_atoms != measure.n_atoms:
-        raise ControlError("control field does not match the measure's atoms")
-    rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
-    dt = ctrl.dt
-    phi = ctrl.phi
-    phi_max = phi.max(axis=0)  # per-cell envelope over atoms
-    base_mean = theta * measure.weights[:, None] * dt * phi_max[None, :]
-    base = rng.poisson(base_mean)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        accept_p = np.where(phi_max[None, :] > 0, phi / phi_max[None, :], 0.0)
-    kept = rng.binomial(base, accept_p)
-    per_cell = kept.sum(axis=0)
-    total = int(per_cell.sum())
-    if total == 0:
-        return PointRealization(np.empty(0), np.empty(0, dtype=np.int64), ctrl.horizon)
-    # one uniform draw per event, in cell order: cell c maps u to lo + (hi - lo) * u
-    # on (c dt, min((c + 1) dt, T)], exactly what rng.uniform(lo, hi) would draw
-    lo = np.arange(ctrl.n_cells) * dt
-    hi = np.minimum(np.arange(1, ctrl.n_cells + 1) * dt, ctrl.horizon)
-    cells = np.repeat(np.arange(ctrl.n_cells), per_cell)
-    times = lo[cells] + (hi - lo)[cells] * rng.random(total)
-    starts = np.cumsum(per_cell) - per_cell
-    while True:
-        order = np.argsort(times, kind="stable")
-        ties = np.flatnonzero(np.diff(times[order]) == 0)
-        bad = np.union1d(cells[times <= lo[cells]], cells[order[ties]])
-        if bad.size == 0:
-            break
-        for c in bad:  # probability-zero branch: redraw the whole cell
-            times[starts[c]:starts[c] + per_cell[c]] = rng.uniform(lo[c], hi[c], size=per_cell[c])
+    if not ctrls or len(ctrls) != len(rngs):
+        raise ControlError("need one control per generator, for at least one generator")
+    grid = (ctrls[0].horizon, ctrls[0].n_cells)
+    laws = {}  # per distinct control: envelope means and acceptance probabilities
+    for ctrl in {id(c): c for c in ctrls}.values():
+        if ctrl.n_atoms != measure.n_atoms or (ctrl.horizon, ctrl.n_cells) != grid:
+            raise ControlError("the controls must match the measure's atoms and share one time grid")
+        phi_max = ctrl.phi.max(axis=0)  # per-cell envelope over atoms
+        accept = np.divide(ctrl.phi, phi_max, out=np.zeros_like(ctrl.phi), where=phi_max > 0)
+        laws[id(ctrl)] = (theta * measure.weights[:, None] * ctrl.dt * phi_max[None, :], accept)
+    kept = np.array([
+        rng.binomial(rng.poisson(laws[id(ctrl)][0]), laws[id(ctrl)][1])
+        for rng, ctrl in zip(rngs, ctrls)
+    ])
+    per_cell = kept.sum(axis=1)
+    draws = [rng.random(n) for rng, n in zip(rngs, per_cell.sum(axis=1).tolist())]
+    times, order, offsets = _place_events(rngs, draws, per_cell, grid[0])
     # label the draws before sorting, so that within a cell every atom's
     # times are iid uniform and no atom takes the earliest ones
-    atoms = np.repeat(np.tile(np.arange(measure.n_atoms), ctrl.n_cells), kept.T.ravel())
-    return PointRealization(times[order], atoms[order], ctrl.horizon)
+    atoms = (np.arange(kept.size) % measure.n_atoms).repeat(kept.transpose(0, 2, 1).ravel())
+    return EventBatch(times[order], atoms[order], offsets, grid[0])
+
+
+def sample_controlled_measure(
+    measure: MarkMeasure, theta: float, ctrl: ControlField, seed
+) -> PointRealization:
+    """One row of sample_controlled_batch, drawn from seed or substream(seed)."""
+    rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
+    return sample_controlled_batch(measure, theta, [ctrl], [rng]).row(0)
 
 
 def tilt_cost(ctrl: ControlField, measure: MarkMeasure) -> float:
@@ -232,33 +320,50 @@ def tilt_cost(ctrl: ControlField, measure: MarkMeasure) -> float:
     return math.fsum(per_cell.ravel())
 
 
-def log_likelihood_ratio(
-    realization: PointRealization,
+def log_likelihood_ratios(
+    events: EventBatch,
     ctrl: ControlField,
     measure: MarkMeasure,
     theta: float,
-) -> float:
-    """Log density of the phi-tilted law against the untilted law.
+    rows: Sequence[int] | None = None,
+) -> np.ndarray:
+    """Log density of the phi-tilted law against the untilted law, per row.
 
     Evaluated on a realization this is
         sum_events log phi(event) - theta * sum_cells (phi - 1) * w * dt,
     whose exponential has mean one under the untilted law.  The same number
-    reweights in either direction; the caller knows which law the realization
-    was drawn from.  An event sitting where phi = 0 yields -inf (the tilted
-    law puts no mass there).
+    reweights in either direction; the caller knows which law the events
+    were drawn from.  A row with an event where phi = 0 yields -inf (the
+    tilted law puts no mass there).  Returns the values of the given rows
+    (default: all), each summed exactly by math.fsum over its events.
     """
     if ctrl.n_atoms != measure.n_atoms:
         raise ControlError("control field does not match the measure's atoms")
     comp = theta * math.fsum(
         ((ctrl.phi - 1.0) * measure.weights[:, None] * ctrl.dt).ravel()
     )
-    if realization.n_events == 0:
-        return -comp
-    cells = ctrl.cell_of(realization.times)
-    phis = ctrl.phi[realization.atoms, cells]
-    if np.any(phis == 0):
-        return -math.inf
-    return math.fsum(np.log(phis)) - comp
+    phis = ctrl.phi[events.atoms, ctrl.cell_of(events.times)]
+    zero = phis == 0
+    logs = np.log(np.where(zero, 1.0, phis)).tolist()
+    dead = set()  # the rows with an event where phi = 0
+    if np.count_nonzero(zero):
+        dead = set((np.searchsorted(events.offsets, np.flatnonzero(zero), side="right") - 1).tolist())
+    off = events.offsets.tolist()
+    out = []
+    for b in range(events.n_rows) if rows is None else rows:
+        row_logs = logs[off[b]:off[b + 1]]
+        out.append(-math.inf if b in dead else (math.fsum(row_logs) - comp) if row_logs else -comp)
+    return np.array(out, dtype=float)
+
+
+def log_likelihood_ratio(
+    realization: PointRealization,
+    ctrl: ControlField,
+    measure: MarkMeasure,
+    theta: float,
+) -> float:
+    """log_likelihood_ratios of a single realization."""
+    return float(log_likelihood_ratios(realization, ctrl, measure, theta)[0])
 
 
 def truncated_tilt(

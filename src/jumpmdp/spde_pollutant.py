@@ -32,11 +32,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import hyp0f1
 
 from .jump_sde import ModelSpec, check_keys, fluid_limit, simulate_jump_paths
 from .mark_space import MarkMeasure
-from .prm import sample_poisson_measure, substream
+from .prm import sample_poisson_batch, substream
 
 __all__ = [
     "PollutantError",
@@ -419,6 +418,8 @@ def ball_average_coefficients(sys: EigenSystem, site: np.ndarray, radius: float)
     mode's coefficient does not depend on which other modes are retained.
     A non-finite value raises PollutantError.
     """
+    from scipy.special import hyp0f1  # imported on use: it is slow to load, and only this needs it
+
     site = np.asarray(site, dtype=float).ravel()
     d = len(sys.axes)
     if site.shape != (d,):
@@ -611,10 +612,9 @@ def galerkin_convergence_study(
 
     a_eps = epsilon**rho
     theta = 1.0 / epsilon
-    events = [
-        sample_poisson_measure(params.measure, theta, params.horizon, substream(seed, 77))
-        for seed in seeds
-    ]
+    events = sample_poisson_batch(
+        params.measure, theta, params.horizon, [substream(seed, 77) for seed in seeds]
+    )
     y1 = (simulate_jump_paths(model1, epsilon, events, n_cells) - fluid1.values) / a_eps
     y2 = (simulate_jump_paths(model2, epsilon, events, n_cells) - fluid2.values) / a_eps
     gaps = np.array([weighted_gap(v1, v2) for v1, v2 in zip(y1, y2)])

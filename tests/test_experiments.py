@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -95,6 +98,28 @@ def test_counts_below_one_are_named_errors(tmp_path, capsys, command, config, ex
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path), *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"FAILED: {key} must be at least 1, got ") and "Traceback" not in err
+
+
+def test_clt_check_needs_two_replications(tmp_path, capsys):
+    # one replication has no sample covariance: np.cov gives NaN
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"clt_replications": 1, "clt_epsilon": 0.05, "n_cells": 8}))
+    assert cli.main(["clt-check", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAILED: clt_replications must be at least 2, got 1") and "Traceback" not in err
+
+
+def test_clt_check_fails_on_a_nan_covariance_error(tmp_path, monkeypatch, capsys):
+    real = cli.run_clt_check
+    monkeypatch.setattr(
+        cli, "run_clt_check",
+        lambda cfg, out_dir: dataclasses.replace(real(cfg, out_dir), rel_frobenius_error=math.nan),
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"clt_replications": 20, "clt_epsilon": 0.05, "n_cells": 8,
+                                "n_cells_analysis": 50}))
+    assert cli.main(["clt-check", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("FAILED: covariance error nan > 0.15")
 
 
 @pytest.mark.parametrize(
@@ -452,6 +477,17 @@ def test_cli_clt_and_slope_trivial_configs(tmp_path):
     assert cli.main(["mdp-slope", "--config", str(p2)]) == 0
     summary = (tmp_path / "slope" / "summary.csv").read_text().splitlines()
     assert len(summary) == 1 + 2 * len(slope_cfg.eps_grid)
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special takes about a third of a second to import, and only the
+    # entropy function and the pollutant ball averages use it
+    import jumpmdp
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(jumpmdp.__file__)))
+    code = "import sys, jumpmdp.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_failure_exit_code(tmp_path, monkeypatch):

@@ -21,6 +21,7 @@ from jumpmdp.models import MODEL_BUILDERS, build_model
 from jumpmdp.spde_pollutant import assemble_model, params_from_dict
 from jumpmdp.prm import (
     ControlField,
+    EventBatch,
     PointRealization,
     sample_controlled_measure,
     sample_poisson_measure,
@@ -156,7 +157,8 @@ def test_event_schedule_order_and_left_limits():
     grid = np.linspace(0.0, 1.0, 5)
     events = PointRealization(np.array([0.1, 0.2, 0.5, 1.0]), np.arange(4), 1.0)
     calls = []
-    for h, cell, record, atom in zip(*(col[0].tolist() for col in _event_schedule(grid, [events]))):
+    schedule = _event_schedule(grid, events)
+    for h, cell, record, atom in zip(*(col[0].tolist() for col in schedule)):
         if h > 0:
             calls.append(("advance", cell, round(h, 12)))
         if record >= 0:
@@ -172,7 +174,7 @@ def test_event_schedule_order_and_left_limits():
         ("advance", 4, 0.25), ("record", 4), ("jump", 3),
     ]
     # in a batch, the shorter row is padded with steps that do nothing
-    h, _, record, atom = _event_schedule(grid, [events, events_at([])])
+    h, _, record, atom = _event_schedule(grid, EventBatch.stack([events, events_at([])]))
     assert h.shape == (2, 8)
     assert np.array_equal(h[0], np.diff([0.0, 0.1, 0.2, 0.25, 0.5, 0.5, 0.75, 1.0, 1.0]))
     assert h[1].tolist()[4:] == [0.0] * 4 and record[1].tolist() == [1, 2, 3, 4, -1, -1, -1, -1]

@@ -10,10 +10,14 @@ from jumpmdp.mark_space import MarkMeasure
 from jumpmdp.prm import (
     ControlError,
     ControlField,
+    EventBatch,
     PointRealization,
     entropy_integrand,
     log_likelihood_ratio,
+    log_likelihood_ratios,
+    sample_controlled_batch,
     sample_controlled_measure,
+    sample_poisson_batch,
     sample_poisson_measure,
     substream,
     tilt_cost,
@@ -50,10 +54,11 @@ def test_sample_zero_mass_is_empty():
 
 def test_sample_poisson_count_moments():
     # theta * mass * T = 2; check the Monte Carlo mean against 2 to 3 sigma
-    n_rep = 100_000
-    counts = np.array(
-        [sample_poisson_measure(UNIT, 2.0, 1.0, substream(7, r)).n_events for r in range(n_rep)]
-    )
+    n_rep, chunk = 100_000, 10_000
+    counts = np.concatenate([
+        np.diff(sample_poisson_batch(UNIT, 2.0, 1.0, [substream(7, r) for r in range(lo, lo + chunk)]).offsets)
+        for lo in range(0, n_rep, chunk)
+    ])
     mean = counts.mean()
     assert abs(mean - 2.0) <= 3.0 * math.sqrt(2.0 / n_rep)
     assert 0.95 <= counts.var(ddof=1) / 2.0 <= 1.05
@@ -262,3 +267,175 @@ def test_substream_independence_and_determinism():
     b = substream(0, 1, 3).normal(size=4)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+
+
+# ---------------------------------------------------------------------------
+# Chunk samplers: every row keeps the bits of the one-row algorithm
+# ---------------------------------------------------------------------------
+
+# two atoms, the second of zero weight; a three-cell control on them whose
+# phi is zero for atom 0 in cell 1 and for both atoms in cell 2
+TWO = MarkMeasure.from_atoms([(0.0, 1.0), (1.0, 0.0)])
+PSI = np.array([[0.5, -2.0, -2.0], [1.0, 0.0, -2.0]])
+
+
+def reference_poisson_row(measure, theta, horizon, rng):
+    """The per-row Poisson sampler as it was before rows were batched."""
+    lam = theta * measure.total_mass * horizon
+    n = int(rng.poisson(lam)) if lam > 0 else 0
+    t = np.sort(rng.uniform(0.0, horizon, size=n))
+    while np.any(t <= 0) or np.any(np.diff(t) == 0):
+        t = np.sort(rng.uniform(0.0, horizon, size=n))
+    return t, rng.choice(measure.n_atoms, size=n, p=measure.weights / measure.total_mass)
+
+
+def reference_controlled_row(measure, theta, ctrl, rng):
+    """The per-row tilted sampler as it was before rows were batched."""
+    phi, dt, n_cells = ctrl.phi, ctrl.dt, ctrl.n_cells
+    phi_max = phi.max(axis=0)
+    base = rng.poisson(theta * measure.weights[:, None] * dt * phi_max[None, :])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kept = rng.binomial(base, np.where(phi_max[None, :] > 0, phi / phi_max[None, :], 0.0))
+    per_cell = kept.sum(axis=0)
+    lo = np.arange(n_cells) * dt
+    hi = np.minimum(np.arange(1, n_cells + 1) * dt, ctrl.horizon)
+    cells = np.repeat(np.arange(n_cells), per_cell)
+    times = lo[cells] + (hi - lo)[cells] * rng.random(int(per_cell.sum()))
+    starts = np.cumsum(per_cell) - per_cell
+    while True:
+        order = np.argsort(times, kind="stable")
+        ties = np.flatnonzero(np.diff(times[order]) == 0)
+        bad = np.union1d(cells[times <= lo[cells]], cells[order[ties]])
+        if bad.size == 0:
+            break
+        for c in bad:
+            times[starts[c]:starts[c] + per_cell[c]] = rng.uniform(lo[c], hi[c], size=per_cell[c])
+    atoms = np.repeat(np.tile(np.arange(measure.n_atoms), n_cells), kept.T.ravel())
+    return times[order], atoms[order]
+
+
+def assert_row(row, times, atoms):
+    assert row.times.tobytes() == np.asarray(times, dtype=float).tobytes()
+    assert row.atoms.tobytes() == np.asarray(atoms, dtype=np.int64).tobytes()
+
+
+def test_one_row_samplers_are_rows_of_the_batch():
+    keys = [(3, r) for r in range(40)]
+    plain = sample_poisson_batch(TWO, 1.5, 2.0, [substream(*k) for k in keys])
+    counts = np.diff(plain.offsets)
+    assert counts.min() == 0 and counts.max() >= 3  # empty and ragged rows
+    ctrls = [ControlField(PSI, 2.0, 0.5), ControlField(-PSI / 4, 2.0, 0.5)]
+    tilted = sample_controlled_batch(TWO, 4.0, [ctrls[r % 2] for r, _ in enumerate(keys)],
+                                     [substream(*k) for k in keys])
+    assert np.diff(tilted.offsets).min() == 0 and tilted.n_rows == len(keys)
+    # marks over three weighted atoms follow Generator.choice draw for draw
+    three = MarkMeasure.from_atoms([(0.0, 0.5), (1.0, 1.0), (2.0, 1.5)])
+    marked = sample_poisson_batch(three, 3.0, 1.0, [substream(*k) for k in keys])
+    assert set(marked.atoms.tolist()) == {0, 1, 2}
+    for i, key in enumerate(keys):
+        assert_row(marked.row(i), *reference_poisson_row(three, 3.0, 1.0, substream(*key)))
+        one = sample_poisson_measure(TWO, 1.5, 2.0, substream(*key))
+        assert_row(plain.row(i), one.times, one.atoms)
+        assert_row(plain.row(i), *reference_poisson_row(TWO, 1.5, 2.0, substream(*key)))
+        one = sample_controlled_measure(TWO, 4.0, ctrls[i % 2], substream(*key))
+        assert_row(tilted.row(i), one.times, one.atoms)
+        assert_row(tilted.row(i), *reference_controlled_row(TWO, 4.0, ctrls[i % 2], substream(*key)))
+    # under ctrls[0], phi = 0 for atom 0 in cell 1 and for both atoms in cell 2
+    even = [tilted.row(i) for i in range(0, len(keys), 2)]
+    cell = ctrls[0].cell_of(np.concatenate([row.times for row in even]))
+    atoms = np.concatenate([row.atoms for row in even])
+    assert cell.size and not np.any((cell == 2) | ((cell == 1) & (atoms == 0)))
+
+
+class ScriptedGenerator:
+    """Generator stand-in whose first uniforms are given.
+
+    Counts come from a seeded numpy generator.  Uniform draws (random,
+    uniform, choice) take one double each, as numpy maps them: the first
+    call takes the leading values of `script`, the rest are fresh.
+    """
+
+    def __init__(self, seed, script=()):
+        self.counts = np.random.default_rng(seed)
+        self.doubles = np.random.default_rng(seed + 1)
+        self.script = list(script)
+
+    def _next(self, n):
+        take, self.script = self.script[:n], []
+        return np.concatenate([take, self.doubles.random(n - len(take))])
+
+    def poisson(self, lam):
+        return self.counts.poisson(lam)
+
+    def binomial(self, n, p):
+        return self.counts.binomial(n, p)
+
+    def random(self, n):
+        return self._next(n)
+
+    def uniform(self, lo, hi, size):
+        return lo + (hi - lo) * self._next(size)
+
+    def choice(self, k, size, p):
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return cdf.searchsorted(self._next(size), side="right")
+
+
+def test_forced_ties_and_left_edges_are_redrawn_in_stream_order():
+    # row 0 starts with a tie, row 2 with a draw of 0 (a time on a cell's
+    # left edge), row 4 with all times on left edges, so that both cells
+    # are redrawn; rows 1 and 3 draw freely
+    scripts = [[0.5, 0.5, 0.75], [], [0.25, 0.0, 0.75], [], [0.0] * 1000]
+    ctrl = ControlField(np.zeros((2, 2)), 1.0, 0.5)
+    measure = MarkMeasure.from_atoms([(0.0, 1.0), (1.0, 2.0)])
+    new = lambda: [ScriptedGenerator(10 * i, s) for i, s in enumerate(scripts)]
+    plain = sample_poisson_batch(measure, 10.0, 1.0, new())
+    tilted = sample_controlled_batch(measure, 30.0, [ctrl] * len(scripts), new())
+    for i, (g1, g2) in enumerate(zip(new(), new())):
+        assert_row(plain.row(i), *reference_poisson_row(measure, 10.0, 1.0, g1))
+        assert_row(tilted.row(i), *reference_controlled_row(measure, 30.0, ctrl, g2))
+    # the scripted draws were replaced
+    assert 0.5 not in plain.row(0).times and 0.25 not in plain.row(2).times
+    assert 0.25 not in tilted.row(0).times and 0.125 not in tilted.row(2).times
+
+
+@pytest.mark.parametrize(
+    "times, offsets, message",
+    [
+        ([0.1, 0.2, 0.2], [0, 1, 3], "row 1: event times must be strictly increasing"),
+        ([0.3, 0.2, 0.5], [0, 2, 3], "row 0: event times must be strictly increasing"),
+        ([0.5, 1.5], [0, 1, 2], r"row 1: event times must lie in \(0, T\]"),
+        ([0.5, 0.0], [0, 1, 1, 2], r"row 2: event times must lie in \(0, T\]"),
+        ([0.1, 0.2], [0, 2, 1], "row 1: offsets must rise from 0 to the event count 2"),
+        ([0.1, 0.2], [0, 1], "row 0: offsets must rise from 0 to the event count 2"),
+        ([0.1, 0.2], [1, 2], "row 0: offsets must rise from 0 to the event count 2"),
+    ],
+)
+def test_bad_batches_name_the_row(times, offsets, message):
+    with pytest.raises(ControlError, match=message):
+        EventBatch(np.array(times), np.zeros(len(times), dtype=np.int64), np.array(offsets), 1.0)
+
+
+def test_batched_log_likelihood_ratio_matches_the_one_row_form():
+    ctrl = ControlField(PSI, 2.0, 0.5)
+    theta = 3.0
+    rows = [
+        PointRealization(np.array([0.1, 0.5]), np.array([0, 1]), 2.0),
+        PointRealization(np.empty(0), np.empty(0, dtype=np.int64), 2.0),
+        PointRealization(np.array([0.2, 1.0, 1.9]), np.array([1, 0, 1]), 2.0),  # phi(0, cell 1) = 0
+        PointRealization(np.array([0.8, 1.2]), np.array([0, 1]), 2.0),
+        PointRealization(np.array([0.3, 0.4, 1.2]), np.array([0, 0, 1]), 2.0),
+    ]
+    batch = EventBatch.stack(rows)
+    got = log_likelihood_ratios(batch, ctrl, TWO, theta)
+    comp = theta * math.fsum(((ctrl.phi - 1.0) * TWO.weights[:, None] * ctrl.dt).ravel())
+    for i, row in enumerate(rows):
+        one = log_likelihood_ratio(row, ctrl, TWO, theta)
+        assert np.float64(one).tobytes() == got[i].tobytes()
+        phis = ctrl.phi[row.atoms, ctrl.cell_of(row.times)]
+        direct = -comp if not row.n_events else -math.inf if np.any(phis == 0) else (
+            math.fsum(np.log(phis)) - comp)
+        assert np.float64(direct).tobytes() == got[i].tobytes()
+    assert np.all(got[[2, 3]] == -math.inf) and np.isfinite(got[[0, 1, 4]]).all()
+    assert log_likelihood_ratios(batch, ctrl, TWO, theta, [4, 2]).tobytes() == got[[4, 2]].tobytes()
