@@ -104,6 +104,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         eps = tuple(float(e) for e in self.eps_grid)
+        if not eps:
+            raise ModelError("eps_grid must hold at least one epsilon")
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])) or any(e <= 0 for e in eps):
             raise ModelError("eps_grid must be positive and strictly decreasing")
         if not (0 < self.rho < 0.5):
@@ -202,24 +204,22 @@ def write_summary_csv(rows, path) -> None:
 class _Engine:
     """Per-process state for Monte Carlo batches.
 
-    Given the optimal control psi*, the engine also holds the fluid terminal
-    on the simulation grid and the two antipodal clipped tilts per eps that
-    importance sampling needs.
+    Given importance = (psi*, fluid terminal on the simulation grid), with
+    psi* finite, the engine also holds the two antipodal clipped tilts per
+    eps that importance sampling needs.
     """
 
-    def __init__(self, cfg: ExperimentConfig, psi_star: np.ndarray | None = None):
+    def __init__(self, cfg: ExperimentConfig, importance: tuple[np.ndarray, np.ndarray] | None = None):
         self.cfg = cfg
         self.model = build_model(cfg.model, cfg.model_params)
         self.tilts: list[tuple[ControlField, ControlField]] = []
-        if psi_star is not None:
-            self.fluid_end = fluid_limit(self.model, cfg.n_cells)[0].terminal()
+        if importance is not None:
+            psi_star, self.fluid_end = importance
             for eps in cfg.eps_grid:
                 a = cfg.a_eps(eps)
                 # clipped, not zeroed, where |psi*| > beta / a: phi >= 1 - beta
                 # still holds, and those cells keep pushing toward the event.
-                # A NaN cell (a degenerate rate analysis) is zeroed, as the
-                # truncated tilt does, so the simulation reports the failure.
-                clipped = np.clip(np.nan_to_num(psi_star), -cfg.beta / a, cfg.beta / a)
+                clipped = np.clip(psi_star, -cfg.beta / a, cfg.beta / a)
                 self.tilts.append((
                     ControlField(clipped, self.model.horizon, a),
                     ControlField(-clipped, self.model.horizon, a),
@@ -257,9 +257,9 @@ class _Engine:
 _WORKER_ENGINE: _Engine | None = None
 
 
-def _worker_init(cfg: ExperimentConfig, psi_star: np.ndarray | None) -> None:
+def _worker_init(cfg: ExperimentConfig, importance) -> None:
     global _WORKER_ENGINE
-    _WORKER_ENGINE = _Engine(cfg, psi_star)
+    _WORKER_ENGINE = _Engine(cfg, importance)
 
 
 def _worker_call(task):
@@ -279,7 +279,7 @@ def _chunks(n: int) -> list[tuple[int, int]]:
 
 
 @contextmanager
-def _monte_carlo(cfg: ExperimentConfig, psi_star: np.ndarray | None = None):
+def _monte_carlo(cfg: ExperimentConfig, importance=None):
     """One engine, or one process pool of engines, serving a whole run.
 
     Yields collect(method, args, n): n replications of an engine batch
@@ -289,13 +289,13 @@ def _monte_carlo(cfg: ExperimentConfig, psi_star: np.ndarray | None = None):
         return [(method, args + (lo, hi)) for lo, hi in _chunks(n)]
 
     if cfg.workers <= 1:
-        engine = _Engine(cfg, psi_star)
+        engine = _Engine(cfg, importance)
         yield lambda method, args, n: np.concatenate(
             [getattr(engine, m)(*a) for m, a in tasks(method, args, n)], axis=0
         )
         return
     with ProcessPoolExecutor(
-        max_workers=cfg.workers, initializer=_worker_init, initargs=(cfg, psi_star)
+        max_workers=cfg.workers, initializer=_worker_init, initargs=(cfg, importance)
     ) as pool:
         yield lambda method, args, n: np.concatenate(
             list(pool.map(_worker_call, tasks(method, args, n))), axis=0
@@ -383,14 +383,21 @@ def run_mdp_slope(cfg: ExperimentConfig, out_dir: str | None = None) -> SlopeRes
     # the optimal control for the sphere event, on the simulation grid
     fluid_sim, _ = fluid_limit(model, cfg.n_cells)
     psi_star = rate_to_point(build_linearization(model, fluid_sim), zstar).psi
+    bad_cells = int(np.count_nonzero(~np.isfinite(psi_star).all(axis=0)))
+    if bad_cells:
+        raise ModelError(
+            f"optimal control psi* is non-finite on {bad_cells} of n_cells={cfg.n_cells} "
+            "cells: the linearized flow overflows on the simulation grid"
+        )
+    fluid_end = fluid_sim.terminal()
     rows: list[EstimateRow] = []
     c = cfg.threshold
-    with _monte_carlo(cfg, psi_star) as collect:
+    with _monte_carlo(cfg, (psi_star, fluid_end)) as collect:
         for eps_idx, eps in enumerate(cfg.eps_grid):
             a = cfg.a_eps(eps)
             b = cfg.b_eps(eps)
             xt = collect("terminal_batch", (SLOT_PLAIN, eps_idx, eps), cfg.replications)
-            hits = (np.linalg.norm((xt - fluid_sim.terminal()) / a, axis=1) >= c).astype(float)
+            hits = (np.linalg.norm((xt - fluid_end) / a, axis=1) >= c).astype(float)
             p_plain = math.fsum(hits) / cfg.replications
             se_plain = math.sqrt(max(p_plain * (1.0 - p_plain), 0.0) / cfg.replications)
             rows.append(

@@ -16,6 +16,7 @@ this module builds:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,29 @@ class LinearizedSystem:
         """B = G diag(sqrt(w)) per cell, (n_cells, d, n_atoms); B B' = G diag(w) G'."""
         return self.jump_vals * np.sqrt(self.measure.weights)
 
+    @cached_property
+    def propagators(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R, dt*S) per cell, each (n_cells, d, d): the RK4 step of x' = A1 x + f,
+
+            x+ = R x + dt S f,   Z = dt A1,   S = I + Z/2 + Z^2/6 + Z^3/24,   R = I + Z S,
+
+        with A1 and f frozen per cell.  solve_limit_path applies this map and
+        the rate solvers invert it.  Built once per system, cell by cell.
+        """
+        n, d = self.n_cells, self.dim
+        h = self.dt
+        eye = np.eye(d)
+        prop = np.empty((n, d, d))
+        src = np.empty((n, d, d))
+        for c in range(n):
+            z = h * self.drift_mat[c]
+            z2 = z @ z
+            z3 = z2 @ z
+            s = eye + z / 2.0 + z2 / 6.0 + z3 / 24.0
+            prop[c] = eye + z @ s
+            src[c] = h * s
+        return prop, src
+
     def forcing_from_psi(self, psi: np.ndarray) -> np.ndarray:
         """Cellwise integral of psi(y, s) G(x0(s), y) against the marks."""
         w = self.measure.weights
@@ -100,17 +124,13 @@ def solve_limit_path(sys: LinearizedSystem, psi) -> PathGrid:
     """Limit fluctuation path driven by a mark-space control psi(y, s).
 
     Solves x' = A1(s) x + integral of psi(y, s) G(x0(s), y) over marks,
-    x(0) = 0, with per-cell frozen coefficients.
+    x(0) = 0, by the per-cell map of LinearizedSystem.propagators.
     """
     forcing = sys.forcing_from_psi(_as_psi_array(sys, psi))
-    n, d = sys.n_cells, sys.dim
-    h = sys.dt
-    out = np.zeros((n + 1, d))
-    x = np.zeros(d)
-    for c in range(n):
-        mat, f = sys.drift_mat[c], forcing[c]
-        x = rk4_step(lambda v: mat @ v + f, x, h)
-        out[c + 1] = x
+    prop, src = sys.propagators
+    out = np.zeros((sys.n_cells + 1, sys.dim))
+    for c in range(sys.n_cells):
+        out[c + 1] = prop[c] @ out[c] + src[c] @ forcing[c]
     return PathGrid(sys.times, out)
 
 

@@ -7,13 +7,9 @@ controllability Gramian).  Controls act through the gain B = G diag(sqrt(w))
 in the atom coordinates u_k = sqrt(w_k) psi(y_k), so |u|^2 is the L2 norm
 of psi against the mark measure.
 
-All evaluations share the per-cell frozen-coefficient RK4 convention of the
-limit-path solvers: a cell step is the affine map
-    x+ = R(Z) x + dt * S(Z) f,   Z = dt * A1,
-with R(Z) = I + Z + Z^2/2 + Z^3/6 + Z^4/24 and
-S(Z) = I + Z/2 + Z^2/6 + Z^3/24.  Rates are computed by inverting that map
-cell by cell, so the energy identities below hold to round-off rather than
-to a differencing bias.
+Both invert the per-cell affine map LinearizedSystem.propagators, the same
+map solve_limit_path applies, so the energy identities below hold to
+round-off rather than to a differencing bias.
 
 Infinite rates are reported as math.inf together with the residual of the
 range test that triggered them, never as a large finite float.
@@ -33,7 +29,6 @@ __all__ = [
     "InadmissiblePathError",
     "RateSolution",
     "Gramian",
-    "cell_propagators",
     "rate_of_path",
     "controllability_gramian",
     "rate_to_point",
@@ -77,23 +72,6 @@ class Gramian:
     flow: np.ndarray         # (n_cells, d, d)
 
 
-def cell_propagators(sys: LinearizedSystem) -> tuple[np.ndarray, np.ndarray]:
-    """(R, dt*S) per cell for the frozen-coefficient RK4 affine step."""
-    n, d = sys.n_cells, sys.dim
-    h = sys.dt
-    eye = np.eye(d)
-    prop = np.empty((n, d, d))
-    src = np.empty((n, d, d))
-    for c in range(n):
-        z = h * sys.drift_mat[c]
-        z2 = z @ z
-        z3 = z2 @ z
-        s = eye + z / 2.0 + z2 / 6.0 + z3 / 24.0
-        prop[c] = eye + z @ s
-        src[c] = h * s
-    return prop, src
-
-
 def rate_of_path(
     sys: LinearizedSystem,
     path: PathGrid,
@@ -117,30 +95,24 @@ def rate_of_path(
         raise InadmissiblePathError(
             "path must start at zero; the rate is +inf off the admissible class"
         )
-    n = sys.n_cells
-    prop, src = cell_propagators(sys)
+    prop, src = sys.propagators
     gain = sys.gain
-    u = np.zeros((n, sys.measure.n_atoms))
-    psi = np.zeros((sys.measure.n_atoms, n))
-    worst = 0.0
-    feasible = True
-    for c in range(n):
-        f = np.linalg.solve(src[c], eta[c + 1] - prop[c] @ eta[c])
-        pinv = np.linalg.pinv(gain[c], rcond=pinv_rtol)
-        u[c] = pinv @ f
-        psi[:, c] = sys.jump_vals[c].T @ (pinv.T @ u[c])
-        resid = float(np.linalg.norm(gain[c] @ u[c] - f))
-        worst = max(worst, resid)
-        if resid > range_tol * (1.0 + float(np.linalg.norm(f))):
-            feasible = False
-    value = 0.5 * math.fsum((u * u).ravel()) * sys.dt if feasible else math.inf
+    # all cells at once, vectors as (n_cells, ., 1) columns
+    f = np.linalg.solve(src, eta[1:, :, None] - prop @ eta[:-1, :, None])
+    pinv = np.linalg.pinv(gain, rcond=pinv_rtol)
+    u = pinv @ f
+    psi = (sys.jump_vals.transpose(0, 2, 1) @ (pinv.transpose(0, 2, 1) @ u))[..., 0].T
+    resid = np.linalg.norm(gain @ u - f, axis=1)
+    infeasible = np.any(resid > range_tol * (1.0 + np.linalg.norm(f, axis=1)))
+    value = math.inf if infeasible else 0.5 * math.fsum((u * u).ravel()) * sys.dt
+    worst = float(resid.max(initial=0.0))
     return RateSolution(value=value, psi=psi, path=solve_limit_path(sys, psi), residual=worst)
 
 
 def controllability_gramian(sys: LinearizedSystem) -> Gramian:
     """Gramian of the discrete controlled flow, exact for the cell solvers."""
     n, d = sys.n_cells, sys.dim
-    prop, src = cell_propagators(sys)
+    prop, src = sys.propagators
     dt = sys.dt
     flow = np.empty((n, d, d))
     acc = np.eye(d)

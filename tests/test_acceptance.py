@@ -32,8 +32,10 @@ from jumpmdp.models import build_model
 from jumpmdp.prm import (
     ControlField,
     entropy_integrand,
-    log_likelihood_ratio,
+    log_likelihood_ratios,
+    sample_controlled_batch,
     sample_controlled_measure,
+    sample_poisson_batch,
     sample_poisson_measure,
     substream,
     truncated_tilt,
@@ -104,27 +106,33 @@ def test_criterion_2_controlled_prm():
         chi2 = stats.chisquare(bins.ravel(), expected.ravel() * bins.sum() / expected.sum())
         assert chi2.pvalue > 0.001
 
-        # per-cell Poisson dispersion over 1e4 replications
+        # per-cell Poisson dispersion over 1e4 replications, drawn in batches
+        # on the per-replication streams substream(101, r)
         psi = np.array([[1.5, -0.4], [0.3, 0.9]])
         ctrl2 = ControlField(psi, 1.0, 0.5)
-        theta2, n_rep = 8.0, 10_000
+        theta2, n_rep, chunk = 8.0, 10_000, 1000
         counts = np.zeros((n_rep, 2, 2))
-        for r in range(n_rep):
-            real = sample_controlled_measure(measure, theta2, ctrl2, substream(101, r))
-            cell = (real.times > 0.5).astype(int)
-            np.add.at(counts[r], (real.atoms, cell), 1.0)
+        for lo in range(0, n_rep, chunk):
+            rngs = [substream(101, r) for r in range(lo, lo + chunk)]
+            batch = sample_controlled_batch(measure, theta2, [ctrl2] * chunk, rngs)
+            rows = lo + np.repeat(np.arange(chunk), np.diff(batch.offsets))
+            np.add.at(counts, (rows, batch.atoms, (batch.times > 0.5).astype(int)), 1.0)
         emp_mean = counts.mean(axis=0)
         disp = counts.var(axis=0, ddof=1) / emp_mean
         assert np.all(disp >= 0.9) and np.all(disp <= 1.1)
 
-        # exp(log LR) has mean one: 1e5 samples, 3 standard errors
+        # exp(log LR) has mean one: 1e5 samples on substream(102, r), 3 standard errors
         unit = MarkMeasure.single_atom(1.0, 1.0)
         lr_ctrl = ControlField(np.full((1, 4), 0.5), 1.0, 1.0)  # phi = 1.5
-        n_lr = 100_000
-        vals = np.empty(n_lr)
-        for r in range(n_lr):
-            real = sample_poisson_measure(unit, 2.0, 1.0, substream(102, r))
-            vals[r] = math.exp(log_likelihood_ratio(real, lr_ctrl, unit, 2.0))
+        n_lr, chunk = 100_000, 10_000
+        vals = np.array([
+            math.exp(v)
+            for lo in range(0, n_lr, chunk)
+            for v in log_likelihood_ratios(
+                sample_poisson_batch(unit, 2.0, 1.0, [substream(102, r) for r in range(lo, lo + chunk)]),
+                lr_ctrl, unit, 2.0,
+            ).tolist()
+        ])
         se = vals.std(ddof=1) / math.sqrt(n_lr)
         assert abs(vals.mean() - 1.0) <= 3.0 * se
 

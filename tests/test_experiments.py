@@ -44,6 +44,9 @@ def test_config_validation():
         ExperimentConfig(replications=10)
     with pytest.raises(ModelError):
         ExperimentConfig(beta=1.5)
+    for empty in ((), []):
+        with pytest.raises(ModelError, match="eps_grid must hold at least one epsilon"):
+            ExperimentConfig.from_dict({"eps_grid": empty})
 
 
 def to_json(cfg):
@@ -210,22 +213,33 @@ def test_negative_velocity_fails_with_a_named_error(tmp_path, capsys, max_mode, 
     assert not (tmp_path / "pollutant_report.csv").exists()
 
 
+STIFF = dict(model="linear_gaussian", model_params={"rate": -3000.0, "gain": 3000.0, "x0": 1.0})
+
+
 def test_nonfinite_paths_fail_in_both_estimators():
-    # the fluid limit sits at its fixed point, but the jump SDE's drift
+    # the fluid limit sits at its fixed point x0 = 1, but the jump SDE's drift
     # -3000 x is far outside RK4's stability region and overflows on 64 cells
-    cfg = ExperimentConfig(
-        model="linear_gaussian",
-        model_params={"rate": -3000.0, "gain": 3000.0, "x0": 1.0},
-        **{**SMALL, "n_cells": 64},
-    )
-    engine = experiments._Engine(cfg, np.zeros((1, cfg.n_cells)))
+    cfg = ExperimentConfig(**STIFF, **{**SMALL, "n_cells": 64})
+    engine = experiments._Engine(cfg, (np.zeros((1, cfg.n_cells)), np.ones(1)))
     with np.errstate(all="ignore"):
         with pytest.raises(ModelError, match="blew up at t="):
             engine.terminal_batch(experiments.SLOT_PLAIN, 0, 0.2, 0, 5)
         with pytest.raises(ModelError, match="blew up at t="):
             engine.is_batch(0, 0, 5)
-        with pytest.raises(ModelError, match="blew up at t="):
+        # the same overflow in the linearized flow makes psi* non-finite,
+        # which the slope run reports before any Monte Carlo
+        with pytest.raises(ModelError, match="psi\\* is non-finite on 6 of n_cells=64 cells"):
             run_mdp_slope(cfg)
+
+
+def test_nonfinite_optimal_control_is_a_named_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**STIFF, **SMALL, "n_cells": 64}))
+    with np.errstate(all="ignore"):
+        assert cli.main(["mdp-slope", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAILED: optimal control psi* is non-finite on 6 of n_cells=64 cells")
+    assert "Traceback" not in err and not (tmp_path / "summary.csv").exists()
 
 
 def test_slope_run_creates_one_pool(monkeypatch):

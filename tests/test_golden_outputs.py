@@ -108,7 +108,7 @@ GOLDEN = {
         "pollutant_report.csv": "e4c9771b66c3e24c7333948e1faf7187adf703fb58e66de761eb82d1873e2ed6",
     }),
     "rate": (0, {
-        "rate_path_0.csv": "65db55bea079ad38b28d3d3b7f9fca02012a2fce4385013b3df715a51ae21be1",
+        "rate_path_0.csv": "c9501837da65328cfa13b87eb5647084a0a6d71abada66d8098afaaa1b9fbf38",
         "rate_psi_0.csv": "eea01c8f5fd492ed889412dfdd11061e41c8fcb559c2f40c9bd66da56b0c8924",
         "rate_summary.csv": "b21c9f7b0aed6ed24606f7eae98838edae065cfa87a542d4e3a45da1a3542633",
     }),

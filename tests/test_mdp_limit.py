@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from jumpmdp.jump_sde import fluid_limit
+from jumpmdp.jump_sde import fluid_limit, rk4_step
 from jumpmdp.mark_space import MarkMeasure
 from jumpmdp.mdp_limit import (
     build_linearization,
@@ -61,6 +61,20 @@ def test_limit_path_zero_and_linearity():
     lhs = solve_limit_path(sysm, p1 + p2).values
     rhs = solve_limit_path(sysm, p1).values + solve_limit_path(sysm, p2).values
     assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+def test_limit_path_is_one_rk4_step_per_cell():
+    # the propagators are RK4 with the coefficients frozen per cell
+    model, sysm = linearize("two_d_benchmark")
+    psi = np.random.default_rng(7).normal(size=(2, sysm.n_cells))
+    forcing = sysm.forcing_from_psi(psi)
+    replay = np.zeros((sysm.n_cells + 1, sysm.dim))
+    for c in range(sysm.n_cells):
+        a1, f = sysm.drift_mat[c], forcing[c]
+        replay[c + 1] = rk4_step(lambda v: a1 @ v + f, replay[c], sysm.dt)
+    path = solve_limit_path(sysm, psi).values
+    assert np.max(np.abs(path - replay)) <= 1e-13 * np.max(np.abs(replay))
+    assert sysm.propagators is sysm.propagators
 
 
 def test_limit_path_scalar_closed_form():

@@ -227,10 +227,8 @@ def test_zero_weight_atom_in_the_rate_chain():
 def test_terminal_rate_matches_least_norm_oracle():
     # independent route: stack the discrete reachability map over all cells
     # and take the minimal-norm least-squares control
-    from jumpmdp.rate import cell_propagators
-
     sysm = linearize("two_d_benchmark", n_cells=150)
-    prop, src = cell_propagators(sysm)
+    prop, src = sysm.propagators
     n, d = sysm.n_cells, sysm.dim
     acc = np.eye(d)
     blocks = np.empty((n, d, sysm.measure.n_atoms))
