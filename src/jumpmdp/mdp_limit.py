@@ -36,7 +36,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinearizedSystem:
-    """Per-cell frozen coefficients of the linearized fluctuation equation."""
+    """Per-cell frozen coefficients of the linearized fluctuation equation.
+
+    A time-invariant system keeps one cell, spread by read-only stride-0 views.
+    """
 
     times: np.ndarray          # (n_cells + 1,)
     drift_mat: np.ndarray      # (n_cells, d, d)
@@ -56,6 +59,11 @@ class LinearizedSystem:
         return self.drift_mat.shape[1]
 
     @property
+    def time_invariant(self) -> bool:
+        """True when all cells share one stored A1 and G (stride 0 along the cells)."""
+        return self.drift_mat.strides[0] == 0 and self.jump_vals.strides[0] == 0
+
+    @property
     def gain(self) -> np.ndarray:
         """B = G diag(sqrt(w)) per cell, (n_cells, d, n_atoms); B B' = G diag(w) G'."""
         return self.jump_vals * np.sqrt(self.measure.weights)
@@ -67,21 +75,46 @@ class LinearizedSystem:
             x+ = R x + dt S f,   Z = dt A1,   S = I + Z/2 + Z^2/6 + Z^3/24,   R = I + Z S,
 
         with A1 and f frozen per cell.  solve_limit_path applies this map and
-        the rate solvers invert it.  Built once per system, cell by cell.
+        the rate solvers invert it.  Built once per system, on the distinct
+        cells only, in blocks small enough to stay in cache.
         """
-        n, d = self.n_cells, self.dim
+        a1 = self.drift_mat[:1] if self.time_invariant else self.drift_mat
+        d = self.dim
         h = self.dt
         eye = np.eye(d)
-        prop = np.empty((n, d, d))
-        src = np.empty((n, d, d))
-        for c in range(n):
-            z = h * self.drift_mat[c]
+        prop = np.empty(a1.shape)
+        src = np.empty(a1.shape)
+        block = max(1, 32768 // d**2)
+        for lo in range(0, a1.shape[0], block):
+            z = h * a1[lo : lo + block]
             z2 = z @ z
             z3 = z2 @ z
             s = eye + z / 2.0 + z2 / 6.0 + z3 / 24.0
-            prop[c] = eye + z @ s
-            src[c] = h * s
-        return prop, src
+            prop[lo : lo + block] = eye + z @ s
+            src[lo : lo + block] = h * s
+        shape = self.drift_mat.shape  # read-only; a time-invariant system spreads its one cell
+        return np.broadcast_to(prop, shape), np.broadcast_to(src, shape)
+
+    @cached_property
+    def gramian(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W, flow): W = sum_c flow[c] B[c] B[c]' flow[c]' dt, flow[c] carrying a
+        source in cell c to the horizon by the propagators.  Built once per
+        system; an unstable flow overflows quietly and the callers name it.
+        """
+        n, d = self.n_cells, self.dim
+        prop, src = self.propagators
+        dt = self.dt
+        flow = np.empty((n, d, d))
+        acc = np.eye(d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in range(n - 1, -1, -1):
+                flow[c] = (acc @ src[c]) / dt
+                acc = acc @ prop[c]
+            b = np.einsum("cij,cjk->cik", flow, self.gain)
+            w = np.einsum("cik,clk->il", b, b) * dt
+            w = 0.5 * (w + w.T)
+        w.flags.writeable = flow.flags.writeable = False  # shared by every caller
+        return w, flow
 
     def forcing_from_psi(self, psi: np.ndarray) -> np.ndarray:
         """Cellwise integral of psi(y, s) G(x0(s), y) against the marks."""
@@ -108,6 +141,10 @@ def build_linearization(model: ModelSpec, fluid_path: PathGrid) -> LinearizedSys
             m += w[k] * jacs[k]
         a1[c] = m
         jv[c] = model.jump(xmid)
+    # a time-invariant system keeps one cell
+    bits = lambda arr: arr.reshape(n, -1).view(np.uint64)
+    if all((bits(arr) == bits(arr)[0]).all() for arr in (a1, jv)):
+        a1, jv = (np.broadcast_to(arr[:1].copy(), arr.shape) for arr in (a1, jv))
     return LinearizedSystem(times=fluid_path.times, drift_mat=a1, jump_vals=jv, measure=meas)
 
 
@@ -147,9 +184,11 @@ def gaussian_covariance(sys: LinearizedSystem) -> np.ndarray:
     s = np.zeros((d, d))
     gain = sys.gain
     for c in range(n):
-        a1 = sys.drift_mat[c]
-        q = gain[c] @ gain[c].T
-        s = rk4_step(lambda m: a1 @ m + m @ a1.T + q, s, h)
+        if c == 0 or not sys.time_invariant:
+            a1 = sys.drift_mat[c]
+            q = gain[c] @ gain[c].T
+        # every stage m is exactly symmetric, so m @ a1.T is (a1 @ m).T
+        s = rk4_step(lambda m: (p := a1 @ m) + p.T + q, s, h)
         s = 0.5 * (s + s.T)
         covs[c + 1] = s
     return covs

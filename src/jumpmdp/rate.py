@@ -110,19 +110,10 @@ def rate_of_path(
 
 
 def controllability_gramian(sys: LinearizedSystem) -> Gramian:
-    """Gramian of the discrete controlled flow, exact for the cell solvers."""
-    n, d = sys.n_cells, sys.dim
-    prop, src = sys.propagators
-    dt = sys.dt
-    flow = np.empty((n, d, d))
-    acc = np.eye(d)
-    for c in range(n - 1, -1, -1):
-        flow[c] = (acc @ src[c]) / dt
-        acc = acc @ prop[c]
-    b = np.einsum("cij,cjk->cik", flow, sys.gain)
-    w = np.einsum("cik,clk->il", b, b) * dt
-    w = 0.5 * (w + w.T)
-    return Gramian(matrix=w, flow=flow)
+    """Gramian of the discrete controlled flow, exact for the cell solvers;
+    its flow pass (LinearizedSystem.gramian) runs once per system."""
+    matrix, flow = sys.gramian
+    return Gramian(matrix=matrix, flow=flow)
 
 
 def _psd_pinv(w: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,7 +145,8 @@ def rate_to_point(
     w = gram.matrix
     wp, _, _ = _psd_pinv(w, pinv_rtol)
     xi = wp @ z
-    resid = float(np.linalg.norm(w @ xi - z))
+    with np.errstate(invalid="ignore"):  # a non-finite W fails by name downstream
+        resid = float(np.linalg.norm(w @ xi - z))
     feasible = resid <= range_tol * (1.0 + float(np.linalg.norm(z)))
     psi = np.einsum("cjk,cij,i->kc", sys.jump_vals, gram.flow, xi)
     value = 0.5 * float(z @ xi) if feasible else math.inf

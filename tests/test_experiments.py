@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,17 @@ def test_nonfinite_optimal_control_is_a_named_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("FAILED: optimal control psi* is non-finite on 6 of n_cells=64 cells")
     assert "Traceback" not in err and not (tmp_path / "summary.csv").exists()
+
+
+def test_nonfinite_optimal_control_fails_without_warnings(tmp_path, capsys):
+    # the overflowing flow pass and its range residual stay quiet: the named error is the message
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**STIFF, **SMALL, "n_cells": 64}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["mdp-slope", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAILED: optimal control psi* is non-finite on 6 of n_cells=64 cells")
 
 
 def test_slope_run_creates_one_pool(monkeypatch):

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from jumpmdp.jump_sde import fluid_limit, rk4_step
 from jumpmdp.mark_space import MarkMeasure
@@ -12,6 +13,7 @@ from jumpmdp.mdp_limit import (
 )
 from jumpmdp.models import build_model
 from jumpmdp.prm import ControlField, tilt_cost, truncated_tilt
+from jumpmdp.spde_pollutant import assemble_model, build_eigensystem, params_from_dict
 
 
 def linearize(name, params=None, n_cells=200):
@@ -75,6 +77,71 @@ def test_limit_path_is_one_rk4_step_per_cell():
     path = solve_limit_path(sysm, psi).values
     assert np.max(np.abs(path - replay)) <= 1e-13 * np.max(np.abs(replay))
     assert sysm.propagators is sysm.propagators
+
+
+def reference_coefficients(model, fluid):
+    # per-cell A1 and G, as build_linearization froze them before one-cell storage
+    a1, jv = [], []
+    for c in range(fluid.n_cells):
+        xmid = 0.5 * (fluid.values[c] + fluid.values[c + 1])
+        m = np.asarray(model.drift_jac(xmid), dtype=float).copy()
+        for k, jac in enumerate(model.jump_jac(xmid)):
+            m += model.measure.weights[k] * jac
+        a1.append(m)
+        jv.append(model.jump(xmid))
+    return np.array(a1), np.array(jv)
+
+
+def reference_propagators(sysm):
+    # the RK4 map evaluated cell by cell, the loop the blocked build replaces
+    n, d, h = sysm.n_cells, sysm.dim, sysm.dt
+    eye = np.eye(d)
+    prop, src = np.empty((n, d, d)), np.empty((n, d, d))
+    for c in range(n):
+        z = h * sysm.drift_mat[c]
+        z2 = z @ z
+        z3 = z2 @ z
+        s = eye + z / 2.0 + z2 / 6.0 + z3 / 24.0
+        prop[c] = eye + z @ s
+        src[c] = h * s
+    return prop, src
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def pollutant_2d_model():
+    params = params_from_dict({
+        "d_space": 2, "velocity": [2.0, 0.0], "decay": 0.5, "radius": 0.05, "max_mode": 2,
+        "atoms": [[0.3, 0.4, 1.0, 0.6], [0.7, 0.6, 2.0, 0.4]],
+        "jump_kernel": {"kind": "constant", "value": 1.0},
+    })
+    return assemble_model(params, build_eigensystem(params))
+
+
+@pytest.mark.parametrize("name", ["scalar_benchmark", "linear_gaussian", "pollutant-2d"])
+def test_time_invariant_system_is_stored_as_one_cell(name):
+    model = pollutant_2d_model() if name == "pollutant-2d" else build_model(name, {})
+    fluid, _ = fluid_limit(model, 300)
+    sysm = build_linearization(model, fluid)
+    assert sysm.time_invariant
+    a1, jv = reference_coefficients(model, fluid)
+    prop, src = reference_propagators(sysm)
+    for view, ref in zip((sysm.drift_mat, sysm.jump_vals, *sysm.propagators), (a1, jv, prop, src)):
+        assert view.strides[0] == 0 and not view.flags.writeable
+        assert same_bits(view, ref)
+
+
+@pytest.mark.parametrize("n_cells", [1, 8191, 8192, 8193, 2000])
+def test_blocked_propagators_match_the_cell_loop(n_cells):
+    # two_d_benchmark varies along its fluid path; d = 2 gives blocks of 8192 cells
+    model, sysm = linearize("two_d_benchmark", n_cells=n_cells)
+    assert sysm.time_invariant == (n_cells == 1)
+    a1, jv = reference_coefficients(model, fluid_limit(model, n_cells)[0])
+    assert same_bits(sysm.drift_mat, a1) and same_bits(sysm.jump_vals, jv)
+    for got, ref in zip(sysm.propagators, reference_propagators(sysm)):
+        assert same_bits(got, ref)
 
 
 def test_limit_path_scalar_closed_form():

@@ -1,10 +1,11 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from jumpmdp.jump_sde import PathGrid, fluid_limit
-from jumpmdp.mdp_limit import build_linearization, solve_limit_path
+from jumpmdp.mdp_limit import LinearizedSystem, build_linearization, solve_limit_path
 from jumpmdp.models import build_model
 from jumpmdp.rate import (
     InadmissiblePathError,
@@ -256,3 +257,16 @@ def test_sphere_minimum():
     for ang in np.linspace(0, math.pi, 7):
         z = 1.5 * np.array([math.cos(ang), math.sin(ang)])
         assert rate_to_point(sysm, z).value >= val - 1e-10
+
+
+def test_one_flow_pass_per_system(monkeypatch):
+    passes = []
+    build = LinearizedSystem.gramian.func
+    counted = cached_property(lambda self: passes.append(1) or build(self))
+    counted.__set_name__(LinearizedSystem, "gramian")
+    monkeypatch.setattr(LinearizedSystem, "gramian", counted)
+    sysm = linearize("two_d_benchmark", n_cells=100)
+    gram = controllability_gramian(sysm)
+    assert controllability_gramian(sysm).flow is gram.flow
+    rate_to_point(sysm, np.array([0.4, -0.25]))
+    assert passes == [1]
