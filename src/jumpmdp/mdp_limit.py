@@ -76,22 +76,20 @@ class LinearizedSystem:
 
         with A1 and f frozen per cell.  solve_limit_path applies this map and
         the rate solvers invert it.  Built once per system, on the distinct
-        cells only, in blocks small enough to stay in cache.
+        cells only.
         """
         a1 = self.drift_mat[:1] if self.time_invariant else self.drift_mat
-        d = self.dim
         h = self.dt
-        eye = np.eye(d)
+        eye = np.eye(self.dim)
         prop = np.empty(a1.shape)
         src = np.empty(a1.shape)
-        block = max(1, 32768 // d**2)
-        for lo in range(0, a1.shape[0], block):
-            z = h * a1[lo : lo + block]
+        for c in range(a1.shape[0]):
+            z = h * a1[c]
             z2 = z @ z
             z3 = z2 @ z
             s = eye + z / 2.0 + z2 / 6.0 + z3 / 24.0
-            prop[lo : lo + block] = eye + z @ s
-            src[lo : lo + block] = h * s
+            prop[c] = eye + z @ s
+            src[c] = h * s
         shape = self.drift_mat.shape  # read-only; a time-invariant system spreads its one cell
         return np.broadcast_to(prop, shape), np.broadcast_to(src, shape)
 
@@ -99,20 +97,20 @@ class LinearizedSystem:
     def gramian(self) -> tuple[np.ndarray, np.ndarray]:
         """(W, flow): W = sum_c flow[c] B[c] B[c]' flow[c]' dt, flow[c] carrying a
         source in cell c to the horizon by the propagators.  Built once per
-        system; an unstable flow overflows quietly and the callers name it.
+        system.  An unstable flow overflows to inf/NaN; Gramian.check_finite names
+        a non-finite W.
         """
         n, d = self.n_cells, self.dim
         prop, src = self.propagators
         dt = self.dt
         flow = np.empty((n, d, d))
         acc = np.eye(d)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for c in range(n - 1, -1, -1):
-                flow[c] = (acc @ src[c]) / dt
-                acc = acc @ prop[c]
-            b = np.einsum("cij,cjk->cik", flow, self.gain)
-            w = np.einsum("cik,clk->il", b, b) * dt
-            w = 0.5 * (w + w.T)
+        for c in range(n - 1, -1, -1):
+            flow[c] = (acc @ src[c]) / dt
+            acc = acc @ prop[c]
+        b = np.einsum("cij,cjk->cik", flow, self.gain)
+        w = np.einsum("cik,clk->il", b, b) * dt
+        w = 0.5 * (w + w.T)
         w.flags.writeable = flow.flags.writeable = False  # shared by every caller
         return w, flow
 
@@ -184,9 +182,8 @@ def gaussian_covariance(sys: LinearizedSystem) -> np.ndarray:
     s = np.zeros((d, d))
     gain = sys.gain
     for c in range(n):
-        if c == 0 or not sys.time_invariant:
-            a1 = sys.drift_mat[c]
-            q = gain[c] @ gain[c].T
+        a1 = sys.drift_mat[c]
+        q = gain[c] @ gain[c].T
         # every stage m is exactly symmetric, so m @ a1.T is (a1 @ m).T
         s = rk4_step(lambda m: (p := a1 @ m) + p.T + q, s, h)
         s = 0.5 * (s + s.T)

@@ -71,6 +71,14 @@ class Gramian:
     matrix: np.ndarray       # (d, d) symmetric PSD
     flow: np.ndarray         # (n_cells, d, d)
 
+    def check_finite(self) -> None:
+        """Raise ModelError when the flow overflowed and left W non-finite."""
+        if not np.isfinite(self.matrix).all():
+            raise ModelError(
+                f"controllability Gramian is non-finite on n_cells={self.flow.shape[0]} cells: "
+                "the linearized flow overflows; refine the grid"
+            )
+
 
 def rate_of_path(
     sys: LinearizedSystem,
@@ -136,7 +144,9 @@ def rate_to_point(
     value = 0.5 * z' W^+ z with the minimum-energy control
     psi(y, s) = G(s, y)' flow(s)' W^+ z; replaying the control reproduces the
     terminal point whenever z lies in the range of W, otherwise the rate is
-    infinite with the range residual attached.
+    infinite with the range residual attached.  A non-finite W (an overflowed
+    flow) decides no range question: its residual and rate are NaN, and
+    Gramian.check_finite names the failure.
     """
     z = np.asarray(z, dtype=float).ravel()
     if z.shape != (sys.dim,):
@@ -145,11 +155,10 @@ def rate_to_point(
     w = gram.matrix
     wp, _, _ = _psd_pinv(w, pinv_rtol)
     xi = wp @ z
-    with np.errstate(invalid="ignore"):  # a non-finite W fails by name downstream
-        resid = float(np.linalg.norm(w @ xi - z))
+    resid = float(np.linalg.norm(w @ xi - z))
     feasible = resid <= range_tol * (1.0 + float(np.linalg.norm(z)))
     psi = np.einsum("cjk,cij,i->kc", sys.jump_vals, gram.flow, xi)
-    value = 0.5 * float(z @ xi) if feasible else math.inf
+    value = 0.5 * float(z @ xi) if feasible else (math.inf if math.isfinite(resid) else math.nan)
     return RateSolution(value=value, psi=psi, path=solve_limit_path(sys, psi), residual=resid)
 
 
@@ -160,8 +169,11 @@ def sphere_minimum(
 
     For the quadratic form 0.5 z' W^+ z the minimum over the sphere is
     radius^2 / (2 * lambda_max(W)), reached along the top eigenvector; exact
-    via the eigendecomposition, no iterative optimizer involved.
+    via the eigendecomposition, no iterative optimizer involved.  A
+    non-finite W (an overflowed flow) gives NaN at z* = 0.
     """
+    if not np.isfinite(gram.matrix).all():
+        return math.nan, np.zeros(gram.matrix.shape[0])
     vals, vecs = np.linalg.eigh(gram.matrix)
     lam = float(vals[-1])
     if lam <= pinv_rtol * max(lam, 1.0) or lam <= 0.0:

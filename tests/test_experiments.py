@@ -254,6 +254,19 @@ def test_nonfinite_optimal_control_fails_without_warnings(tmp_path, capsys):
     assert err.startswith("FAILED: optimal control psi* is non-finite on 6 of n_cells=64 cells")
 
 
+def test_nonfinite_gramian_is_a_named_error(tmp_path, capsys):
+    # on 64 analysis cells the stiff flow overflows; the rate command names it instead of
+    # writing an infinite sphere rate
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**STIFF, "n_cells_analysis": 64}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["rate", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAILED: controllability Gramian is non-finite on n_cells=64 cells")
+    assert not (tmp_path / "rate_summary.csv").exists()
+
+
 def test_slope_run_creates_one_pool(monkeypatch):
     created = []
 

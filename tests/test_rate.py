@@ -4,7 +4,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from jumpmdp.jump_sde import PathGrid, fluid_limit
+from jumpmdp.jump_sde import ModelError, PathGrid, fluid_limit
 from jumpmdp.mdp_limit import LinearizedSystem, build_linearization, solve_limit_path
 from jumpmdp.models import build_model
 from jumpmdp.rate import (
@@ -270,3 +270,16 @@ def test_one_flow_pass_per_system(monkeypatch):
     assert controllability_gramian(sysm).flow is gram.flow
     rate_to_point(sysm, np.array([0.4, -0.25]))
     assert passes == [1]
+
+
+def test_overflowed_gramian_is_not_out_of_range():
+    # the stiff flow overflows on 64 cells: W is non-finite, so the rates are NaN, not inf
+    sysm = linearize("linear_gaussian", {"rate": -3000.0, "gain": 3000.0, "x0": 1.0}, n_cells=64)
+    with np.errstate(all="ignore"):
+        sol = rate_to_point(sysm, np.array([1.0]))
+    assert math.isnan(sol.value) and math.isnan(sol.residual)
+    gram = controllability_gramian(sysm)
+    assert math.isnan(sphere_minimum(gram, 1.0)[0])
+    with pytest.raises(ModelError, match="Gramian is non-finite on n_cells=64 cells"):
+        gram.check_finite()
+    controllability_gramian(linearize("linear_gaussian")).check_finite()
