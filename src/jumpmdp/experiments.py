@@ -225,11 +225,15 @@ class _Engine:
                     ControlField(-clipped, self.model.horizon, a),
                 ))
 
-    def terminal_batch(self, slot: int, eps_idx: int, epsilon: float, lo: int, hi: int) -> np.ndarray:
-        """X(T) for replications lo..hi-1 on streams (seed, slot, eps_idx, r)."""
+    def paths_batch(self, slot: int, eps_idx: int, epsilon: float, lo: int, hi: int) -> np.ndarray:
+        """Grid paths (B, n_cells + 1, d) of replications lo..hi-1 on streams (seed, slot, eps_idx, r)."""
         rngs = [substream(self.cfg.seed, slot, eps_idx, r) for r in range(lo, hi)]
         events = sample_poisson_batch(self.model.measure, 1.0 / epsilon, self.model.horizon, rngs)
-        return simulate_jump_paths(self.model, epsilon, events, self.cfg.n_cells)[:, -1]
+        return simulate_jump_paths(self.model, epsilon, events, self.cfg.n_cells)
+
+    def terminal_batch(self, slot: int, eps_idx: int, epsilon: float, lo: int, hi: int) -> np.ndarray:
+        """X(T) of paths_batch."""
+        return self.paths_batch(slot, eps_idx, epsilon, lo, hi)[:, -1]
 
     def is_batch(self, eps_idx: int, lo: int, hi: int) -> np.ndarray:
         """Importance-sampling weights 1{|Y(T)|>=c} dP/dQ for the tilt mixture."""
@@ -318,11 +322,13 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     d = model.dim
     stats: dict[float, np.ndarray] = {}
     rows = []
+    dumped = min(5, cfg.replications) if out_dir and cfg.dump_paths else 0
     with _monte_carlo(cfg) as collect:
         terminals = [
             collect("terminal_batch", (SLOT_SIM, eps_idx, eps), cfg.replications)
             for eps_idx, eps in enumerate(cfg.eps_grid)
         ]
+        paths = [collect("paths_batch", (SLOT_SIM, i, eps), dumped) for i, eps in enumerate(cfg.eps_grid) if dumped]
     for eps, xt in zip(cfg.eps_grid, terminals):
         a = cfg.a_eps(eps)
         data = np.empty((xt.shape[0], 2 * d))
@@ -341,14 +347,12 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             fh.write("epsilon,a_eps,component,x_mean,x_std,y_mean,y_std\n")
             for eps, a, comp, xm, xs, ym, ys in rows:
                 fh.write(f"{eps!r},{a!r},{comp},{xm!r},{xs!r},{ym!r},{ys!r}\n")
-        if cfg.dump_paths:
+        if paths:
             pdir = os.path.join(out_dir, "paths")
             os.makedirs(pdir, exist_ok=True)
             grid = np.linspace(0.0, model.horizon, cfg.n_cells + 1)
-            for eps_idx, eps in enumerate(cfg.eps_grid):
-                rngs = [substream(cfg.seed, SLOT_SIM, eps_idx, r) for r in range(min(5, cfg.replications))]
-                events = sample_poisson_batch(model.measure, 1.0 / eps, model.horizon, rngs)
-                for r, values in enumerate(simulate_jump_paths(model, eps, events, cfg.n_cells)):
+            for eps_idx, batch in enumerate(paths):
+                for r, values in enumerate(batch):
                     PathGrid(grid, values).to_csv(os.path.join(pdir, f"eps{eps_idx}_rep{r}.csv"))
     return stats
 

@@ -187,17 +187,16 @@ def rk4_step(f: Callable, x: np.ndarray, h: float | np.ndarray) -> np.ndarray:
 
 
 def _event_schedule(grid: np.ndarray, events: EventBatch) -> tuple[np.ndarray, ...]:
-    """Per-step arrays (h, cell, record, atom), each of shape (B, L).
+    """Per-step arrays (h, record, atom), each of shape (B, L).
 
     Row b merges the grid times grid[1:] with the event times of row b of
     the batch into one breakpoint sequence.  Step p of a row advances
-    the state by h inside cell `cell` (the cell ending at grid[cell]), then
-    stores the state as grid value `record` (or -1), then applies a jump with
-    atom `atom` (or -1).  An event on a grid time follows the grid step, with
-    h = 0, so the grid value is the left limit; an event at T comes after
-    the last record.  h is the difference of consecutive breakpoints.  Rows
-    are padded to a common length L with h = 0 steps that neither record
-    nor jump.
+    the state by h, then stores the state as grid value `record` (or -1),
+    then applies a jump with atom `atom` (or -1).  An event on a grid time
+    follows the grid step, with h = 0, so the grid value is the left limit;
+    an event at T comes after the last record.  h is the difference of
+    consecutive breakpoints.  Rows are padded to a common length L with
+    h = 0 steps that neither record nor jump.
     """
     n = grid.size - 1
     times, atoms, offsets = events.times, events.atoms, events.offsets
@@ -218,14 +217,51 @@ def _event_schedule(grid: np.ndarray, events: EventBatch) -> tuple[np.ndarray, .
     breaks[rows, grid_pos] = grid[1:]
     breaks[ev_row, ev_pos] = times
     h = np.diff(breaks, axis=1, prepend=0.0)
-    cell = np.full((b, length), n)
-    cell[rows, grid_pos] = np.arange(1, n + 1)
-    cell[ev_row, ev_pos] = np.searchsorted(grid, times, side="left")
     record = np.full((b, length), -1)
     record[rows, grid_pos] = np.arange(1, n + 1)
     atom = np.full((b, length), -1)
     atom[ev_row, ev_pos] = atoms
-    return h, cell, record, atom
+    return h, record, atom
+
+
+def _integrate(
+    drift: Callable, jump: Callable, x0: np.ndarray, grid: np.ndarray, epsilon: float, events: EventBatch
+) -> np.ndarray:
+    """The event-exact loop of simulate_jump_paths, for any state size D.
+
+    drift(x) -> (B, D) and jump(x) -> (B, D, n_atoms) take a (B, D) batch of
+    states, each row starting at x0.  Returns the (B, n_cells + 1, D) grid
+    states; a non-finite one raises ModelError.
+    """
+    h, record, atom = _event_schedule(grid, events)
+    b, length = h.shape
+    n_cells, dim = grid.size - 1, x0.size
+    rows = np.arange(b)
+    # step-major copies: the loop reads one column per step
+    h_steps = np.ascontiguousarray(h.T)[:, :, None]
+    moving, jumping = h_steps > 0, np.ascontiguousarray(atom.T)[:, :, None] >= 0
+    atom_steps = np.maximum(atom.T, 0)
+    all_moving = moving.all(axis=(1, 2)).tolist()
+    any_jump = jumping.any(axis=(1, 2)).tolist()
+    states = np.empty((b, length, dim))  # after each step's advance
+    x = np.tile(x0, (b, 1))
+    for p in range(length):
+        stepped = rk4_step(drift, x, h_steps[p])
+        x = stepped if all_moving[p] else np.where(moving[p], stepped, x)
+        states[:, p] = x
+        if any_jump[p]:
+            kicked = x + epsilon * jump(x)[rows, :, atom_steps[p]]
+            x = np.where(jumping[p], kicked, x)
+    out = np.empty((b, n_cells + 1, dim))
+    out[:, 0] = x0
+    # each row records grid values 1..n in step order
+    out[:, 1:] = states[record >= 0].reshape(b, n_cells, dim)
+    finite = np.isfinite(out).all(axis=2)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        first = int(np.argmin(finite[row]))
+        raise ModelError(f"jump path blew up at t={float(grid[first])!r} (eps={epsilon!r})")
+    return out
 
 
 def simulate_jump_paths(
@@ -253,35 +289,7 @@ def simulate_jump_paths(
     if events.times.size and events.times.max() > model.horizon:
         raise ModelError("event times outside [0, horizon]")
     grid = np.linspace(0.0, model.horizon, n_cells + 1)
-    h, _, record, atom = _event_schedule(grid, events)
-    b, length = h.shape
-    rows = np.arange(b)
-    # step-major copies: the loop reads one column per step
-    h_steps = np.ascontiguousarray(h.T)[:, :, None]
-    moving, jumping = h_steps > 0, np.ascontiguousarray(atom.T)[:, :, None] >= 0
-    atom_steps = np.maximum(atom.T, 0)
-    all_moving = moving.all(axis=(1, 2)).tolist()
-    any_jump = jumping.any(axis=(1, 2)).tolist()
-    drift, jump = model.drift, model.jump
-    states = np.empty((b, length, model.dim))  # after each step's advance
-    x = np.tile(model.x0, (b, 1))
-    for p in range(length):
-        stepped = rk4_step(drift, x, h_steps[p])
-        x = stepped if all_moving[p] else np.where(moving[p], stepped, x)
-        states[:, p] = x
-        if any_jump[p]:
-            kicked = x + epsilon * jump(x)[rows, :, atom_steps[p]]
-            x = np.where(jumping[p], kicked, x)
-    out = np.empty((b, n_cells + 1, model.dim))
-    out[:, 0] = model.x0
-    # each row records grid values 1..n in step order
-    out[:, 1:] = states[record >= 0].reshape(b, n_cells, model.dim)
-    finite = np.isfinite(out).all(axis=2)
-    if not finite.all():
-        row = int(np.argmin(finite.all(axis=1)))
-        first = int(np.argmin(finite[row]))
-        raise ModelError(f"jump path blew up at t={float(grid[first])!r} (eps={epsilon!r})")
-    return out
+    return _integrate(model.drift, model.jump, model.x0, grid, epsilon, events)
 
 
 def simulate_jump_path(

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jump_sde import ModelError, ModelSpec, PathGrid, _event_schedule, rk4_step
+from .jump_sde import ModelError, ModelSpec, PathGrid, _integrate, rk4_step
 from .mark_space import MarkMeasure
 from .prm import ControlField, sample_controlled_measure
 
@@ -231,74 +231,56 @@ def decompose_controlled_path(
 ) -> FluctuationParts:
     """Simulate a tilted path and split its fluctuation into named terms.
 
-    The controlled state, the fluid path and every time integral are advanced
-    jointly by one RK4 pass over shared breakpoints (grid cells and event
-    times, in the step order of simulate_jump_path's schedule), so the five terms
-    cancel algebraically against the fluctuation.
+    One run of jump_sde's event-exact loop advances an augmented state on the
+    tilted events: the controlled state xbar, the fluid path x0, the per-atom
+    integrals Ibar = int G(xbar) ds and I0 = int G(x0) ds, and the jump sum
+    J = eps * sum G(xbar-).  The control is constant on each cell, so its
+    integrals against G are cumulative sums of the per-cell increments of
+    Ibar and I0, and the five terms cancel algebraically against the
+    fluctuation.
     """
     if abs(ctrl.horizon - model.horizon) > 1e-12 * max(1.0, model.horizon):
         raise ModelError("control horizon does not match the model horizon")
-    theta = 1.0 / epsilon
-    events = sample_controlled_measure(model.measure, theta, ctrl, seed)
-    w = model.measure.weights
-    a = ctrl.a_eps
-    psi = ctrl.psi
-    d = model.dim
-    n = ctrl.n_cells
+    events = sample_controlled_measure(model.measure, 1.0 / epsilon, ctrl, seed)
+    w, a, n = model.measure.weights, ctrl.a_eps, ctrl.n_cells
+    d, k = model.dim, model.measure.n_atoms
     grid = np.linspace(0.0, model.horizon, n + 1)
+    # state columns: xbar, x0, Ibar (d x k), I0 (d x k), J
+    cuts = np.cumsum([d, d, d * k, d * k])
 
-    def rhs(z, psi_cell):
-        xbar, x0v = z[0], z[1]
-        gm_bar = model.jump(xbar)
-        gm_0 = model.jump(x0v)
-        out = np.empty_like(z)
-        out[0] = model.drift(xbar)
-        out[2] = gm_0 @ w
-        out[1] = model.drift(x0v) + out[2]
-        out[3] = gm_bar @ w
-        out[4] = gm_bar @ (psi_cell * w)
-        out[5] = gm_0 @ (psi_cell * w)
+    def drift(z):
+        xbar, x0v = z[:, :d], z[:, d:2 * d]
+        g_bar, g_0 = model.jump(xbar), model.jump(x0v)
+        return np.concatenate([
+            model.drift(xbar), model.drift(x0v) + g_0 @ w,
+            g_bar.reshape(len(z), -1), g_0.reshape(len(z), -1), np.zeros((len(z), d)),
+        ], axis=1)
+
+    def jump(z):
+        g = model.jump(z[:, :d])
+        out = np.zeros(z.shape + (k,))
+        out[:, :d] = out[:, cuts[-1]:] = g
         return out
 
-    # state rows: xbar, x0, P (fluid jump mean), Sbar, Ebar, C0
-    z = np.zeros((6, d))
-    z[0] = model.x0
-    z[1] = model.x0
-    jumpsum = np.zeros(d)
+    z0 = np.concatenate([model.x0, model.x0, np.zeros(cuts[-1] - d)])
+    states = _integrate(drift, jump, z0, grid, epsilon, events)[0]
+    xbar, x0v, ibar, i0, jsum = np.split(states, cuts, axis=1)
+    ibar, i0 = ibar.reshape(n + 1, d, k), i0.reshape(n + 1, d, k)
+    psi_w = ctrl.psi * w[:, None]
 
-    rec = {
-        name: np.zeros((n + 1, d))
-        for name in ("y", "drift", "mart", "coeff", "coup", "force")
-    }
+    def psi_integral(acc):
+        steps = np.einsum("cik,kc->ci", np.diff(acc, axis=0), psi_w)
+        return np.concatenate([np.zeros((1, d)), np.cumsum(steps, axis=0)])
 
-    def record(i):
-        xbar, x0v, p_acc, sbar, ebar, c0 = z
-        k_acc = x0v - model.x0
-        dbar = xbar - model.x0 - epsilon * jumpsum
-        rec["y"][i] = (xbar - x0v) / a
-        rec["drift"][i] = (dbar - (k_acc - p_acc)) / a
-        rec["mart"][i] = (epsilon * jumpsum - (sbar + a * ebar)) / a
-        rec["coeff"][i] = (sbar - p_acc) / a
-        rec["coup"][i] = ebar - c0
-        rec["force"][i] = c0
-
-    for h, cell, i, atom in zip(*(col[0].tolist() for col in _event_schedule(grid, events))):
-        if h > 0:
-            psi_cell = psi[:, cell - 1]
-            z = rk4_step(lambda v: rhs(v, psi_cell), z, h)
-        if i >= 0:
-            record(i)
-        if atom >= 0:
-            g = model.jump(z[0])[:, atom]
-            jumpsum = jumpsum + g
-            z[0] = z[0] + epsilon * g
-
-    mk = lambda key: PathGrid(grid, rec[key])
+    p_acc, sbar = i0 @ w, ibar @ w
+    ebar, c0 = psi_integral(ibar), psi_integral(i0)
+    dbar = xbar - model.x0 - jsum
+    mk = lambda values: PathGrid(grid, values)
     return FluctuationParts(
-        fluctuation=mk("y"),
-        drift_gap=mk("drift"),
-        martingale=mk("mart"),
-        coefficient_gap=mk("coeff"),
-        coupling=mk("coup"),
-        forcing=mk("force"),
+        fluctuation=mk((xbar - x0v) / a),
+        drift_gap=mk((dbar - (x0v - model.x0 - p_acc)) / a),
+        martingale=mk((jsum - (sbar + a * ebar)) / a),
+        coefficient_gap=mk((sbar - p_acc) / a),
+        coupling=mk(ebar - c0),
+        forcing=mk(c0),
     )

@@ -124,13 +124,13 @@ def controllability_gramian(sys: LinearizedSystem) -> Gramian:
     return Gramian(matrix=matrix, flow=flow)
 
 
-def _psd_pinv(w: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _psd_pinv(w: np.ndarray, rtol: float) -> np.ndarray:
     vals, vecs = np.linalg.eigh(w)
     cut = rtol * max(float(vals[-1]), 0.0)
     pos = vals > cut
     inv = np.zeros_like(vals)
     inv[pos] = 1.0 / vals[pos]
-    return vecs @ np.diag(inv) @ vecs.T, vals, vecs
+    return vecs @ np.diag(inv) @ vecs.T
 
 
 def rate_to_point(
@@ -153,7 +153,7 @@ def rate_to_point(
         raise ModelError(f"z must have shape ({sys.dim},)")
     gram = controllability_gramian(sys)
     w = gram.matrix
-    wp, _, _ = _psd_pinv(w, pinv_rtol)
+    wp = _psd_pinv(w, pinv_rtol)
     xi = wp @ z
     resid = float(np.linalg.norm(w @ xi - z))
     feasible = resid <= range_tol * (1.0 + float(np.linalg.norm(z)))

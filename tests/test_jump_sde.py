@@ -158,23 +158,23 @@ def test_event_schedule_order_and_left_limits():
     events = PointRealization(np.array([0.1, 0.2, 0.5, 1.0]), np.arange(4), 1.0)
     calls = []
     schedule = _event_schedule(grid, events)
-    for h, cell, record, atom in zip(*(col[0].tolist() for col in schedule)):
+    for h, record, atom in zip(*(col[0].tolist() for col in schedule)):
         if h > 0:
-            calls.append(("advance", cell, round(h, 12)))
+            calls.append(("advance", round(h, 12)))
         if record >= 0:
             calls.append(("record", record))
         if atom >= 0:
             calls.append(("jump", atom))
     assert calls == [
-        ("advance", 1, 0.1), ("jump", 0),
-        ("advance", 1, 0.1), ("jump", 1),
-        ("advance", 1, 0.05), ("record", 1),
-        ("advance", 2, 0.25), ("record", 2), ("jump", 2),
-        ("advance", 3, 0.25), ("record", 3),
-        ("advance", 4, 0.25), ("record", 4), ("jump", 3),
+        ("advance", 0.1), ("jump", 0),
+        ("advance", 0.1), ("jump", 1),
+        ("advance", 0.05), ("record", 1),
+        ("advance", 0.25), ("record", 2), ("jump", 2),
+        ("advance", 0.25), ("record", 3),
+        ("advance", 0.25), ("record", 4), ("jump", 3),
     ]
     # in a batch, the shorter row is padded with steps that do nothing
-    h, _, record, atom = _event_schedule(grid, EventBatch.stack([events, events_at([])]))
+    h, record, atom = _event_schedule(grid, EventBatch.stack([events, events_at([])]))
     assert h.shape == (2, 8)
     assert np.array_equal(h[0], np.diff([0.0, 0.1, 0.2, 0.25, 0.5, 0.5, 0.75, 1.0, 1.0]))
     assert h[1].tolist()[4:] == [0.0] * 4 and record[1].tolist() == [1, 2, 3, 4, -1, -1, -1, -1]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jumpmdp.jump_sde import fluid_limit, rk4_step
+from jumpmdp.jump_sde import ModelError, fluid_limit, rk4_step
 from jumpmdp.mark_space import MarkMeasure
 from jumpmdp.mdp_limit import (
     build_linearization,
@@ -12,7 +12,7 @@ from jumpmdp.mdp_limit import (
     solve_limit_path,
 )
 from jumpmdp.models import build_model
-from jumpmdp.prm import ControlField, tilt_cost, truncated_tilt
+from jumpmdp.prm import ControlField, sample_controlled_measure, tilt_cost, truncated_tilt
 from jumpmdp.spde_pollutant import assemble_model, build_eigensystem, params_from_dict
 
 
@@ -217,6 +217,109 @@ def test_decomposition_reconstructs_exactly():
         parts = decompose_controlled_path(model, 0.1, ctrl, seed=seed)
         assert parts.reconstruction_gap() < 1e-12
     assert tilt_cost(ctrl, model.measure) > 0
+
+
+def reference_decomposition(model, epsilon, ctrl, seed):
+    # the per-step replay loop the decomposition ran before it moved onto the
+    # shared integrator: psi of the current cell inside the RK4 state
+    events = sample_controlled_measure(model.measure, 1.0 / epsilon, ctrl, seed)
+    w, a, psi, d, n = model.measure.weights, ctrl.a_eps, ctrl.psi, model.dim, ctrl.n_cells
+    grid = np.linspace(0.0, model.horizon, n + 1)
+
+    def rhs(z, psi_cell):
+        xbar, x0v = z[0], z[1]
+        gm_bar, gm_0 = model.jump(xbar), model.jump(x0v)
+        out = np.empty_like(z)
+        out[0] = model.drift(xbar)
+        out[2] = gm_0 @ w
+        out[1] = model.drift(x0v) + out[2]
+        out[3] = gm_bar @ w
+        out[4] = gm_bar @ (psi_cell * w)
+        out[5] = gm_0 @ (psi_cell * w)
+        return out
+
+    # rows: xbar, x0, P, Sbar, Ebar, C0; an event on a grid time follows the grid step
+    z = np.zeros((6, d))
+    z[0] = z[1] = model.x0
+    jumpsum = np.zeros(d)
+    rec = np.zeros((6, n + 1, d))
+    breaks = sorted([(float(t), 0, i) for i, t in enumerate(grid[1:], 1)]
+                    + [(float(t), 1, int(k)) for t, k in zip(events.times, events.atoms)])
+    t_prev = 0.0
+    for t, is_event, label in breaks:
+        h, t_prev = t - t_prev, t
+        if h > 0:
+            psi_cell = psi[:, int(np.searchsorted(grid, t, side="left")) - 1]
+            z = rk4_step(lambda v: rhs(v, psi_cell), z, h)
+        if not is_event:
+            xbar, x0v, p_acc, sbar, ebar, c0 = z
+            dbar = xbar - model.x0 - epsilon * jumpsum
+            rec[:, label] = [
+                (xbar - x0v) / a,
+                (dbar - (x0v - model.x0 - p_acc)) / a,
+                (epsilon * jumpsum - (sbar + a * ebar)) / a,
+                (sbar - p_acc) / a,
+                ebar - c0,
+                c0,
+            ]
+        else:
+            g = model.jump(z[0])[:, label]
+            jumpsum = jumpsum + g
+            z[0] = z[0] + epsilon * g
+    return rec
+
+
+PART_NAMES = ("fluctuation", "drift_gap", "martingale", "coefficient_gap", "coupling", "forcing")
+
+
+def tanh_pollutant_model():
+    # a state-dependent jump kernel, so the coupling term is not identically zero
+    params = params_from_dict({
+        "d_space": 1, "velocity": [2.0], "max_mode": 3,
+        "atoms": [[0.3, 1.0, 0.6], [0.7, 2.0, 0.4]],
+        "jump_kernel": {"kind": "tanh", "intercept": 1.0, "amplitude": 0.5, "slope": [0.7]},
+        "probes": [[[[0], 1.0], [[1], 0.5]]],
+    })
+    return assemble_model(params, build_eigensystem(params))
+
+
+@pytest.mark.parametrize("name", ["two_d_benchmark", "pollutant-2d", "pollutant-tanh"])
+def test_decomposition_terms_match_the_step_loop(name):
+    # the five terms sum to the fluctuation for any accumulator values, so
+    # each term is checked on its own against the per-step loop
+    model = {"pollutant-2d": pollutant_2d_model, "pollutant-tanh": tanh_pollutant_model}.get(
+        name, lambda: build_model(name))()
+    eps = 0.1
+    psi = np.random.default_rng(5).normal(size=(model.measure.n_atoms, 48))
+    ctrl = truncated_tilt(psi, model.horizon, eps**0.25, 1.0)
+    for seed in range(3):
+        parts = decompose_controlled_path(model, eps, ctrl, seed=seed)
+        ref = reference_decomposition(model, eps, ctrl, seed)
+        for key, want in zip(PART_NAMES, ref):
+            got = getattr(parts, key).values
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (key, seed)
+        if name != "pollutant-2d":
+            assert np.max(np.abs(ref[4])) > 0  # coupling is live
+
+
+def test_decomposition_closed_forms_for_constant_control():
+    # scalar_benchmark's jump coefficient is the mark, the same at xbar and x0:
+    # no coefficient gap, no coupling, and the forcing is psi * w * t
+    model = build_model("scalar_benchmark", {"x0": 1.0})
+    ctrl = ControlField(np.full((1, 32), 0.4), 1.0, 0.2**0.25)
+    for seed in range(3):
+        parts = decompose_controlled_path(model, 0.2, ctrl, seed=seed)
+        assert np.all(parts.coefficient_gap.values == 0.0)
+        assert np.all(parts.coupling.values == 0.0)
+        assert np.max(np.abs(parts.forcing.values[:, 0] - 0.4 * parts.forcing.times)) < 1e-14
+        assert np.max(np.abs(parts.martingale.values)) > 0
+
+
+def test_decomposition_blow_up_is_a_named_error():
+    model = build_model("linear_gaussian", {"rate": -3000.0, "gain": 3000.0, "x0": 1.0})
+    ctrl = ControlField(np.zeros((1, 64)), model.horizon, 0.5)
+    with np.errstate(all="ignore"), pytest.raises(ModelError, match=r"jump path blew up at t=.* \(eps=0\.1\)"):
+        decompose_controlled_path(model, 0.1, ctrl, seed=0)
 
 
 def test_martingale_term_shrinks():
