@@ -94,25 +94,29 @@ class LinearizedSystem:
         return np.broadcast_to(prop, shape), np.broadcast_to(src, shape)
 
     @cached_property
-    def gramian(self) -> tuple[np.ndarray, np.ndarray]:
-        """(W, flow): W = sum_c flow[c] B[c] B[c]' flow[c]' dt, flow[c] carrying a
-        source in cell c to the horizon by the propagators.  Built once per
-        system.  An unstable flow overflows to inf/NaN; Gramian.check_finite names
-        a non-finite W.
+    def gramian(self) -> np.ndarray:
+        """W = sum_c flow[c] B[c] B[c]' flow[c]' dt, where
+        flow[c] = R[n-1] ... R[c+1] (dt S[c]) / dt carries a source in cell c to
+        the horizon by the propagators.
+
+        One backward pass adds each cell's term into W as it goes and keeps no
+        per-cell array.  Built once per system.  An unstable flow overflows to
+        inf/NaN; Gramian.check_finite names a non-finite W.
         """
-        n, d = self.n_cells, self.dim
+        d = self.dim
         prop, src = self.propagators
         dt = self.dt
-        flow = np.empty((n, d, d))
+        sqrt_w = np.sqrt(self.measure.weights)
+        w = np.zeros((d, d))
         acc = np.eye(d)
-        for c in range(n - 1, -1, -1):
-            flow[c] = (acc @ src[c]) / dt
+        for c in range(self.n_cells - 1, -1, -1):
+            b = ((acc @ src[c]) / dt) @ (self.jump_vals[c] * sqrt_w)
+            w += b @ b.T
             acc = acc @ prop[c]
-        b = np.einsum("cij,cjk->cik", flow, self.gain)
-        w = np.einsum("cik,clk->il", b, b) * dt
+        w *= dt
         w = 0.5 * (w + w.T)
-        w.flags.writeable = flow.flags.writeable = False  # shared by every caller
-        return w, flow
+        w.flags.writeable = False  # shared by every caller
+        return w
 
     def forcing_from_psi(self, psi: np.ndarray) -> np.ndarray:
         """Cellwise integral of psi(y, s) G(x0(s), y) against the marks."""

@@ -61,21 +61,22 @@ class RateSolution:
 
 @dataclass(frozen=True)
 class Gramian:
-    """Controllability Gramian W with its per-cell transition representatives.
+    """Controllability Gramian W of the discrete controlled flow.
 
-    By construction W = sum_c flow[c] @ gain[c] @ gain[c].T @ flow[c].T * dt,
-    where flow[c] is the discrete state-transition factor from cell c to the
-    horizon (the RK4-consistent analogue of Phi(T, s)).
+    W = sum_c flow[c] @ gain[c] @ gain[c].T @ flow[c].T * dt, where flow[c] is
+    the discrete state-transition factor from cell c to the horizon (the
+    RK4-consistent analogue of Phi(T, s)).  The flow itself is never stored:
+    LinearizedSystem.gramian adds each cell's term in one backward pass.
     """
 
     matrix: np.ndarray       # (d, d) symmetric PSD
-    flow: np.ndarray         # (n_cells, d, d)
+    n_cells: int
 
     def check_finite(self) -> None:
         """Raise ModelError when the flow overflowed and left W non-finite."""
         if not np.isfinite(self.matrix).all():
             raise ModelError(
-                f"controllability Gramian is non-finite on n_cells={self.flow.shape[0]} cells: "
+                f"controllability Gramian is non-finite on n_cells={self.n_cells} cells: "
                 "the linearized flow overflows; refine the grid"
             )
 
@@ -120,8 +121,7 @@ def rate_of_path(
 def controllability_gramian(sys: LinearizedSystem) -> Gramian:
     """Gramian of the discrete controlled flow, exact for the cell solvers;
     its flow pass (LinearizedSystem.gramian) runs once per system."""
-    matrix, flow = sys.gramian
-    return Gramian(matrix=matrix, flow=flow)
+    return Gramian(matrix=sys.gramian, n_cells=sys.n_cells)
 
 
 def _psd_pinv(w: np.ndarray, rtol: float) -> np.ndarray:
@@ -144,21 +144,30 @@ def rate_to_point(
     value = 0.5 * z' W^+ z with the minimum-energy control
     psi(y, s) = G(s, y)' flow(s)' W^+ z; replaying the control reproduces the
     terminal point whenever z lies in the range of W, otherwise the rate is
-    infinite with the range residual attached.  A non-finite W (an overflowed
-    flow) decides no range question: its residual and rate are NaN, and
+    infinite with the range residual attached.  flow(s)' W^+ z comes from a
+    second backward pass over one d-vector, v <- R[c]' v from v = W^+ z, so
+    no per-cell matrix is formed.  A non-finite W (an overflowed flow)
+    decides no range question: its psi, residual and rate are NaN, and
     Gramian.check_finite names the failure.
     """
     z = np.asarray(z, dtype=float).ravel()
     if z.shape != (sys.dim,):
         raise ModelError(f"z must have shape ({sys.dim},)")
-    gram = controllability_gramian(sys)
-    w = gram.matrix
-    wp = _psd_pinv(w, pinv_rtol)
-    xi = wp @ z
+    w = controllability_gramian(sys).matrix
+    if not np.isfinite(w).all():
+        psi = np.full((sys.measure.n_atoms, sys.n_cells), math.nan)
+        return RateSolution(value=math.nan, psi=psi, path=solve_limit_path(sys, psi), residual=math.nan)
+    xi = _psd_pinv(w, pinv_rtol) @ z
     resid = float(np.linalg.norm(w @ xi - z))
     feasible = resid <= range_tol * (1.0 + float(np.linalg.norm(z)))
-    psi = np.einsum("cjk,cij,i->kc", sys.jump_vals, gram.flow, xi)
-    value = 0.5 * float(z @ xi) if feasible else (math.inf if math.isfinite(resid) else math.nan)
+    prop, src = sys.propagators
+    pulled = np.empty((sys.n_cells, sys.dim))  # row c: dt flow[c]' W^+ z
+    v = xi
+    for c in range(sys.n_cells - 1, -1, -1):
+        pulled[c] = src[c].T @ v
+        v = prop[c].T @ v
+    psi = np.einsum("cjk,cj->kc", sys.jump_vals, pulled) / sys.dt
+    value = 0.5 * float(z @ xi) if feasible else math.inf
     return RateSolution(value=value, psi=psi, path=solve_limit_path(sys, psi), residual=resid)
 
 

@@ -20,12 +20,13 @@ with the drift-free limit c -> 0 taken analytically: phi_0 = sqrt(1/side)
 and phi_j = sqrt(2/side) * cos(j pi x / side) (the sine phase tends to
 -pi/2; the sign flip is immaterial).  Each phi_j * rho0 is then a sum of at
 most two exponentials e^{z x}, so the injection-ball averages of the modes
-have a closed form (see ball_average_coefficients).
+reduce to one-dimensional integrals (see ball_average_coefficients).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -146,7 +147,8 @@ def _mapping_from_pairs(block: str, pairs) -> dict:
 
 # keys of the pollutant config block: the model parameters read below, then
 # the convergence-study settings the pollutant command reads.  ball_points is
-# accepted and ignored: the ball averages are exact, with nothing to resolve.
+# accepted and ignored: the ball averages are exact to round-off on a rule
+# sized per mode, with nothing to resolve.
 CONFIG_KEYS = (
     "d_space", "side", "diffusivity", "velocity", "decay", "radius", "max_mode",
     "atoms", "horizon", "jump_kernel", "drift_kernels", "probes", "outputs", "x0",
@@ -407,19 +409,44 @@ def _coeff_vector(sys: EigenSystem, mapping: Mapping) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _polar_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(theta) at n Gauss-Legendre nodes on [0, pi], with weights
+    proportional to sin^d(theta) that sum to one: the law of the first
+    coordinate of a uniform point in the unit ball of R^d."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    theta = 0.5 * math.pi * (x + 1.0)
+    w = w * np.sin(theta) ** d
+    cos, w = np.cos(theta), w / w.sum()
+    cos.flags.writeable = w.flags.writeable = False  # cached: shared by every call
+    return cos, w
+
+
+def _ball_mean(d: int, alpha: complex) -> complex:
+    """Mean of e^{alpha u_1} over the unit ball of R^d, which is
+    0F1(; d/2 + 1; alpha^2 / 4), on a rule with floor(|alpha|) + 30 nodes.
+
+    The sum is scaled by e^{-|Re alpha|}, so only the scale e^{|Re alpha|} can
+    overflow; it is taken first and raises OverflowError instead of warning.
+    """
+    shift = abs(alpha.real)
+    scale = math.exp(shift)
+    cos, w = _polar_rule(d, math.floor(abs(alpha)) + 30)
+    return scale * complex((w * np.exp(alpha * cos - shift)).sum())
+
+
 def ball_average_coefficients(sys: EigenSystem, site: np.ndarray, radius: float) -> np.ndarray:
     """Weighted ball averages |B|^{-1} * int_{|z-site|<=radius} phi_j rho0 dz.
 
-    In closed form: phi_j * rho0 is a sum of exponentials coef * e^{z.x}
-    with complex z (the product over the axes of _Axis.terms), and the mean
-    of e^{z.x} over the ball B(site, r) in R^d is
-    e^{z.site} * 0F1(; d/2 + 1; r^2 (z.z) / 4), entire in z (DLMF 10.25,
-    16.2).  Each mode is evaluated on its own in scalar arithmetic, so a
-    mode's coefficient does not depend on which other modes are retained.
-    A non-finite value raises PollutantError.
+    phi_j * rho0 is a sum of exponentials coef * e^{z.x} with complex z (the
+    product over the axes of _Axis.terms), and the mean of e^{z.x} over the
+    ball B(site, r) in R^d is e^{z.site} times
+    int_0^pi e^{alpha cos t} sin^d t dt / int_0^pi sin^d t dt,
+    alpha = r sqrt(z.z), the 1-D marginal of the uniform ball (_ball_mean).
+    Each mode is evaluated on its own, on a Gauss rule sized by its own alpha,
+    so a mode's coefficient does not depend on which other modes are
+    retained.  A non-finite value raises PollutantError.
     """
-    from scipy.special import hyp0f1  # imported on use: it is slow to load, and only this needs it
-
     site = np.asarray(site, dtype=float).ravel()
     d = len(sys.axes)
     if site.shape != (d,):
@@ -431,8 +458,8 @@ def ball_average_coefficients(sys: EigenSystem, site: np.ndarray, radius: float)
             for combo in itertools.product(*(ax.terms(j) for ax, j in zip(sys.axes, mode))):
                 coef = math.prod(c for c, _ in combo)
                 zs = sum(z * x for (_, z), x in zip(combo, site))
-                zz = sum(z * z for _, z in combo)
-                total += coef * cmath.exp(zs) * hyp0f1(d / 2.0 + 1.0, radius * radius * zz / 4.0)
+                alpha = radius * cmath.sqrt(sum(z * z for _, z in combo))
+                total += coef * cmath.exp(zs) * _ball_mean(d, alpha)
         except OverflowError:  # cmath.exp or math.exp beyond the float range
             total = complex(math.nan)
         out[n] = total.real
@@ -448,7 +475,7 @@ def assemble_model(params: PollutantParams, sys: EigenSystem | None = None) -> M
     sum_i K_i(probe values) * output_i.  Jump for a mark (x, a): the vector
     a * K0(probe values) * ball_average(x), one column per atom of the mark
     measure.  Jacobians follow from the kernel gradients.  Ball averages are
-    computed once per atom, in closed form.
+    computed once per atom, exact to round-off.
     """
     sys = build_eigensystem(params) if sys is None else sys
     n_modes = sys.n_modes

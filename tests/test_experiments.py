@@ -227,9 +227,9 @@ def test_nonfinite_paths_fail_in_both_estimators():
             engine.terminal_batch(experiments.SLOT_PLAIN, 0, 0.2, 0, 5)
         with pytest.raises(ModelError, match="blew up at t="):
             engine.is_batch(0, 0, 5)
-        # the same overflow in the linearized flow makes psi* non-finite,
-        # which the slope run reports before any Monte Carlo
-        with pytest.raises(ModelError, match="psi\\* is non-finite on 6 of n_cells=64 cells"):
+        # the same overflow in the linearized flow leaves W non-finite, so psi* is NaN
+        # on every cell, which the slope run reports before any Monte Carlo
+        with pytest.raises(ModelError, match="psi\\* is non-finite on 64 of n_cells=64 cells"):
             run_mdp_slope(cfg)
 
 
@@ -239,7 +239,7 @@ def test_nonfinite_optimal_control_is_a_named_error(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert cli.main(["mdp-slope", "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("FAILED: optimal control psi* is non-finite on 6 of n_cells=64 cells")
+    assert err.startswith("FAILED: optimal control psi* is non-finite on 64 of n_cells=64 cells")
     assert "Traceback" not in err and not (tmp_path / "summary.csv").exists()
 
 
@@ -251,7 +251,7 @@ def test_nonfinite_optimal_control_fails_without_warnings(tmp_path, capsys):
         warnings.simplefilter("error")
         assert cli.main(["mdp-slope", "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("FAILED: optimal control psi* is non-finite on 6 of n_cells=64 cells")
+    assert err.startswith("FAILED: optimal control psi* is non-finite on 64 of n_cells=64 cells")
 
 
 def test_nonfinite_gramian_is_a_named_error(tmp_path, capsys):
@@ -518,15 +518,28 @@ def test_cli_clt_and_slope_trivial_configs(tmp_path):
     assert len(summary) == 1 + 2 * len(slope_cfg.eps_grid)
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
+def test_cli_import_leaves_scipy_special_unloaded(tmp_path):
     # scipy.special takes about a third of a second to import, and only the
-    # entropy function and the pollutant ball averages use it
+    # entropy function uses it: neither the import nor a pollutant run loads it
     import jumpmdp
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(jumpmdp.__file__)))
-    code = "import sys, jumpmdp.cli; print('scipy.special' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pollutant": {
+        "d_space": 1, "velocity": [2.0], "radius": 0.05, "max_mode": 2,
+        "atoms": [[0.3, 1.0, 0.6], [0.7, 2.0, 0.4]], "seeds": [0], "hs_levels": [4],
+    }}))
+    for code in (
+        "import sys, jumpmdp.cli; print('scipy.special' in sys.modules)",
+        "import sys, jumpmdp.cli; code = jumpmdp.cli.main(['pollutant', '--config', sys.argv[1], "
+        "'--out', sys.argv[2]]); print(code, 'scipy.special' in sys.modules)",
+    ):
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.splitlines()[-1].split()[-1] == "False"
+    assert out.stdout.splitlines()[-1] == "0 False"
 
 
 def test_cli_failure_exit_code(tmp_path, monkeypatch):

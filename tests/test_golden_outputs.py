@@ -93,24 +93,24 @@ GOLDEN = {
         "var_rep.csv": "87f2286485b4006cd00082da305461a65d351893a17b7fa42bbf1c10b16adee9",
     }),
     "mdp-slope": (1, {
-        "summary.csv": "000b74118e54d49e5300ae890093d03b7ba940b541e5e8bda6d2c26037bf9673",
+        "summary.csv": "022f21c1e70fd1e79dec4aab5c1f7dd2312dbc4656a22388bb66c15f9b3b2127",
     }),
     "pollutant": (0, {
-        "pollutant_field_T.csv": "24f5ded9213044d7a5e0b7d8e46923cd2707585e3275dc687972dfc5f157f410",
-        "pollutant_fluid_coeffs.csv": "c1e54920ac1169460d14b63c8699b59b9dd2f8272137ce5558b11a5b12269ee7",
+        "pollutant_field_T.csv": "4347fece98364f10bdd54b04dd6b3177554484df622f3ff49254d076876f5307",
+        "pollutant_fluid_coeffs.csv": "b9c158d060b6e04983394d6c748ba5b3db31d6faceba33b9d170b99619d5d464",
         "pollutant_modes.csv": "8aebc500888f0f0317e9532be190e5eefcf4cb0dbc5573b50d3ac4f758bb43c5",
-        "pollutant_report.csv": "276fb5aad3540db194d4766abcb7befe8c12c05e2043241df4bd0923613dd639",
+        "pollutant_report.csv": "9d68f38cfcce08f798e46e3b79745bb11185cb9e210f0f7134ba27e382809faf",
     }),
     "pollutant-2d": (0, {
-        "pollutant_field_T.csv": "10cfc204004bb55f7f53c526db0be13cacff5359c065a773f4353b7ebc558f12",
-        "pollutant_fluid_coeffs.csv": "cb7aafb03ec7965ecbaf996301b41c4130f4d10a6e28facaa50adea6bfe54c4a",
+        "pollutant_field_T.csv": "0ce8ffdc52d445f43b9f8ff9e57dad88d93f4a46e247289275c7f64e8f6a9a6f",
+        "pollutant_fluid_coeffs.csv": "9a9f2e07fb7f989481862e861b6ebd4d3dce4522529b39a90e48e145a4deaa37",
         "pollutant_modes.csv": "01b375d020dd32684e40f10facb1ccd6d299eb6131ad2d53f639ed7b0cafaa6d",
         "pollutant_report.csv": "e4c9771b66c3e24c7333948e1faf7187adf703fb58e66de761eb82d1873e2ed6",
     }),
     "rate": (0, {
-        "rate_path_0.csv": "c9501837da65328cfa13b87eb5647084a0a6d71abada66d8098afaaa1b9fbf38",
-        "rate_psi_0.csv": "eea01c8f5fd492ed889412dfdd11061e41c8fcb559c2f40c9bd66da56b0c8924",
-        "rate_summary.csv": "b21c9f7b0aed6ed24606f7eae98838edae065cfa87a542d4e3a45da1a3542633",
+        "rate_path_0.csv": "02577ea8b33d0fe0e377fc3288609c2b7c5f96c6765d5e3b62f9979cd1d2518c",
+        "rate_psi_0.csv": "ff7269322fe5cf370c5e0591ccfd965b1e4d690dce43f8c3b2a15628d7613e21",
+        "rate_summary.csv": "04b1b83c462dec1fc393236ff98ca3815c53a2cf4a3d6ae5a3ede31421f2adc0",
     }),
     "simulate": (0, {
         "paths/eps0_rep0.csv": "3343bc1f640fd51755a8f66d41e9b8084e5b6755da6503e1be603efb043600de",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
@@ -14,6 +15,7 @@ from jumpmdp.rate import (
     rate_to_point,
     sphere_minimum,
 )
+from jumpmdp.spde_pollutant import assemble_model, params_from_dict
 
 
 def linearize(name, params=None, n_cells=400):
@@ -88,15 +90,40 @@ def test_quadratic_scaling():
     assert i3 == pytest.approx(9.0 * i1, rel=1e-8)
 
 
+def flow_oracle(sysm):
+    """flow[c], carrying a source in cell c to the horizon, stored for every cell."""
+    prop, src = sysm.propagators
+    flow = np.empty((sysm.n_cells, sysm.dim, sysm.dim))
+    acc = np.eye(sysm.dim)
+    for c in range(sysm.n_cells - 1, -1, -1):
+        flow[c] = (acc @ src[c]) / sysm.dt
+        acc = acc @ prop[c]
+    return flow
+
+
 def test_gramian_construction_audit():
     sysm = linearize("two_d_benchmark", n_cells=150)
     gram = controllability_gramian(sysm)
     # W = sum_c flow[c] gain[c] gain[c]' flow[c]' dt
-    b = np.einsum("cij,cjk->cik", gram.flow, sysm.gain)
+    b = np.einsum("cij,cjk->cik", flow_oracle(sysm), sysm.gain)
     recon = np.einsum("cik,clk->il", b, b) * sysm.dt
     assert np.max(np.abs(recon - gram.matrix)) < 1e-12
     vals = np.linalg.eigvalsh(gram.matrix)
     assert vals.min() >= -1e-12
+
+
+@pytest.mark.parametrize(
+    "name, z", [("two_d_benchmark", [0.4, -0.25]), ("scalar_benchmark", [0.8])]
+)
+def test_streamed_psi_matches_the_flow_oracle(name, z):
+    # psi = G' flow' W^+ z, with every flow[c] stored; two_d_benchmark is time-varying
+    sysm = linearize(name, n_cells=300)
+    assert sysm.time_invariant == (name == "scalar_benchmark")
+    z = np.array(z)
+    xi = np.linalg.pinv(controllability_gramian(sysm).matrix, rcond=1e-10) @ z
+    oracle = np.einsum("cjk,cij,i->kc", sysm.jump_vals, flow_oracle(sysm), xi)
+    psi = rate_to_point(sysm, z).psi
+    assert np.max(np.abs(psi - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def test_optimal_control_replay_hits_target():
@@ -267,9 +294,28 @@ def test_one_flow_pass_per_system(monkeypatch):
     monkeypatch.setattr(LinearizedSystem, "gramian", counted)
     sysm = linearize("two_d_benchmark", n_cells=100)
     gram = controllability_gramian(sysm)
-    assert controllability_gramian(sysm).flow is gram.flow
+    assert controllability_gramian(sysm).matrix is gram.matrix
     rate_to_point(sysm, np.array([0.4, -0.25]))
     assert passes == [1]
+
+
+def test_terminal_rate_keeps_no_per_cell_matrix():
+    # the 36-mode 2-D pollutant model on 2000 cells: one (n_cells, d, d) array is 20.7 MB
+    model = assemble_model(params_from_dict({
+        "d_space": 2, "velocity": [2.0, 0.0], "decay": 0.5, "radius": 0.05, "max_mode": 5,
+        "atoms": [[0.3, 0.4, 1.0, 0.6], [0.7, 0.6, 2.0, 0.4]],
+    }))
+    fluid, _ = fluid_limit(model, 2000)
+    sysm = build_linearization(model, fluid)
+    assert sysm.dim == 36
+    tracemalloc.start()
+    try:
+        _, zstar = sphere_minimum(controllability_gramian(sysm), 1.0)
+        rate_to_point(sysm, zstar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_overflowed_gramian_is_not_out_of_range():

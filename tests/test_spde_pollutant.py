@@ -1,10 +1,11 @@
+import cmath
 import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import j1
+from scipy.special import hyp0f1, j1
 
 from jumpmdp.jump_sde import ModelError, fluid_limit, simulate_jump_path
 from jumpmdp.mark_space import MarkMeasure
@@ -13,6 +14,7 @@ from jumpmdp.spde_pollutant import (
     KernelSpec,
     PollutantError,
     PollutantParams,
+    _ball_mean,
     assemble_model,
     ball_average_coefficients,
     build_eigensystem,
@@ -283,6 +285,18 @@ def test_ball_averages_with_drift_match_a_polar_rule(velocity, site, radius, max
     coarse = polar_ball_average(sysm, site, radius, 40)
     assert np.max(np.abs(coarse - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_ball_mean_matches_hyp0f1():
+    # the mean of e^{alpha u_1} over the unit ball of R^d is 0F1(; d/2 + 1; alpha^2 / 4);
+    # the bound carries scipy's own error, up to 1.9e-15 e^{|Re alpha|} at d = 1, x = -30
+    rad, ang = np.meshgrid(np.linspace(0.0, 300.0, 61), np.linspace(-math.pi, math.pi, 48, endpoint=False))
+    xs = (rad * np.exp(1j * ang)).ravel()
+    for d in range(1, 6):
+        ref = hyp0f1(d / 2.0 + 1.0, xs)
+        for x, want in zip(xs, ref):
+            alpha = 2.0 * cmath.sqrt(x)
+            assert abs(_ball_mean(d, alpha) - want) <= 2.5e-15 * math.exp(abs(alpha.real)), (d, x)
 
 
 def test_ball_average_overflow_is_named():
