@@ -29,7 +29,7 @@ from .experiments import (
     verify_entropy_tail_bounds,
     verify_var_rep,
 )
-from .jump_sde import ModelError, check_keys, fluid_limit
+from .jump_sde import ModelError, check_keys, fluid_limit, write_csv
 from .mark_space import MarkSpaceError
 from .mdp_limit import build_linearization
 from .models import build_model
@@ -69,19 +69,14 @@ def _load_config(args) -> ExperimentConfig:
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
-def _outdir(cfg: ExperimentConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg.out_dir
-
-
 def cmd_simulate(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg)
+    out = cfg.out_dir
     run_simulate(cfg, out_dir=out)
     print(f"simulate: wrote {out}/terminal_stats.csv")
 
 
 def cmd_fluid(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg)
+    out = cfg.out_dir
     model = build_model(cfg.model, cfg.model_params)
     path, peak = fluid_limit(model, cfg.n_cells_analysis)
     path.to_csv(os.path.join(out, "fluid.csv"))
@@ -89,8 +84,7 @@ def cmd_fluid(cfg: ExperimentConfig) -> None:
 
 
 def cmd_clt_check(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg)
-    res = run_clt_check(cfg, out_dir=out)
+    res = run_clt_check(cfg, out_dir=cfg.out_dir)
     print(
         f"clt-check: eps={res.epsilon!r} R={res.replications} "
         f"rel_frobenius_error={res.rel_frobenius_error:.4f} mean={res.sample_mean}"
@@ -105,7 +99,7 @@ def cmd_clt_check(cfg: ExperimentConfig) -> None:
 
 
 def cmd_mdp_slope(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg)
+    out = cfg.out_dir
     res = run_mdp_slope(cfg, out_dir=out)
     for row in res.rows:
         slope = "-" if row.neg_b_log_p is None else f"{row.neg_b_log_p:.4f}"
@@ -118,40 +112,37 @@ def cmd_mdp_slope(cfg: ExperimentConfig) -> None:
 
 
 def cmd_rate(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg)
+    out = cfg.out_dir
     model = build_model(cfg.model, cfg.model_params)
+    for k, z in enumerate(cfg.rate_targets):
+        if len(z) != model.dim:
+            raise ModelError(f"rate_targets[{k}] has {len(z)} entries, but {cfg.model} has dim {model.dim}")
     fluid, _ = fluid_limit(model, cfg.n_cells_analysis)
     sysm = build_linearization(model, fluid)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed flow is named next
         gram = controllability_gramian(sysm)
     gram.check_finite()
     value, zstar = sphere_minimum(gram, cfg.threshold)
-    with open(os.path.join(out, "rate_summary.csv"), "w") as fh:
-        fh.write("target,rate,residual\n")
-        fh.write(f"sphere_{cfg.threshold!r},{value!r},0.0\n")
-        targets = cfg.rate_targets or (tuple(zstar),)
-        for k, z in enumerate(targets):
-            sol = rate_to_point(sysm, np.asarray(z, dtype=float))
-            fh.write(f"point_{k},{sol.value!r},{sol.residual!r}\n")
-            sol.path.to_csv(os.path.join(out, f"rate_path_{k}.csv"))
-            with open(os.path.join(out, f"rate_psi_{k}.csv"), "w") as pfh:
-                for prow in sol.psi:
-                    pfh.write(",".join(repr(float(v)) for v in prow) + "\n")
-            print(f"rate: target {z} -> I = {sol.value!r} (residual {sol.residual:.2e})")
+    targets = [np.asarray(z, dtype=float) for z in cfg.rate_targets] or [zstar]
+    sols = [rate_to_point(sysm, z) for z in targets]
+    summary = [(f"sphere_{cfg.threshold!r}", value, 0.0)]
+    summary += [(f"point_{k}", sol.value, sol.residual) for k, sol in enumerate(sols)]
+    write_csv(os.path.join(out, "rate_summary.csv"), "target,rate,residual", summary)
+    for k, (z, sol) in enumerate(zip(targets, sols)):
+        sol.path.to_csv(os.path.join(out, f"rate_path_{k}.csv"))
+        write_csv(os.path.join(out, f"rate_psi_{k}.csv"), None, sol.psi.tolist())
+        print(f"rate: target {tuple(z.tolist())} -> I = {sol.value!r} (residual {sol.residual:.2e})")
     print(f"rate: sphere radius {cfg.threshold!r} -> inf I = {value!r} at z* = {zstar}")
 
 
 def cmd_lemma_check(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg)
+    out = cfg.out_dir
     lemma_cfg = cfg.lemma or {}
     check_keys("lemma", lemma_cfg, ("betas", "m_bound", "eps"))
     betas = tuple(lemma_cfg.get("betas", (1.0, 2.0, 5.0, 10.0, 100.0)))
     consts = entropy_bound_constants(betas)
-    with open(os.path.join(out, "lemma_constants.csv"), "w") as fh:
-        fh.write("beta,tail_abs,tail_linear,core_square\n")
-        for b, k1, k1p, k2 in consts.as_rows():
-            fh.write(f"{b!r},{k1!r},{k1p!r},{k2!r}\n")
-        fh.write(f"quad_envelope,{consts.quad_envelope!r},,\n")
+    rows = [*consts.as_rows(), ("quad_envelope", consts.quad_envelope, None, None)]
+    write_csv(os.path.join(out, "lemma_constants.csv"), "beta,tail_abs,tail_linear,core_square", rows)
     model = build_model(cfg.model, cfg.model_params)
     report = verify_entropy_tail_bounds(
         measure=model.measure,
@@ -162,17 +153,11 @@ def cmd_lemma_check(cfg: ExperimentConfig) -> None:
         rho=cfg.rho,
         constants=consts,
     )
-    with open(os.path.join(out, "lemma_bounds.csv"), "w") as fh:
-        fh.write(
-            "psi,epsilon,beta,tail_l1,tail_l1_bound,tilt_tail,tilt_tail_bound,"
-            "core_l2,core_l2_bound\n"
-        )
-        for r in report.rows:
-            fh.write(
-                f"{r.psi_name},{r.epsilon!r},{r.beta!r},{r.lhs_tail_l1!r},"
-                f"{r.bound_tail_l1!r},{r.lhs_tilt_tail!r},{r.bound_tilt_tail!r},"
-                f"{r.lhs_core_l2!r},{r.bound_core_l2!r}\n"
-            )
+    write_csv(
+        os.path.join(out, "lemma_bounds.csv"),
+        "psi,epsilon,beta,tail_l1,tail_l1_bound,tilt_tail,tilt_tail_bound,core_l2,core_l2_bound",
+        map(dataclasses.astuple, report.rows),
+    )
     for name, eps, cost in report.excluded:
         print(f"lemma-check: excluded {name} at eps={eps!r} (cost {cost!r} over budget)")
     if not report.all_hold():
@@ -182,16 +167,13 @@ def cmd_lemma_check(cfg: ExperimentConfig) -> None:
 
 
 def cmd_var_rep(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg)
     vr = cfg.var_rep or {}
     # the block's keys and defaults are verify_var_rep's keyword parameters
     keys = inspect.signature(verify_var_rep).parameters
     check_keys("var_rep", vr, [k for k in keys if k not in ("cfg", "tilt_grid")])
     res = verify_var_rep(cfg, **vr)
-    with open(os.path.join(out, "var_rep.csv"), "w") as fh:
-        fh.write("phi,rhs,se\n")
-        for phi, v, s in zip(res.tilt_grid, res.rhs_values, res.rhs_ses):
-            fh.write(f"{float(phi)!r},{float(v)!r},{float(s)!r}\n")
+    rows = zip(res.tilt_grid.tolist(), res.rhs_values.tolist(), res.rhs_ses.tolist())
+    write_csv(os.path.join(cfg.out_dir, "var_rep.csv"), "phi,rhs,se", rows)
     exact = "n/a" if res.lhs_exact is None else f"{res.lhs_exact:.6f}"
     print(
         f"var-rep: lhs={res.lhs_mc:.6f} (se {res.lhs_se:.1e}, exact {exact}) "
@@ -207,7 +189,7 @@ def cmd_var_rep(cfg: ExperimentConfig) -> None:
 
 
 def cmd_pollutant(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg)
+    out = cfg.out_dir
     spec = cfg.pollutant or DEFAULT_POLLUTANT
     params = spp.params_from_dict(spec)
     sysm = spp.build_eigensystem(params)
@@ -217,10 +199,8 @@ def cmd_pollutant(cfg: ExperimentConfig) -> None:
             f"eigenfunction orthonormality defect {defect!r} is not within 1e-6",
             cfg.config_hash(), cfg.seed,
         )
-    with open(os.path.join(out, "pollutant_modes.csv"), "w") as fh:
-        fh.write("mode,eigenvalue\n")
-        for m, lam in zip(sysm.modes, sysm.eigenvalues):
-            fh.write(f"{'|'.join(map(str, m))},{float(lam)!r}\n")
+    modes = [("|".join(map(str, m)), lam) for m, lam in zip(sysm.modes, sysm.eigenvalues.tolist())]
+    write_csv(os.path.join(out, "pollutant_modes.csv"), "mode,eigenvalue", modes)
     model = spp.assemble_model(params, sysm)
     fluid, peak = fluid_limit(model, 200)
     fluid.to_csv(os.path.join(out, "pollutant_fluid_coeffs.csv"))
@@ -235,18 +215,13 @@ def cmd_pollutant(cfg: ExperimentConfig) -> None:
         seeds=spec.get("seeds", [0, 1, 2, 3]),
         rho=cfg.rho,
     )
-    with open(os.path.join(out, "pollutant_report.csv"), "w") as fh:
-        fh.write("quantity,value\n")
-        fh.write(f"orthonormality_defect,{defect!r}\n")
-        fh.write(f"fluid_peak_norm,{peak!r}\n")
-        fh.write(f"fluid_gap,{report.fluid_gap!r}\n")
-        for i, g in enumerate(report.fluctuation_gaps):
-            fh.write(f"fluctuation_gap_seed{i},{float(g)!r}\n")
-        fh.write(f"tail_weight,{report.tail_weight!r}\n")
-        for level in levels:
-            plain, witness = sums[level]
-            fh.write(f"hs_sum_level{level},{plain!r}\n")
-            fh.write(f"hs_witness_level{level},{witness!r}\n")
+    table = [("orthonormality_defect", defect), ("fluid_peak_norm", peak), ("fluid_gap", report.fluid_gap)]
+    table += [(f"fluctuation_gap_seed{i}", g) for i, g in enumerate(report.fluctuation_gaps.tolist())]
+    table.append(("tail_weight", report.tail_weight))
+    for level in levels:
+        plain, witness = sums[level]
+        table += [(f"hs_sum_level{level}", plain), (f"hs_witness_level{level}", witness)]
+    write_csv(os.path.join(out, "pollutant_report.csv"), "quantity,value", table)
     print(f"pollutant: orthonormality defect {defect:.2e}; {report.summary()}")
     plain_sums = [sums[level][0] for level in levels]
     if len(plain_sums) >= 2 and abs(plain_sums[-1] - plain_sums[-2]) > 1e-8:

@@ -18,7 +18,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .jump_sde import ModelError, PathGrid, check_keys, fluid_limit, simulate_jump_paths
+from .jump_sde import (
+    ModelError, PathGrid, check_keys, deviation_scale, fluid_limit, simulate_jump_paths, write_csv,
+)
 from .mdp_limit import build_linearization, gaussian_covariance
 from .models import build_model
 from .prm import (
@@ -142,7 +144,7 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def a_eps(self, epsilon: float) -> float:
-        return epsilon**self.rho
+        return deviation_scale(epsilon, self.rho)
 
     def b_eps(self, epsilon: float) -> float:
         return epsilon / self.a_eps(epsilon) ** 2
@@ -171,29 +173,18 @@ class EstimateRow:
     def degenerate(self) -> bool:
         return self.neg_b_log_p is None
 
-    def csv_cells(self) -> list[str]:
-        cells = [
-            repr(self.epsilon),
-            repr(self.a_eps),
-            repr(self.b_eps),
-            repr(self.p_hat),
-            repr(self.se),
-            "" if self.neg_b_log_p is None else repr(self.neg_b_log_p),
-            repr(self.predicted_rate),
-            self.estimator,
-            "degenerate" if self.degenerate else "",
+    def csv_cells(self) -> list:
+        return [
+            self.epsilon, self.a_eps, self.b_eps, self.p_hat, self.se, self.neg_b_log_p,
+            self.predicted_rate, self.estimator, "degenerate" if self.degenerate else "",
         ]
-        return cells
 
 
 SUMMARY_HEADER = "epsilon,a_eps,b_eps,p_hat,se,neg_b_log_p,predicted_rate,estimator,flag"
 
 
 def write_summary_csv(rows, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join(row.csv_cells()) + "\n")
+    write_csv(path, SUMMARY_HEADER, (row.csv_cells() for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +333,12 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
                  float(data[:, d + i].mean()), float(data[:, d + i].std(ddof=1)))
             )
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "terminal_stats.csv"), "w") as fh:
-            fh.write("epsilon,a_eps,component,x_mean,x_std,y_mean,y_std\n")
-            for eps, a, comp, xm, xs, ym, ys in rows:
-                fh.write(f"{eps!r},{a!r},{comp},{xm!r},{xs!r},{ym!r},{ys!r}\n")
-        if paths:
-            pdir = os.path.join(out_dir, "paths")
-            os.makedirs(pdir, exist_ok=True)
-            grid = np.linspace(0.0, model.horizon, cfg.n_cells + 1)
-            for eps_idx, batch in enumerate(paths):
-                for r, values in enumerate(batch):
-                    PathGrid(grid, values).to_csv(os.path.join(pdir, f"eps{eps_idx}_rep{r}.csv"))
+        header = "epsilon,a_eps,component,x_mean,x_std,y_mean,y_std"
+        write_csv(os.path.join(out_dir, "terminal_stats.csv"), header, rows)
+        grid = np.linspace(0.0, model.horizon, cfg.n_cells + 1)
+        for eps_idx, batch in enumerate(paths):
+            for r, values in enumerate(batch):
+                PathGrid(grid, values).to_csv(os.path.join(out_dir, "paths", f"eps{eps_idx}_rep{r}.csv"))
     return stats
 
 
@@ -426,7 +411,6 @@ def run_mdp_slope(cfg: ExperimentConfig, out_dir: str | None = None) -> SlopeRes
             )
     result = SlopeResult(rows=tuple(rows), predicted_rate=predicted, config_hash=cfg.config_hash())
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         write_summary_csv(rows, os.path.join(out_dir, "summary.csv"))
     return result
 
@@ -528,15 +512,10 @@ def run_clt_check(cfg: ExperimentConfig, out_dir: str | None = None) -> CltResul
         config_hash=cfg.config_hash(),
     )
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "clt_check.csv"), "w") as fh:
-            fh.write("quantity,value\n")
-            fh.write(f"epsilon,{cfg.clt_epsilon!r}\n")
-            fh.write(f"rel_frobenius_error,{rel!r}\n")
-            for i in range(model.dim):
-                fh.write(f"mean_{i + 1},{float(mean[i])!r}\n")
-                fh.write(f"skewness_{i + 1},{float(skew[i])!r}\n")
-                fh.write(f"excess_kurtosis_{i + 1},{float(kurt[i])!r}\n")
+        table = [("epsilon", cfg.clt_epsilon), ("rel_frobenius_error", rel)]
+        for i, (m, s, k) in enumerate(zip(mean.tolist(), skew.tolist(), kurt.tolist()), start=1):
+            table += [(f"mean_{i}", m), (f"skewness_{i}", s), (f"excess_kurtosis_{i}", k)]
+        write_csv(os.path.join(out_dir, "clt_check.csv"), "quantity,value", table)
     return result
 
 
@@ -568,10 +547,8 @@ class EntropyBoundConstants:
             yield b, float(self.tail_abs[i]), float(self.tail_linear[i]), float(self.core_square[i])
 
 
-def entropy_bound_constants(
-    betas=(1.0, 2.0, 5.0, 10.0, 100.0), n_grid: int = 200_001
-) -> EntropyBoundConstants:
-    """Supremum ratios on a log grid of [0, 1e6] plus per-beta knots.
+def entropy_bound_constants(betas=(1.0, 2.0, 5.0, 10.0, 100.0)) -> EntropyBoundConstants:
+    """Supremum ratios on a 200001-point log grid of [0, 1e6] plus per-beta knots.
 
     The knots {beta, 1 - beta, 1 + beta} are where the restricted suprema
     are reached, so downstream bound checks hold without grid slack.
@@ -585,7 +562,7 @@ def entropy_bound_constants(
             knots.append(1.0 - b)
     x = np.unique(np.concatenate([
         np.array([0.0]),
-        np.geomspace(1e-8, 1e6, n_grid),
+        np.geomspace(1e-8, 1e6, 200_001),
         np.array([k for k in knots if k > 0]),
     ]))
     ell = entropy_integrand(x)
@@ -699,7 +676,7 @@ def verify_entropy_tail_bounds(
     rows = []
     excluded = []
     for eps in eps_values:
-        a = float(eps) ** rho
+        a = deviation_scale(eps, rho)
         for name, psi in catalog.items():
             psi = np.asarray(psi, dtype=float)
             dt = horizon / psi.shape[1]

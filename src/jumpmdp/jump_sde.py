@@ -9,8 +9,10 @@ placement bias that would otherwise pollute slope estimates at small eps.
 
 from __future__ import annotations
 
+import numbers
+import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +22,8 @@ from .prm import EventBatch, PointRealization
 __all__ = [
     "ModelError",
     "check_keys",
+    "deviation_scale",
+    "write_csv",
     "ModelSpec",
     "PathGrid",
     "rk4_step",
@@ -38,6 +42,36 @@ def check_keys(block: str, data, valid) -> None:
     unknown = sorted(set(data) - set(valid))
     if unknown:
         raise ModelError(f"unknown {block} keys {unknown}; valid keys: {list(valid)}")
+
+
+def deviation_scale(epsilon: float, rho: float) -> float:
+    """a(eps) = eps^rho, the scale of Y = (X - xbar) / a(eps); the speed is b(eps) = eps / a(eps)^2."""
+    return float(epsilon) ** rho
+
+
+def _cell(v) -> str:
+    if type(v) is float:  # the common cell first
+        return repr(v)
+    if v is None or isinstance(v, str):
+        return v or ""
+    return str(v) if isinstance(v, numbers.Integral) else repr(float(v))
+
+
+def write_csv(path, header: str | None, rows) -> None:
+    """Write one CSV table, creating its directory.
+
+    header is the first line (comma-separated names), or None for a table
+    without one.  Every table of the package goes through here, so one rule
+    fixes its bytes: a str cell is written as is, None as an empty cell, an
+    integer with str, and any other number as repr(float(v)), so a numpy
+    scalar prints like the Python float it equals.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 @dataclass(frozen=True)
@@ -96,31 +130,30 @@ class ModelSpec:
         """Mean jump drift at state x: sum_k G(x, y_k) w_k."""
         return (self.jump(x) * self.measure.weights).sum(axis=-1)
 
-    def validate_derivatives(self, seed: int = 0, n_points: int = 5, step: float = 1e-5) -> None:
+    def validate_derivatives(self, seed: int = 0, n_points: int = 5) -> None:
         """Central finite differences must match the declared Jacobians."""
         rng = np.random.default_rng(seed)
         for _ in range(n_points):
             x = self.x0 + rng.normal(scale=0.5, size=self.dim)
             jb = np.asarray(self.drift_jac(x), dtype=float)
-            fd = _fd_jacobian(self.drift, x, step)
+            fd = _fd_jacobian(self.drift, x)
             if np.linalg.norm(jb - fd) > 1e-5 * (1.0 + np.linalg.norm(jb)):
                 raise ModelError(f"drift_jac mismatch with finite differences at x={x}")
             jacs = self.jump_jac(x)
             for k in range(self.measure.n_atoms):
-                fdg = _fd_jacobian(lambda z: self.jump(z)[:, k], x, step)
+                fdg = _fd_jacobian(lambda z: self.jump(z)[:, k], x)
                 if np.linalg.norm(jacs[k] - fdg) > 1e-5 * (1.0 + np.linalg.norm(jacs[k])):
                     raise ModelError(
                         f"jump_jac mismatch with finite differences at x={x}, atom {k}"
                     )
 
 
-def _fd_jacobian(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
-    d = x.size
-    cols = []
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        cols.append((np.asarray(f(x + e), dtype=float) - np.asarray(f(x - e), dtype=float)) / (2 * h))
+def _fd_jacobian(f: Callable, x: np.ndarray) -> np.ndarray:
+    h = 1e-5  # central-difference step
+    cols = [
+        (np.asarray(f(x + e), dtype=float) - np.asarray(f(x - e), dtype=float)) / (2 * h)
+        for e in h * np.eye(x.size)
+    ]
     return np.column_stack(cols)
 
 
@@ -171,11 +204,8 @@ class PathGrid:
         return float(np.max(np.linalg.norm(self.values, axis=1)))
 
     def to_csv(self, path) -> None:
-        d = self.dim
-        with open(path, "w") as fh:
-            fh.write("t," + ",".join(f"x_{i + 1}" for i in range(d)) + "\n")
-            for t, row in zip(self.times, self.values):
-                fh.write(f"{float(t)!r}," + ",".join(repr(float(v)) for v in row) + "\n")
+        header = "t," + ",".join(f"x_{i + 1}" for i in range(self.dim))
+        write_csv(path, header, (row.tolist() for row in np.column_stack((self.times, self.values))))
 
 
 def rk4_step(f: Callable, x: np.ndarray, h: float | np.ndarray) -> np.ndarray:
@@ -267,7 +297,7 @@ def _integrate(
 def simulate_jump_paths(
     model: ModelSpec,
     epsilon: float,
-    events: EventBatch | Sequence[PointRealization],
+    events: EventBatch,
     n_cells: int = 64,
 ) -> np.ndarray:
     """Integrate the jump SDE along each row of events, all in lockstep.
@@ -278,14 +308,11 @@ def simulate_jump_paths(
     (see _event_schedule) through one batched drift and jump evaluation per
     stage, and each row's arithmetic is that of the row integrated alone.
     Returns the (B, n_cells + 1, d) states on the uniform grid; an event on
-    a grid time leaves the left limit there.  A sequence of realizations is
-    stacked into one batch first.  A non-finite state on the grid raises
-    ModelError naming the first bad grid time of the first bad row.
+    a grid time leaves the left limit there.  A non-finite state on the grid
+    raises ModelError naming the first bad grid time of the first bad row.
     """
     if epsilon <= 0:
         raise ModelError("epsilon must be positive")
-    if not isinstance(events, EventBatch):
-        events = EventBatch.stack(events)
     if events.times.size and events.times.max() > model.horizon:
         raise ModelError("event times outside [0, horizon]")
     grid = np.linspace(0.0, model.horizon, n_cells + 1)

@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .jump_sde import ModelSpec, check_keys, fluid_limit, simulate_jump_paths
+from .jump_sde import ModelSpec, check_keys, deviation_scale, fluid_limit, simulate_jump_paths, write_csv
 from .mark_space import MarkMeasure
 from .prm import sample_poisson_batch, substream
 
@@ -548,10 +548,8 @@ def export_field_snapshot(
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     points = np.column_stack([g.ravel() for g in grids])
     values = np.asarray(coeffs, dtype=float) @ sys.eval_modes(points)
-    with open(path, "w") as fh:
-        fh.write(",".join(f"x_{i + 1}" for i in range(d)) + ",u\n")
-        for p, v in zip(points, values):
-            fh.write(",".join(repr(float(c)) for c in p) + f",{float(v)!r}\n")
+    header = ",".join(f"x_{i + 1}" for i in range(d)) + ",u"
+    write_csv(path, header, (row.tolist() for row in np.column_stack((points, values))))
 
 
 def hs_partial_sums(params: PollutantParams, levels: Sequence[int]) -> dict[int, tuple[float, float]]:
@@ -637,7 +635,7 @@ def galerkin_convergence_study(
     fluid2, _ = fluid_limit(model2, n_cells)
     fluid_gap = weighted_gap(fluid1.values, fluid2.values)
 
-    a_eps = epsilon**rho
+    a_eps = deviation_scale(epsilon, rho)
     theta = 1.0 / epsilon
     events = sample_poisson_batch(
         params.measure, theta, params.horizon, [substream(seed, 77) for seed in seeds]

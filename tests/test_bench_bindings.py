@@ -98,6 +98,38 @@ def test_galerkin_config_is_accepted():
     assert model.dim == (params.max_mode + 1) ** params.d_space
 
 
+def _writing_open_sites(source):
+    """(enclosing function, line) of every open(...) call whose mode may write."""
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open":
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            for mode in modes:
+                # a mode that is not a literal may write
+                if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                    sites.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_only_write_csv_opens_files_for_writing():
+    # one writer holds the CSV byte rule; any other writing open() bypasses it
+    src_dir = os.path.dirname(experiments.__file__)
+    offenders = []
+    for file_name in sorted(os.listdir(src_dir)):
+        if file_name.endswith(".py"):
+            with open(os.path.join(src_dir, file_name)) as fh:
+                sites = _writing_open_sites(fh.read())
+            offenders += [f"{file_name}:{line} in {func}" for func, line in sites if func != "write_csv"]
+    assert not offenders, offenders
+
+
 def test_exports_resolve():
     # a deletion that misses an __all__ entry or a package import fails here
     import jumpmdp

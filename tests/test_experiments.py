@@ -267,6 +267,26 @@ def test_nonfinite_gramian_is_a_named_error(tmp_path, capsys):
     assert not (tmp_path / "rate_summary.csv").exists()
 
 
+def test_rate_writes_nothing_for_a_misshapen_target(tmp_path, capsys):
+    # every target is checked against the model's dimension before the first CSV
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "model": "two_d_benchmark", "n_cells_analysis": 200, "rate_targets": [[0.5, -0.2], [1.0]],
+    }))
+    out = tmp_path / "out"
+    assert cli.main(["rate", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAILED: rate_targets[1]")
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_rate_prints_default_target_as_plain_floats(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "pure_jump", "n_cells_analysis": 200}))
+    assert cli.main(["rate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith("rate: target (1.0,) -> I = ")
+
+
 def test_slope_run_creates_one_pool(monkeypatch):
     created = []
 

@@ -15,6 +15,7 @@ from jumpmdp.jump_sde import (
     fluid_limit,
     simulate_jump_path,
     simulate_jump_paths,
+    write_csv,
 )
 from jumpmdp.mark_space import MarkMeasure
 from jumpmdp.models import MODEL_BUILDERS, build_model
@@ -284,7 +285,7 @@ def test_batched_rows_match_single_paths(rows, atom_seed):
         singles = np.stack([simulate_jump_path(model, 0.1, ev, n_cells=8).values for ev in events])
         for size in (1, 3, 50):
             batched = np.concatenate([
-                simulate_jump_paths(model, 0.1, events[lo:lo + size], n_cells=8)
+                simulate_jump_paths(model, 0.1, EventBatch.stack(events[lo:lo + size]), n_cells=8)
                 for lo in range(0, len(events), size)
             ])
             assert batched.tobytes() == singles.tobytes()
@@ -371,6 +372,16 @@ def test_pathgrid_validation():
         PathGrid(np.array([0.0, 0.5, 0.7]), np.zeros((3, 1)))
     with pytest.raises(ModelError):
         PathGrid(np.array([0.0, 1.0]), np.zeros((3, 1)))
+
+
+def test_write_csv_cell_rule(tmp_path):
+    # str as is, None empty, integers with str, every other number as repr(float(v))
+    path = tmp_path / "new" / "nested" / "table.csv"
+    row = ("a", None, 3, np.int64(7), 0.5, np.float64(0.1))
+    write_csv(path, "name,gap,count,big,x,y", [row])
+    assert path.read_text() == "name,gap,count,big,x,y\na,,3,7,0.5,0.1\n"
+    write_csv(path, None, [[1e-300, -0.0], [np.float32(0.5), float("nan")]])
+    assert path.read_text() == "1e-300,-0.0\n0.5,nan\n"
 
 
 def test_pathgrid_csv(tmp_path):
