@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
+import math
 import os
 import sys
 
@@ -140,10 +141,8 @@ def cmd_lemma_check(cfg: ExperimentConfig) -> None:
     lemma_cfg = cfg.lemma or {}
     check_keys("lemma", lemma_cfg, ("betas", "m_bound", "eps"))
     betas = tuple(lemma_cfg.get("betas", (1.0, 2.0, 5.0, 10.0, 100.0)))
-    consts = entropy_bound_constants(betas)
-    rows = [*consts.as_rows(), ("quad_envelope", consts.quad_envelope, None, None)]
-    write_csv(os.path.join(out, "lemma_constants.csv"), "beta,tail_abs,tail_linear,core_square", rows)
     model = build_model(cfg.model, cfg.model_params)
+    consts = entropy_bound_constants(betas)
     report = verify_entropy_tail_bounds(
         measure=model.measure,
         horizon=model.horizon,
@@ -153,6 +152,8 @@ def cmd_lemma_check(cfg: ExperimentConfig) -> None:
         rho=cfg.rho,
         constants=consts,
     )
+    rows = [*consts.as_rows(), ("quad_envelope", consts.quad_envelope, None, None)]
+    write_csv(os.path.join(out, "lemma_constants.csv"), "beta,tail_abs,tail_linear,core_square", rows)
     write_csv(
         os.path.join(out, "lemma_bounds.csv"),
         "psi,epsilon,beta,tail_l1,tail_l1_bound,tilt_tail,tilt_tail_bound,core_l2,core_l2_bound",
@@ -188,10 +189,30 @@ def cmd_var_rep(cfg: ExperimentConfig) -> None:
         raise CheckFailure("MC left side far from the closed form", res.config_hash, cfg.seed)
 
 
+def _study_settings(spec) -> tuple[float, list, list]:
+    """The pollutant block's epsilon, seeds and hs_levels, checked before any table is written."""
+    epsilon = spec.get("epsilon", 0.05)
+    if not isinstance(epsilon, (int, float)) or not 0 < epsilon < math.inf:
+        raise spp.PollutantError(f"epsilon must be a positive number, got {epsilon!r}")
+
+    def counts(key, default, least_size):
+        value = spec.get(key, default)
+        if not (
+            isinstance(value, (list, tuple)) and len(value) >= least_size
+            and all(isinstance(v, int) and v >= 0 for v in value)
+        ):
+            size = "a non-empty list" if least_size else "a list"
+            raise spp.PollutantError(f"{key} must be {size} of integers >= 0, got {value!r}")
+        return value
+
+    return float(epsilon), counts("seeds", [0, 1, 2, 3], 0), counts("hs_levels", [2, 4, 8, 16, 24], 1)
+
+
 def cmd_pollutant(cfg: ExperimentConfig) -> None:
     out = cfg.out_dir
     spec = cfg.pollutant or DEFAULT_POLLUTANT
     params = spp.params_from_dict(spec)
+    epsilon, seeds, levels = _study_settings(spec)
     sysm = spp.build_eigensystem(params)
     defect = spp.orthonormality_defect(sysm, params.quad_points)
     if not defect <= 1e-6:  # also catches a NaN defect
@@ -207,14 +228,8 @@ def cmd_pollutant(cfg: ExperimentConfig) -> None:
     spp.export_field_snapshot(
         sysm, fluid.terminal(), os.path.join(out, "pollutant_field_T.csv")
     )
-    levels = spec.get("hs_levels", [2, 4, 8, 16, 24])
     sums = spp.hs_partial_sums(params, levels)
-    report = spp.galerkin_convergence_study(
-        params,
-        epsilon=float(spec.get("epsilon", 0.05)),
-        seeds=spec.get("seeds", [0, 1, 2, 3]),
-        rho=cfg.rho,
-    )
+    report = spp.galerkin_convergence_study(params, epsilon=epsilon, seeds=seeds, rho=cfg.rho)
     table = [("orthonormality_defect", defect), ("fluid_peak_norm", peak), ("fluid_gap", report.fluid_gap)]
     table += [(f"fluctuation_gap_seed{i}", g) for i, g in enumerate(report.fluctuation_gaps.tolist())]
     table.append(("tail_weight", report.tail_weight))

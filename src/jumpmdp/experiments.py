@@ -485,7 +485,7 @@ def run_clt_check(cfg: ExperimentConfig, out_dir: str | None = None) -> CltResul
     model = build_model(cfg.model, cfg.model_params)
     fine, _ = fluid_limit(model, cfg.n_cells_analysis)
     sys_fine = build_linearization(model, fine)
-    sigma_t = gaussian_covariance(sys_fine)[-1]
+    sigma_t = gaussian_covariance(sys_fine)
     fluid_end = fluid_limit(model, cfg.n_cells)[0].terminal()
     with _monte_carlo(cfg) as collect:
         xt = collect("terminal_batch", (SLOT_CLT, 0, cfg.clt_epsilon), cfg.clt_replications)

@@ -273,19 +273,20 @@ def _integrate(
     atom_steps = np.maximum(atom.T, 0)
     all_moving = moving.all(axis=(1, 2)).tolist()
     any_jump = jumping.any(axis=(1, 2)).tolist()
-    states = np.empty((b, length, dim))  # after each step's advance
+    states = np.empty((b, length + 1, dim))  # x0, then the state after each step's advance
+    states[:, 0] = x0
     x = np.tile(x0, (b, 1))
     for p in range(length):
         stepped = rk4_step(drift, x, h_steps[p])
         x = stepped if all_moving[p] else np.where(moving[p], stepped, x)
-        states[:, p] = x
+        states[:, p + 1] = x
         if any_jump[p]:
             kicked = x + epsilon * jump(x)[rows, :, atom_steps[p]]
             x = np.where(jumping[p], kicked, x)
-    out = np.empty((b, n_cells + 1, dim))
-    out[:, 0] = x0
     # each row records grid values 1..n in step order
-    out[:, 1:] = states[record >= 0].reshape(b, n_cells, dim)
+    keep = np.concatenate([np.ones((b, 1), dtype=bool), record >= 0], axis=1)
+    out = states[keep].reshape(b, n_cells + 1, dim)
+    del states
     finite = np.isfinite(out).all(axis=2)
     if not finite.all():
         row = int(np.argmin(finite.all(axis=1)))

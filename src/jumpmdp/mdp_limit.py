@@ -125,7 +125,12 @@ class LinearizedSystem:
 
 
 def build_linearization(model: ModelSpec, fluid_path: PathGrid) -> LinearizedSystem:
-    """Freeze the linearized coefficients per cell of the fluid path grid."""
+    """Freeze the linearized coefficients per cell of the fluid path grid.
+
+    Each cell is compared with cell 0 bit for bit (so -0.0 and NaN payloads
+    count); the per-cell arrays are allocated only at the first cell that
+    differs.  A time-invariant system keeps cell 0 alone.
+    """
     if fluid_path.dim != model.dim:
         raise ModelError("fluid path dimension does not match the model")
     n = fluid_path.n_cells
@@ -133,20 +138,23 @@ def build_linearization(model: ModelSpec, fluid_path: PathGrid) -> LinearizedSys
     meas = model.measure
     n_atoms = meas.n_atoms
     w = meas.weights
-    a1 = np.empty((n, d, d))
-    jv = np.empty((n, d, n_atoms))
+    a1 = jv = None
     for c in range(n):
         xmid = 0.5 * (fluid_path.values[c] + fluid_path.values[c + 1])
         m = np.asarray(model.drift_jac(xmid), dtype=float).copy()
         jacs = model.jump_jac(xmid)
         for k in range(n_atoms):
             m += w[k] * jacs[k]
-        a1[c] = m
-        jv[c] = model.jump(xmid)
-    # a time-invariant system keeps one cell
-    bits = lambda arr: arr.reshape(n, -1).view(np.uint64)
-    if all((bits(arr) == bits(arr)[0]).all() for arr in (a1, jv)):
-        a1, jv = (np.broadcast_to(arr[:1].copy(), arr.shape) for arr in (a1, jv))
+        g = np.array(model.jump(xmid), dtype=float)
+        if c == 0:
+            first, first_bits = (m, g), (m.tobytes(), g.tobytes())
+        elif a1 is None and (m.tobytes(), g.tobytes()) != first_bits:
+            a1, jv = np.empty((n, d, d)), np.empty((n, d, n_atoms))
+            a1[:c], jv[:c] = first
+        if a1 is not None:
+            a1[c], jv[c] = m, g
+    if a1 is None:  # read-only stride-0 views of the one cell
+        a1, jv = (np.broadcast_to(arr[None], (n,) + arr.shape) for arr in first)
     return LinearizedSystem(times=fluid_path.times, drift_mat=a1, jump_vals=jv, measure=meas)
 
 
@@ -173,26 +181,36 @@ def solve_limit_path(sys: LinearizedSystem, psi) -> PathGrid:
     return PathGrid(sys.times, out)
 
 
-def gaussian_covariance(sys: LinearizedSystem) -> np.ndarray:
-    """Covariance along the Gaussian limit: S' = A1 S + S A1' + G diag(w) G'.
+def _covariance_path(sys: LinearizedSystem):
+    """Yield the Gaussian-limit covariance at each of sys.times, from zero.
 
-    Solved by RK4 with per-cell frozen coefficients, starting from zero and
-    re-symmetrized each step.  Returns the (n_cells + 1, d, d) covariances at
-    sys.times.
+    S' = A1 S + S A1' + G diag(w) G', solved by RK4 with per-cell frozen
+    coefficients and re-symmetrized each step.
     """
-    n, d = sys.n_cells, sys.dim
     h = sys.dt
-    covs = np.zeros((n + 1, d, d))
-    s = np.zeros((d, d))
-    gain = sys.gain
-    for c in range(n):
+    sqrt_w = np.sqrt(sys.measure.weights)
+    s = np.zeros((sys.dim, sys.dim))
+    yield s
+    for c in range(sys.n_cells):
         a1 = sys.drift_mat[c]
-        q = gain[c] @ gain[c].T
+        gain = sys.jump_vals[c] * sqrt_w
+        q = gain @ gain.T
         # every stage m is exactly symmetric, so m @ a1.T is (a1 @ m).T
         s = rk4_step(lambda m: (p := a1 @ m) + p.T + q, s, h)
         s = 0.5 * (s + s.T)
-        covs[c + 1] = s
-    return covs
+        yield s
+
+
+def gaussian_covariance(sys: LinearizedSystem) -> np.ndarray:
+    """Sigma_T, the (d, d) covariance of the Gaussian limit at the horizon.
+
+    Solves S' = A1 S + S A1' + G diag(w) G' from zero by RK4 with per-cell
+    frozen coefficients, re-symmetrized each step, and keeps only the
+    current step.
+    """
+    for s in _covariance_path(sys):
+        pass
+    return s
 
 
 @dataclass(frozen=True)

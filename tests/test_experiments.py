@@ -280,6 +280,35 @@ def test_rate_writes_nothing_for_a_misshapen_target(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("seeds", "x", "seeds must be a list of integers >= 0, got 'x'"),
+        ("seeds", [0, -1], "seeds must be a list of integers >= 0, got [0, -1]"),
+        ("hs_levels", [], "hs_levels must be a non-empty list of integers >= 0, got []"),
+        ("hs_levels", [2, 4.5], "hs_levels must be a non-empty list of integers >= 0"),
+        ("epsilon", 0.0, "epsilon must be a positive number, got 0.0"),
+        ("epsilon", "0.1", "epsilon must be a positive number, got '0.1'"),
+    ],
+)
+def test_pollutant_study_keys_are_checked_before_any_table(tmp_path, capsys, key, value, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"pollutant": {
+        "d_space": 1, "max_mode": 3, "atoms": [[0.3, 1.0, 1.0]], key: value,
+    }}))
+    assert cli.main(["pollutant", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"FAILED: {message}")
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_lemma_check_writes_nothing_for_an_unknown_model(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "no_such_model"}))
+    assert cli.main(["lemma-check", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("FAILED: unknown model 'no_such_model'")
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_rate_prints_default_target_as_plain_floats(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"model": "pure_jump", "n_cells_analysis": 200}))

@@ -25,6 +25,7 @@ from jumpmdp.prm import (
     EventBatch,
     PointRealization,
     sample_controlled_measure,
+    sample_poisson_batch,
     sample_poisson_measure,
     substream,
     tilt_cost,
@@ -289,6 +290,15 @@ def test_batched_rows_match_single_paths(rows, atom_seed):
                 for lo in range(0, len(events), size)
             ])
             assert batched.tobytes() == singles.tobytes()
+
+
+def test_batch_keeps_one_copy_of_its_step_states(pollutant_36, traced_peak):
+    # the step states (about one output, as events are few) and the output; no third copy
+    model, _ = pollutant_36
+    events = sample_poisson_batch(model.measure, 20.0, model.horizon, [substream(1, 5, r) for r in range(8)])
+    paths, peak = traced_peak(lambda: simulate_jump_paths(model, 0.05, events, n_cells=2000))
+    assert paths.shape == (8, 2001, 36)
+    assert peak <= 2.2 * paths.nbytes + 1e6
 
 
 def test_model_derivative_validation():

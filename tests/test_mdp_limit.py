@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from jumpmdp.jump_sde import ModelError, fluid_limit, rk4_step
+from jumpmdp.jump_sde import ModelError, ModelSpec, PathGrid, fluid_limit, rk4_step
 from jumpmdp.mark_space import MarkMeasure
 from jumpmdp.mdp_limit import (
+    _covariance_path,
     build_linearization,
     decompose_controlled_path,
     gaussian_covariance,
@@ -144,6 +145,45 @@ def test_time_varying_propagators_match_the_cell_loop(n_cells):
         assert same_bits(got, ref)
 
 
+def state_dependent_model():
+    # G(x, y_k) = y_k x and A1 = diag(x) + sum_k w_k y_k I: a cell's coefficients follow its midpoint
+    m = MarkMeasure.from_atoms([(1.0, 0.5), (2.0, 0.25)])
+    return ModelSpec(
+        dim=2, horizon=1.0, x0=np.zeros(2),
+        drift=lambda x: 0.5 * x * x,
+        jump=lambda x: x[..., :, None] * m.marks.T,
+        drift_jac=lambda x: np.diag(x),
+        jump_jac=lambda x: m.marks[:, :, None] * np.eye(2),
+        measure=m,
+    )
+
+
+@pytest.mark.parametrize("case", ["never", "cell 1", "last cell", "sign bit of the last cell"])
+def test_coefficients_first_differing_anywhere_match_the_cell_loop(case):
+    n = 50
+    values = np.zeros((n + 1, 2))
+    if case == "cell 1":
+        values[2:] = 1.0  # cell 1's midpoint is 0.5
+    elif case == "last cell":
+        values[-1] = 1.0
+    elif case == "sign bit of the last cell":
+        values[-2:, 1] = -0.0  # only cell n-1's midpoint, and so its G, holds a -0.0
+    model = state_dependent_model()
+    fluid = PathGrid(np.linspace(0.0, 1.0, n + 1), values)
+    sysm = build_linearization(model, fluid)
+    assert sysm.time_invariant == (case == "never")
+    a1, jv = reference_coefficients(model, fluid)
+    assert same_bits(sysm.drift_mat, a1) and same_bits(sysm.jump_vals, jv)
+    if sysm.time_invariant:
+        assert all(v.strides[0] == 0 and not v.flags.writeable for v in (sysm.drift_mat, sysm.jump_vals))
+
+
+def test_linearization_keeps_no_per_cell_array(pollutant_36, traced_peak):
+    sysm, peak = traced_peak(lambda: build_linearization(*pollutant_36))
+    assert peak < 2e6
+    assert sysm.time_invariant
+
+
 def test_limit_path_scalar_closed_form():
     # autonomous x' = a x + c, x(0) = 0 -> (c/a)(e^{at} - 1)
     a, c = 0.8, 1.3
@@ -173,17 +213,22 @@ def test_gain_times_u_equals_mark_integral():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+def covariance_path(sysm):
+    # the (n_cells + 1, d, d) covariances at sysm.times that gaussian_covariance runs through
+    return np.array(list(_covariance_path(sysm)))
+
+
 def test_gaussian_covariance_closed_forms():
     model, sysm = linearize("linear_gaussian", {"rate": 0.0, "gain": 0.0}, n_cells=100)
-    assert np.all(gaussian_covariance(sysm) == 0.0)
+    assert np.all(covariance_path(sysm) == 0.0)
 
     model, sysm = linearize("linear_gaussian", {"rate": 0.0, "gain": 1.5}, n_cells=500)
-    covs = gaussian_covariance(sysm)
+    covs = covariance_path(sysm)
     assert np.max(np.abs(covs[:, 0, 0] - 1.5**2 * sysm.times)) < 1e-10
 
     a, sig = -0.9, 1.2
     model, sysm = linearize("linear_gaussian", {"rate": a, "gain": sig}, n_cells=1000)
-    covs = gaussian_covariance(sysm)
+    covs = covariance_path(sysm)
     exact = sig**2 * (math.exp(2 * a * 1.0) - 1.0) / (2 * a)
     assert abs(covs[-1][0, 0] - exact) < 1e-8
     assert covs[0, 0, 0] == 0.0
@@ -191,10 +236,24 @@ def test_gaussian_covariance_closed_forms():
 
 def test_covariance_psd():
     model, sysm = linearize("two_d_benchmark", n_cells=150)
-    covs = gaussian_covariance(sysm)
+    covs = covariance_path(sysm)
     for c in range(0, 151, 10):
         vals = np.linalg.eigvalsh(covs[c])
         assert vals.min() >= -1e-10
+
+
+def test_gaussian_covariance_is_the_end_of_the_path():
+    model, sysm = linearize("two_d_benchmark", n_cells=150)
+    sigma_t = gaussian_covariance(sysm)
+    assert sigma_t.shape == (2, 2)
+    assert same_bits(sigma_t, covariance_path(sysm)[-1])
+
+
+def test_gaussian_covariance_keeps_no_per_cell_array(pollutant_36, traced_peak):
+    sysm = build_linearization(*pollutant_36)
+    sigma_t, peak = traced_peak(lambda: gaussian_covariance(sysm))
+    assert peak < 2e6
+    assert sigma_t.shape == (36, 36)
 
 
 def test_decomposition_zero_control_no_events():

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from functools import cached_property
 
 import numpy as np
@@ -15,7 +14,6 @@ from jumpmdp.rate import (
     rate_to_point,
     sphere_minimum,
 )
-from jumpmdp.spde_pollutant import assemble_model, params_from_dict
 
 
 def linearize(name, params=None, n_cells=400):
@@ -299,22 +297,14 @@ def test_one_flow_pass_per_system(monkeypatch):
     assert passes == [1]
 
 
-def test_terminal_rate_keeps_no_per_cell_matrix():
-    # the 36-mode 2-D pollutant model on 2000 cells: one (n_cells, d, d) array is 20.7 MB
-    model = assemble_model(params_from_dict({
-        "d_space": 2, "velocity": [2.0, 0.0], "decay": 0.5, "radius": 0.05, "max_mode": 5,
-        "atoms": [[0.3, 0.4, 1.0, 0.6], [0.7, 0.6, 2.0, 0.4]],
-    }))
-    fluid, _ = fluid_limit(model, 2000)
-    sysm = build_linearization(model, fluid)
-    assert sysm.dim == 36
-    tracemalloc.start()
-    try:
+def test_terminal_rate_keeps_no_per_cell_matrix(pollutant_36, traced_peak):
+    sysm = build_linearization(*pollutant_36)
+
+    def terminal_rate():
         _, zstar = sphere_minimum(controllability_gramian(sysm), 1.0)
         rate_to_point(sysm, zstar)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(terminal_rate)
     assert peak < 4e6
 
 
