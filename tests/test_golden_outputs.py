@@ -21,11 +21,27 @@ CASES = {
         "n_cells": 32,
         "n_cells_analysis": 200,
     },
+    # scalar_benchmark is time-invariant: one stored cell for W and Sigma_T
+    "clt-check-scalar": {
+        "model": "scalar_benchmark",
+        "clt_epsilon": 0.05,
+        "clt_replications": 200,
+        "n_cells": 32,
+        "n_cells_analysis": 200,
+    },
     "fluid": {"model": "two_d_benchmark", "n_cells_analysis": 200},
     "lemma-check": {"lemma": {"betas": [1.0, 2.0, 5.0], "eps": [0.1], "m_bound": 2.0}},
     "var-rep": {"var_rep": {"replications": 2000}},
     "mdp-slope": {
         "model": "two_d_benchmark",
+        "eps_grid": [0.2, 0.1],
+        "replications": 100,
+        "is_replications": 100,
+        "n_cells": 32,
+        "n_cells_analysis": 200,
+    },
+    "mdp-slope-scalar": {
+        "model": "scalar_benchmark",
         "eps_grid": [0.2, 0.1],
         "replications": 100,
         "is_replications": 100,
@@ -74,13 +90,16 @@ CASES = {
     },
 }
 # case -> CLI command, where the case is not named after its command
-COMMANDS = {"pollutant-2d": "pollutant"}
+COMMANDS = {"clt-check-scalar": "clt-check", "mdp-slope-scalar": "mdp-slope", "pollutant-2d": "pollutant"}
 
-# case -> (exit code, {output file: sha256}).  At this size the 2-D slope
-# misses its 25% gate, so mdp-slope exits 1; summary.csv is written first.
+# case -> (exit code, {output file: sha256}).  At these sizes both slopes
+# miss their 25% gate, so mdp-slope exits 1; summary.csv is written first.
 GOLDEN = {
     "clt-check": (0, {
         "clt_check.csv": "e9c101471c4abe7b394753f67759eef661f0c2e5311fc0451db75a26f2efefdb",
+    }),
+    "clt-check-scalar": (0, {
+        "clt_check.csv": "18553c298ef974381d185a8ecd02aceb74749567c787974827ec298d1eacbb61",
     }),
     "fluid": (0, {
         "fluid.csv": "7b60050e6534186acc75a606ab4fb8d0b52104eb29226de3eb4de7418ad86d3d",
@@ -94,6 +113,9 @@ GOLDEN = {
     }),
     "mdp-slope": (1, {
         "summary.csv": "022f21c1e70fd1e79dec4aab5c1f7dd2312dbc4656a22388bb66c15f9b3b2127",
+    }),
+    "mdp-slope-scalar": (1, {
+        "summary.csv": "3e8c83cd0388dc257ecc299fb9ddd526fedcb01028e61bcf66fec7fb58ad2781",
     }),
     "pollutant": (0, {
         "pollutant_field_T.csv": "4347fece98364f10bdd54b04dd6b3177554484df622f3ff49254d076876f5307",
