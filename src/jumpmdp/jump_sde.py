@@ -285,6 +285,7 @@ def _integrate(
             x = np.where(jumping[p], kicked, x)
     # each row records grid values 1..n in step order
     keep = np.concatenate([np.ones((b, 1), dtype=bool), record >= 0], axis=1)
+    del h_steps, moving, jumping, atom_steps, h, record, atom  # free before the compaction copy
     out = states[keep].reshape(b, n_cells + 1, dim)
     del states
     finite = np.isfinite(out).all(axis=2)

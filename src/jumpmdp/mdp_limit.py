@@ -15,6 +15,7 @@ this module builds:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,8 +66,14 @@ class LinearizedSystem:
 
     @property
     def gain(self) -> np.ndarray:
-        """B = G diag(sqrt(w)) per cell, (n_cells, d, n_atoms); B B' = G diag(w) G'."""
-        return self.jump_vals * np.sqrt(self.measure.weights)
+        """B = G diag(sqrt(w)) per cell, (n_cells, d, n_atoms); B B' = G diag(w) G'.
+
+        A time-invariant system gets a read-only stride-0 view of its one cell.
+        """
+        sqrt_w = np.sqrt(self.measure.weights)
+        if self.time_invariant:
+            return np.broadcast_to(self.jump_vals[:1] * sqrt_w, self.jump_vals.shape)
+        return self.jump_vals * sqrt_w
 
     @cached_property
     def propagators(self) -> tuple[np.ndarray, np.ndarray]:
@@ -99,21 +106,27 @@ class LinearizedSystem:
         flow[c] = R[n-1] ... R[c+1] (dt S[c]) / dt carries a source in cell c to
         the horizon by the propagators.
 
-        One backward pass adds each cell's term into W as it goes and keeps no
-        per-cell array.  Built once per system.  An unstable flow overflows to
-        inf/NaN; Gramian.check_finite names a non-finite W.
+        A time-invariant system has flow[c] = R^(n-1-c) (dt S) / dt, so W is the
+        two-level power sum _flow_sum(R - I, b b' dt, n) with b = S B.  A
+        time-varying one adds each cell's term into W in one backward pass.
+        Neither keeps a per-cell array.  Built once per system.  An unstable
+        flow overflows to inf/NaN; Gramian.check_finite names a non-finite W.
         """
         d = self.dim
         prop, src = self.propagators
         dt = self.dt
         sqrt_w = np.sqrt(self.measure.weights)
-        w = np.zeros((d, d))
-        acc = np.eye(d)
-        for c in range(self.n_cells - 1, -1, -1):
-            b = ((acc @ src[c]) / dt) @ (self.jump_vals[c] * sqrt_w)
-            w += b @ b.T
-            acc = acc @ prop[c]
-        w *= dt
+        if self.time_invariant:
+            b = (src[0] / dt) @ (self.jump_vals[0] * sqrt_w)
+            w = _flow_sum(prop[0] - np.eye(d), dt * (b @ b.T), self.n_cells)
+        else:
+            w = np.zeros((d, d))
+            acc = np.eye(d)
+            for c in range(self.n_cells - 1, -1, -1):
+                b = ((acc @ src[c]) / dt) @ (self.jump_vals[c] * sqrt_w)
+                w += b @ b.T
+                acc = acc @ prop[c]
+            w *= dt
         w = 0.5 * (w + w.T)
         w.flags.writeable = False  # shared by every caller
         return w
@@ -122,6 +135,32 @@ class LinearizedSystem:
         """Cellwise integral of psi(y, s) G(x0(s), y) against the marks."""
         w = self.measure.weights
         return np.einsum("cik,kc->ci", self.jump_vals, psi * w[:, None])
+
+
+def _flow_sum(f: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """sum_{j<n} P^j m P'^j with P = I + f, for n >= 1.
+
+    Two levels of the Horner step s <- m + P s P': K = isqrt(n) steps build
+    the block sum s_K and e = P^K - I, then n // K steps carry the block by
+    Q = I + e, and the n % K leading terms close the sum.  Every step is
+    written around the identity (t = s + f s, s <- m + t + t f'), and powers
+    are kept as P^j - I, so a near-identity P loses no digits to I.
+    """
+    k = math.isqrt(n)
+    q, r = divmod(n, k)
+    s, e = np.zeros_like(m), np.zeros_like(f)
+    for j in range(k):
+        if j == r:
+            s_r, e_r = s, e  # sum of the first r terms, and P^r - I
+        t = s + f @ s
+        s = m + t + t @ f.T
+        e = e + f + e @ f
+    total = np.zeros_like(m)
+    for _ in range(q):
+        t = total + e @ total
+        total = s + t + t @ e.T
+    t = total + e_r @ total
+    return s_r + t + t @ e_r.T
 
 
 def build_linearization(model: ModelSpec, fluid_path: PathGrid) -> LinearizedSystem:
@@ -181,13 +220,28 @@ def solve_limit_path(sys: LinearizedSystem, psi) -> PathGrid:
     return PathGrid(sys.times, out)
 
 
+RK4_REAL_LIMIT = 2.785  # RK4's stability interval on the negative real axis is about (-2.785, 0]
+
+
 def _covariance_path(sys: LinearizedSystem):
     """Yield the Gaussian-limit covariance at each of sys.times, from zero.
 
     S' = A1 S + S A1' + G diag(w) G', solved by RK4 with per-cell frozen
-    coefficients and re-symmetrized each step.
+    coefficients and re-symmetrized each step.  The Lyapunov operator's
+    eigenvalues reach 2 * spectral_radius(A1), so a cell where
+    2 * dt * spectral_radius(A1) exceeds RK4_REAL_LIMIT raises ModelError
+    before any step is taken.
     """
     h = sys.dt
+    a1 = sys.drift_mat[:1] if sys.time_invariant else sys.drift_mat
+    reach = 2.0 * h * np.abs(np.linalg.eigvals(a1)).max(axis=1)
+    bad = np.flatnonzero(reach > RK4_REAL_LIMIT)
+    if bad.size:
+        c = int(bad[0])
+        raise ModelError(
+            f"RK4 Lyapunov step is unstable at cell {c} (t={float(sys.times[c])!r}): "
+            f"2 * dt * spectral_radius(A1) = {float(reach[c])!r} > {RK4_REAL_LIMIT}; refine the grid"
+        )
     sqrt_w = np.sqrt(sys.measure.weights)
     s = np.zeros((sys.dim, sys.dim))
     yield s
@@ -201,16 +255,49 @@ def _covariance_path(sys: LinearizedSystem):
         yield s
 
 
+def _exact_step(a: np.ndarray, q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{A h} - I, int_0^h e^{A s} q e^{A' s} ds) by their Taylor series.
+
+    With Z = A h and L(X) = Z X + X Z', the terms are Z^k / k! and
+    h L^k(q) / (k + 1)!; both series run until a term no longer changes
+    their sums.  Meant for ||A h|| <= 1/2, where that takes about 20 terms.
+    """
+    z = h * a
+    f, m = np.zeros_like(z), np.zeros_like(q)
+    fk, mk = np.eye(len(z)), h * q
+    for k in range(1, 64):
+        fk = (fk @ z) / k
+        f_next, m_next = f + fk, m + mk
+        if np.array_equal(f_next, f) and np.array_equal(m_next, m):
+            break
+        f, m = f_next, m_next
+        p = z @ mk
+        mk = (p + p.T) / (k + 1)
+    return f, m
+
+
 def gaussian_covariance(sys: LinearizedSystem) -> np.ndarray:
     """Sigma_T, the (d, d) covariance of the Gaussian limit at the horizon.
 
-    Solves S' = A1 S + S A1' + G diag(w) G' from zero by RK4 with per-cell
-    frozen coefficients, re-symmetrized each step, and keeps only the
-    current step.
+    Sigma_T solves S' = A1 S + S A1' + G diag(w) G' from zero.  A
+    time-invariant system gets it with no grid error: on steps
+    h = dt / 2^k with ||A1 h||_inf <= 1/2, Sigma_T is the exact power sum
+    _flow_sum(e^{A1 h} - I, int_0^h e^{A1 s} Q e^{A1' s} ds, n 2^k), both
+    terms from _exact_step.  A time-varying system runs RK4 with per-cell
+    frozen coefficients, re-symmetrized each step, keeping only the current
+    step; it raises ModelError where the step leaves RK4's stability interval.
     """
-    for s in _covariance_path(sys):
-        pass
-    return s
+    if not sys.time_invariant:
+        for s in _covariance_path(sys):
+            pass
+        return s
+    a = sys.drift_mat[0]
+    gain = sys.gain[0]
+    z_norm = sys.dt * float(np.abs(a).sum(axis=1).max())  # ||A1 dt||_inf
+    k = max(0, math.frexp(2.0 * z_norm)[1]) if 0.0 < z_norm < math.inf else 0  # z_norm / 2^k < 1/2
+    f, m = _exact_step(a, gain @ gain.T, sys.dt / 2.0**k)
+    s = _flow_sum(f, m, sys.n_cells * 2**k)
+    return 0.5 * (s + s.T)
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,9 @@ class Gramian:
     W = sum_c flow[c] @ gain[c] @ gain[c].T @ flow[c].T * dt, where flow[c] is
     the discrete state-transition factor from cell c to the horizon (the
     RK4-consistent analogue of Phi(T, s)).  The flow itself is never stored:
-    LinearizedSystem.gramian adds each cell's term in one backward pass.
+    LinearizedSystem.gramian sums the powers of the one cell map of a
+    time-invariant system in two levels, and adds each cell's term in one
+    backward pass on a time-varying one.
     """
 
     matrix: np.ndarray       # (d, d) symmetric PSD
@@ -95,7 +97,9 @@ def rate_of_path(
     the range of the gain makes the rate infinite, with the violation
     reported.  u lies in the row space of B, u = B' v with v = (B^+)' u, so
     psi = G' v equals u / sqrt(w) on atoms of positive weight without a
-    division.
+    division.  A time-invariant system takes one solve, with every cell's
+    right-hand side at once, and one pseudo-inverse on its one cell; a
+    time-varying one solves and inverts all cells as a stack.
     """
     if not np.array_equal(path.times, sys.times):
         raise ModelError("path grid does not match the linearized system grid")
@@ -107,10 +111,14 @@ def rate_of_path(
     prop, src = sys.propagators
     gain = sys.gain
     # all cells at once, vectors as (n_cells, ., 1) columns
-    f = np.linalg.solve(src, eta[1:, :, None] - prop @ eta[:-1, :, None])
-    pinv = np.linalg.pinv(gain, rcond=pinv_rtol)
+    if sys.time_invariant:  # one solve with every cell's right-hand side, one pseudo-inverse
+        f = np.linalg.solve(src[0], (eta[1:] - eta[:-1] @ prop[0].T).T).T[:, :, None]
+        pinv = np.linalg.pinv(gain[0], rcond=pinv_rtol)
+    else:
+        f = np.linalg.solve(src, eta[1:, :, None] - prop @ eta[:-1, :, None])
+        pinv = np.linalg.pinv(gain, rcond=pinv_rtol)
     u = pinv @ f
-    psi = (sys.jump_vals.transpose(0, 2, 1) @ (pinv.transpose(0, 2, 1) @ u))[..., 0].T
+    psi = (sys.jump_vals.swapaxes(1, 2) @ (pinv.swapaxes(-1, -2) @ u))[..., 0].T
     resid = np.linalg.norm(gain @ u - f, axis=1)
     infeasible = np.any(resid > range_tol * (1.0 + np.linalg.norm(f, axis=1)))
     value = math.inf if infeasible else 0.5 * math.fsum((u * u).ravel()) * sys.dt

@@ -591,6 +591,42 @@ def test_cli_import_leaves_scipy_special_unloaded(tmp_path):
     assert out.stdout.splitlines()[-1] == "0 False"
 
 
+def test_cli_runs_leave_scipy_linalg_unloaded(tmp_path):
+    # scipy.linalg takes about a tenth of a second to import; the linear
+    # analysis (Gramian, Sigma_T, rate solvers) runs on numpy alone
+    import jumpmdp
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(jumpmdp.__file__)))
+    small = {"model": "scalar_benchmark", "eps_grid": [0.2, 0.1], "replications": 100,
+             "is_replications": 100, "clt_replications": 100, "n_cells": 16, "n_cells_analysis": 100}
+    configs = {
+        "mdp-slope": small,
+        "clt-check": small,
+        "pollutant": {"pollutant": {
+            "d_space": 1, "velocity": [2.0], "radius": 0.05, "max_mode": 2,
+            "atoms": [[0.3, 1.0, 0.6], [0.7, 2.0, 0.4]], "seeds": [0], "hs_levels": [4],
+        }},
+    }
+    for command, cfg in configs.items():
+        (tmp_path / f"{command}.json").write_text(json.dumps(cfg))
+    code = (
+        "import sys, jumpmdp.cli\n"
+        "for command in sys.argv[2:]:\n"
+        "    jumpmdp.cli.main([command, '--config', f'{sys.argv[1]}/{command}.json', "
+        "'--out', f'{sys.argv[1]}/{command}'])\n"
+        "    print(command, 'scipy.linalg' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), *configs],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert [line for line in out.stdout.splitlines() if line.split()[0] in configs] == [
+        f"{command} False" for command in configs
+    ]
+    for table in ("mdp-slope/summary.csv", "clt-check/clt_check.csv", "pollutant/pollutant_report.csv"):
+        assert (tmp_path / table).exists()
+
+
 def test_cli_failure_exit_code(tmp_path, monkeypatch):
     def boom(cfg):
         raise CheckFailure("synthetic failure", "deadbeef", 0, None)

@@ -99,7 +99,7 @@ GOLDEN = {
         "clt_check.csv": "e9c101471c4abe7b394753f67759eef661f0c2e5311fc0451db75a26f2efefdb",
     }),
     "clt-check-scalar": (0, {
-        "clt_check.csv": "18553c298ef974381d185a8ecd02aceb74749567c787974827ec298d1eacbb61",
+        "clt_check.csv": "16266386ef205861f3cfb5f6b204c44e30ad5474e484516827620cd4bb125b7d",
     }),
     "fluid": (0, {
         "fluid.csv": "7b60050e6534186acc75a606ab4fb8d0b52104eb29226de3eb4de7418ad86d3d",
@@ -115,7 +115,7 @@ GOLDEN = {
         "summary.csv": "022f21c1e70fd1e79dec4aab5c1f7dd2312dbc4656a22388bb66c15f9b3b2127",
     }),
     "mdp-slope-scalar": (1, {
-        "summary.csv": "3e8c83cd0388dc257ecc299fb9ddd526fedcb01028e61bcf66fec7fb58ad2781",
+        "summary.csv": "48fc5194cbe56d91478121322774db96c54585c6b346feb8294fb1126196d1f1",
     }),
     "pollutant": (0, {
         "pollutant_field_T.csv": "4347fece98364f10bdd54b04dd6b3177554484df622f3ff49254d076876f5307",

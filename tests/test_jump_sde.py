@@ -298,7 +298,7 @@ def test_batch_keeps_one_copy_of_its_step_states(pollutant_36, traced_peak):
     events = sample_poisson_batch(model.measure, 20.0, model.horizon, [substream(1, 5, r) for r in range(8)])
     paths, peak = traced_peak(lambda: simulate_jump_paths(model, 0.05, events, n_cells=2000))
     assert paths.shape == (8, 2001, 36)
-    assert peak <= 2.2 * paths.nbytes + 1e6
+    assert peak <= 2.1 * paths.nbytes + 1e6
 
 
 def test_model_derivative_validation():

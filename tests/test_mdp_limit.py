@@ -256,6 +256,59 @@ def test_gaussian_covariance_keeps_no_per_cell_array(pollutant_36, traced_peak):
     assert sigma_t.shape == (36, 36)
 
 
+@pytest.mark.parametrize("n_cells", [2000, 256])
+def test_time_invariant_covariance_matches_the_mode_closed_form(pollutant_36, n_cells):
+    # diagonal drift -r: Sigma_mn = Q_mn (1 - e^{-(r_m + r_n) T}) / (r_m + r_n).  On 256
+    # cells 2 dt lambda_max = 3.9 lies outside RK4's stability interval; no grid enters here.
+    model, fluid = pollutant_36
+    if n_cells != fluid.n_cells:
+        fluid, _ = fluid_limit(model, n_cells)
+    sysm = build_linearization(model, fluid)
+    assert sysm.time_invariant
+    a = sysm.drift_mat[0]
+    assert np.all(a == np.diag(np.diag(a)))
+    gain = sysm.gain[0]
+    rates = -np.diag(a)[:, None] - np.diag(a)[None, :]
+    exact = (gain @ gain.T) * -np.expm1(-rates * model.horizon) / rates
+    sigma_t = gaussian_covariance(sysm)
+    assert np.max(np.abs(sigma_t - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("n_cells", [7, 256, 2000])
+def test_time_invariant_covariance_scalar_closed_form(n_cells):
+    a, sig = -0.9, 1.2
+    model, sysm = linearize("linear_gaussian", {"rate": a, "gain": sig}, n_cells=n_cells)
+    exact = sig**2 * math.expm1(2 * a * 1.0) / (2 * a)
+    assert abs(gaussian_covariance(sysm)[0, 0] - exact) <= 2e-15 * exact
+
+
+def test_gain_of_a_time_invariant_system_is_one_cell():
+    model, sysm = linearize("scalar_benchmark")
+    gain = sysm.gain
+    assert gain.shape == sysm.jump_vals.shape
+    assert gain.strides[0] == 0 and not gain.flags.writeable
+    assert same_bits(gain[0], sysm.jump_vals[0] * np.sqrt(sysm.measure.weights))
+
+
+def test_rk4_lyapunov_guard_names_the_first_unstable_cell():
+    # time-varying systems keep the RK4 Lyapunov step: outside its stability
+    # interval it raises instead of returning a finite wrong covariance
+    model = tanh_pollutant_model()
+    sysm = build_linearization(model, fluid_limit(model, 32)[0])
+    assert not sysm.time_invariant
+    with pytest.raises(ModelError, match=r"unstable at cell 0 \(t=0\.0\)"):
+        gaussian_covariance(sysm)
+    # A1 = diag(x) + I at the cell midpoint: cell 30 is the first with 2 dt |A1| > 2.785
+    values = np.zeros((51, 2))
+    values[30:] = 100.0
+    sysm = build_linearization(state_dependent_model(), PathGrid(np.linspace(0.0, 1.0, 51), values))
+    with pytest.raises(ModelError, match=r"unstable at cell 30 \(t=0\.6\)"):
+        gaussian_covariance(sysm)
+    for n_cells in (150, 200):
+        _, sysm = linearize("two_d_benchmark", n_cells=n_cells)
+        assert np.all(np.isfinite(gaussian_covariance(sysm)))
+
+
 def test_decomposition_zero_control_no_events():
     model = build_model("scalar_benchmark", {"x0": 1.0, "weight": 0.0})
     ctrl = ControlField(np.zeros((1, 32)), 1.0, 0.5)

@@ -99,13 +99,47 @@ def flow_oracle(sysm):
     return flow
 
 
+def flow_oracle_gramian(sysm):
+    # W = sum_c flow[c] gain[c] gain[c]' flow[c]' dt
+    b = np.einsum("cij,cjk->cik", flow_oracle(sysm), sysm.gain)
+    return np.einsum("cik,clk->il", b, b) * sysm.dt
+
+
+@pytest.mark.parametrize("name", ["scalar_benchmark", "linear_gaussian", "pollutant-36"])
+def test_time_invariant_gramian_matches_the_flow_oracle(name, request):
+    if name == "pollutant-36":
+        sysm = build_linearization(*request.getfixturevalue("pollutant_36"))
+    else:
+        sysm = linearize(name, {"rate": -0.9, "gain": 1.2} if name == "linear_gaussian" else None, n_cells=2000)
+    assert sysm.time_invariant
+    oracle = flow_oracle_gramian(sysm)
+    assert np.max(np.abs(sysm.gramian - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+def test_time_invariant_rate_of_path_matches_the_stacked_solve(pollutant_36):
+    sysm = build_linearization(*pollutant_36)
+    assert sysm.time_invariant
+    _, zstar = sphere_minimum(controllability_gramian(sysm), 1.0)
+    path = rate_to_point(sysm, zstar).path
+    sol = rate_of_path(sysm, path)
+    # the per-cell stack, as a time-varying system solves it
+    prop, src = (np.array(a) for a in sysm.propagators)
+    gain = np.array(sysm.gain)
+    eta = path.values
+    f = np.linalg.solve(src, eta[1:, :, None] - prop @ eta[:-1, :, None])
+    pinv = np.linalg.pinv(gain, rcond=1e-10)
+    u = pinv @ f
+    psi = (np.array(sysm.jump_vals).transpose(0, 2, 1) @ (pinv.transpose(0, 2, 1) @ u))[..., 0].T
+    value = 0.5 * math.fsum((u * u).ravel()) * sysm.dt
+    assert abs(sol.value - value) <= 1e-13 * value
+    assert np.max(np.abs(sol.psi - psi)) <= 1e-13 * np.max(np.abs(psi))
+    assert sol.residual <= 1e-13 * np.max(np.linalg.norm(f, axis=1))
+
+
 def test_gramian_construction_audit():
     sysm = linearize("two_d_benchmark", n_cells=150)
     gram = controllability_gramian(sysm)
-    # W = sum_c flow[c] gain[c] gain[c]' flow[c]' dt
-    b = np.einsum("cij,cjk->cik", flow_oracle(sysm), sysm.gain)
-    recon = np.einsum("cik,clk->il", b, b) * sysm.dt
-    assert np.max(np.abs(recon - gram.matrix)) < 1e-12
+    assert np.max(np.abs(flow_oracle_gramian(sysm) - gram.matrix)) < 1e-12
     vals = np.linalg.eigvalsh(gram.matrix)
     assert vals.min() >= -1e-12
 
