@@ -276,13 +276,14 @@ def _integrate(
     states = np.empty((b, length + 1, dim))  # x0, then the state after each step's advance
     states[:, 0] = x0
     x = np.tile(x0, (b, 1))
-    for p in range(length):
-        stepped = rk4_step(drift, x, h_steps[p])
-        x = stepped if all_moving[p] else np.where(moving[p], stepped, x)
-        states[:, p + 1] = x
-        if any_jump[p]:
-            kicked = x + epsilon * jump(x)[rows, :, atom_steps[p]]
-            x = np.where(jumping[p], kicked, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is named below
+        for p in range(length):
+            stepped = rk4_step(drift, x, h_steps[p])
+            x = stepped if all_moving[p] else np.where(moving[p], stepped, x)
+            states[:, p + 1] = x
+            if any_jump[p]:
+                kicked = x + epsilon * jump(x)[rows, :, atom_steps[p]]
+                x = np.where(jumping[p], kicked, x)
     # each row records grid values 1..n in step order
     keep = np.concatenate([np.ones((b, 1), dtype=bool), record >= 0], axis=1)
     del h_steps, moving, jumping, atom_steps, h, record, atom  # free before the compaction copy
@@ -347,11 +348,12 @@ def fluid_limit(model: ModelSpec, n_cells: int = 1000) -> tuple[PathGrid, float]
     out = np.empty((n_cells + 1, model.dim))
     x = model.x0.copy()
     out[0] = x
-    for i in range(1, n_cells + 1):
-        x = rk4_step(rhs, x, h)
-        if not np.all(np.isfinite(x)):
-            raise ModelError(f"fluid limit blew up at t={float(grid[i])!r}")
-        out[i] = x
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is named here
+        for i in range(1, n_cells + 1):
+            x = rk4_step(rhs, x, h)
+            if not np.all(np.isfinite(x)):
+                raise ModelError(f"fluid limit blew up at t={float(grid[i])!r}")
+            out[i] = x
     path = PathGrid(grid, out)
     return path, path.sup_norm()
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jump_sde import ModelError, ModelSpec, PathGrid, _integrate, rk4_step
+from .jump_sde import ModelError, ModelSpec, PathGrid, _integrate
 from .mark_space import MarkMeasure
 from .prm import ControlField, sample_controlled_measure
 
@@ -106,27 +106,21 @@ class LinearizedSystem:
         flow[c] = R[n-1] ... R[c+1] (dt S[c]) / dt carries a source in cell c to
         the horizon by the propagators.
 
-        A time-invariant system has flow[c] = R^(n-1-c) (dt S) / dt, so W is the
-        two-level power sum _flow_sum(R - I, b b' dt, n) with b = S B.  A
-        time-varying one adds each cell's term into W in one backward pass.
-        Neither keeps a per-cell array.  Built once per system.  An unstable
-        flow overflows to inf/NaN; Gramian.check_finite names a non-finite W.
+        W is the Stein fold W <- R[c] W R[c]' + dt b[c] b[c]' over the cells
+        from zero, with b = S B (see _stein_fold); no per-cell array is kept.
+        Built once per system.  An unstable flow overflows to inf/NaN;
+        Gramian.check_finite names a non-finite W.
         """
-        d = self.dim
         prop, src = self.propagators
+        gain = self.gain
         dt = self.dt
-        sqrt_w = np.sqrt(self.measure.weights)
-        if self.time_invariant:
-            b = (src[0] / dt) @ (self.jump_vals[0] * sqrt_w)
-            w = _flow_sum(prop[0] - np.eye(d), dt * (b @ b.T), self.n_cells)
-        else:
-            w = np.zeros((d, d))
-            acc = np.eye(d)
-            for c in range(self.n_cells - 1, -1, -1):
-                b = ((acc @ src[c]) / dt) @ (self.jump_vals[c] * sqrt_w)
-                w += b @ b.T
-                acc = acc @ prop[c]
-            w *= dt
+        eye = np.eye(self.dim)
+
+        def cell(c):
+            b = (src[c] / dt) @ gain[c]
+            return prop[c] - eye, dt * (b @ b.T), 1
+
+        w = _stein_fold(self, cell)
         w = 0.5 * (w + w.T)
         w.flags.writeable = False  # shared by every caller
         return w
@@ -137,8 +131,9 @@ class LinearizedSystem:
         return np.einsum("cik,kc->ci", self.jump_vals, psi * w[:, None])
 
 
-def _flow_sum(f: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
-    """sum_{j<n} P^j m P'^j with P = I + f, for n >= 1.
+def _flow_sum(f: np.ndarray, m: np.ndarray, n: int, start: np.ndarray | None = None) -> np.ndarray:
+    """sum_{j<n} P^j m P'^j + P^n start P'^n with P = I + f, for n >= 1:
+    n steps of s <- P s P' + m from start (zero when None).
 
     Two levels of the Horner step s <- m + P s P': K = isqrt(n) steps build
     the block sum s_K and e = P^K - I, then n // K steps carry the block by
@@ -155,12 +150,28 @@ def _flow_sum(f: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
         t = s + f @ s
         s = m + t + t @ f.T
         e = e + f + e @ f
-    total = np.zeros_like(m)
+    total = np.zeros_like(m) if start is None else start
     for _ in range(q):
         t = total + e @ total
         total = s + t + t @ e.T
     t = total + e_r @ total
     return s_r + t + t @ e_r.T
+
+
+def _stein_fold(sys: LinearizedSystem, cell) -> np.ndarray:
+    """S <- P_c S P_c' + m_c over the cells of sys, from S = 0.
+
+    cell(c) -> (P_c - I, m_c, substeps) is one substep of cell c, taken
+    `substeps` times.  A time-invariant system is one _flow_sum over all
+    n_cells * substeps steps of its one cell; a time-varying one chains one
+    _flow_sum per cell.
+    """
+    distinct = 1 if sys.time_invariant else sys.n_cells
+    s = None
+    for c in range(distinct):
+        f, m, substeps = cell(c)
+        s = _flow_sum(f, m, sys.n_cells // distinct * substeps, s)
+    return s
 
 
 def build_linearization(model: ModelSpec, fluid_path: PathGrid) -> LinearizedSystem:
@@ -220,41 +231,6 @@ def solve_limit_path(sys: LinearizedSystem, psi) -> PathGrid:
     return PathGrid(sys.times, out)
 
 
-RK4_REAL_LIMIT = 2.785  # RK4's stability interval on the negative real axis is about (-2.785, 0]
-
-
-def _covariance_path(sys: LinearizedSystem):
-    """Yield the Gaussian-limit covariance at each of sys.times, from zero.
-
-    S' = A1 S + S A1' + G diag(w) G', solved by RK4 with per-cell frozen
-    coefficients and re-symmetrized each step.  The Lyapunov operator's
-    eigenvalues reach 2 * spectral_radius(A1), so a cell where
-    2 * dt * spectral_radius(A1) exceeds RK4_REAL_LIMIT raises ModelError
-    before any step is taken.
-    """
-    h = sys.dt
-    a1 = sys.drift_mat[:1] if sys.time_invariant else sys.drift_mat
-    reach = 2.0 * h * np.abs(np.linalg.eigvals(a1)).max(axis=1)
-    bad = np.flatnonzero(reach > RK4_REAL_LIMIT)
-    if bad.size:
-        c = int(bad[0])
-        raise ModelError(
-            f"RK4 Lyapunov step is unstable at cell {c} (t={float(sys.times[c])!r}): "
-            f"2 * dt * spectral_radius(A1) = {float(reach[c])!r} > {RK4_REAL_LIMIT}; refine the grid"
-        )
-    sqrt_w = np.sqrt(sys.measure.weights)
-    s = np.zeros((sys.dim, sys.dim))
-    yield s
-    for c in range(sys.n_cells):
-        a1 = sys.drift_mat[c]
-        gain = sys.jump_vals[c] * sqrt_w
-        q = gain @ gain.T
-        # every stage m is exactly symmetric, so m @ a1.T is (a1 @ m).T
-        s = rk4_step(lambda m: (p := a1 @ m) + p.T + q, s, h)
-        s = 0.5 * (s + s.T)
-        yield s
-
-
 def _exact_step(a: np.ndarray, q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(e^{A h} - I, int_0^h e^{A s} q e^{A' s} ds) by their Taylor series.
 
@@ -279,24 +255,22 @@ def _exact_step(a: np.ndarray, q: np.ndarray, h: float) -> tuple[np.ndarray, np.
 def gaussian_covariance(sys: LinearizedSystem) -> np.ndarray:
     """Sigma_T, the (d, d) covariance of the Gaussian limit at the horizon.
 
-    Sigma_T solves S' = A1 S + S A1' + G diag(w) G' from zero.  A
-    time-invariant system gets it with no grid error: on steps
-    h = dt / 2^k with ||A1 h||_inf <= 1/2, Sigma_T is the exact power sum
-    _flow_sum(e^{A1 h} - I, int_0^h e^{A1 s} Q e^{A1' s} ds, n 2^k), both
-    terms from _exact_step.  A time-varying system runs RK4 with per-cell
-    frozen coefficients, re-symmetrized each step, keeping only the current
-    step; it raises ModelError where the step leaves RK4's stability interval.
+    Sigma_T solves S' = A1 S + S A1' + G diag(w) G' from zero, with the
+    coefficients frozen per cell, and carries no grid error and no stability
+    limit: each cell takes 2^k substeps h = dt / 2^k with ||A1 h||_inf <= 1/2,
+    each the exact map S <- e^{A1 h} S e^{A1' h} + int_0^h e^{A1 s} Q e^{A1' s} ds
+    from _exact_step, folded over the cells by _stein_fold.
     """
-    if not sys.time_invariant:
-        for s in _covariance_path(sys):
-            pass
-        return s
-    a = sys.drift_mat[0]
-    gain = sys.gain[0]
-    z_norm = sys.dt * float(np.abs(a).sum(axis=1).max())  # ||A1 dt||_inf
-    k = max(0, math.frexp(2.0 * z_norm)[1]) if 0.0 < z_norm < math.inf else 0  # z_norm / 2^k < 1/2
-    f, m = _exact_step(a, gain @ gain.T, sys.dt / 2.0**k)
-    s = _flow_sum(f, m, sys.n_cells * 2**k)
+    gain = sys.gain
+
+    def cell(c):
+        a = sys.drift_mat[c]
+        z_norm = sys.dt * float(np.abs(a).sum(axis=1).max())  # ||A1 dt||_inf
+        k = max(0, math.frexp(2.0 * z_norm)[1]) if 0.0 < z_norm < math.inf else 0  # z_norm / 2^k < 1/2
+        f, m = _exact_step(a, gain[c] @ gain[c].T, sys.dt / 2.0**k)
+        return f, m, 2**k
+
+    s = _stein_fold(sys, cell)
     return 0.5 * (s + s.T)
 
 

@@ -66,9 +66,8 @@ class Gramian:
     W = sum_c flow[c] @ gain[c] @ gain[c].T @ flow[c].T * dt, where flow[c] is
     the discrete state-transition factor from cell c to the horizon (the
     RK4-consistent analogue of Phi(T, s)).  The flow itself is never stored:
-    LinearizedSystem.gramian sums the powers of the one cell map of a
-    time-invariant system in two levels, and adds each cell's term in one
-    backward pass on a time-varying one.
+    LinearizedSystem.gramian folds W <- R[c] W R[c]' + (cell c's term) over
+    the cells, the same Stein fold that gives the Lyapunov covariance.
     """
 
     matrix: np.ndarray       # (d, d) symmetric PSD
@@ -128,7 +127,7 @@ def rate_of_path(
 
 def controllability_gramian(sys: LinearizedSystem) -> Gramian:
     """Gramian of the discrete controlled flow, exact for the cell solvers;
-    its flow pass (LinearizedSystem.gramian) runs once per system."""
+    its Stein fold (LinearizedSystem.gramian) runs once per system."""
     return Gramian(matrix=sys.gramian, n_cells=sys.n_cells)
 
 
@@ -153,7 +152,7 @@ def rate_to_point(
     psi(y, s) = G(s, y)' flow(s)' W^+ z; replaying the control reproduces the
     terminal point whenever z lies in the range of W, otherwise the rate is
     infinite with the range residual attached.  flow(s)' W^+ z comes from a
-    second backward pass over one d-vector, v <- R[c]' v from v = W^+ z, so
+    backward pass over one d-vector, v <- R[c]' v from v = W^+ z, so
     no per-cell matrix is formed.  A non-finite W (an overflowed flow)
     decides no range question: its psi, residual and rate are NaN, and
     Gramian.check_finite names the failure.

@@ -4,7 +4,7 @@ import hypothesis
 import pytest
 
 from jumpmdp.jump_sde import fluid_limit
-from jumpmdp.spde_pollutant import assemble_model, params_from_dict
+from jumpmdp.spde_pollutant import assemble_model, build_eigensystem, params_from_dict
 
 hypothesis.settings.register_profile(
     "dev", deadline=None, max_examples=60, derandomize=True
@@ -25,6 +25,19 @@ def pollutant_36():
     assert model.dim == 36
     fluid, _ = fluid_limit(model, 2000)
     return model, fluid
+
+
+@pytest.fixture(scope="session")
+def tanh_pollutant():
+    """A 4-mode 1-D pollutant model with a state-dependent (tanh) jump kernel, so its
+    linearization varies along the fluid path and its coupling term is not zero."""
+    params = params_from_dict({
+        "d_space": 1, "velocity": [2.0], "max_mode": 3,
+        "atoms": [[0.3, 1.0, 0.6], [0.7, 2.0, 0.4]],
+        "jump_kernel": {"kind": "tanh", "intercept": 1.0, "amplitude": 0.5, "slope": [0.7]},
+        "probes": [[[[0], 1.0], [[1], 0.5]]],
+    })
+    return assemble_model(params, build_eigensystem(params))
 
 
 @pytest.fixture

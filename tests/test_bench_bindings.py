@@ -98,36 +98,46 @@ def test_galerkin_config_is_accepted():
     assert model.dim == (params.max_mode + 1) ** params.d_space
 
 
-def _writing_open_sites(source):
-    """(enclosing function, line) of every open(...) call whose mode may write."""
+def _call_sites():
+    """(file name, enclosing function, callee name, call node) of every call in src/jumpmdp."""
+    src_dir = os.path.dirname(experiments.__file__)
     sites = []
 
-    def visit(node, func):
+    def visit(node, file_name, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open":
-            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
-            for mode in modes:
-                # a mode that is not a literal may write
-                if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
-                    sites.append((func, node.lineno))
+        if isinstance(node, ast.Call):
+            sites.append((file_name, func, getattr(node.func, "id", getattr(node.func, "attr", None)), node))
         for child in ast.iter_child_nodes(node):
-            visit(child, func)
+            visit(child, file_name, func)
 
-    visit(ast.parse(source), None)
+    for file_name in sorted(os.listdir(src_dir)):
+        if file_name.endswith(".py"):
+            with open(os.path.join(src_dir, file_name)) as fh:
+                visit(ast.parse(fh.read()), file_name, None)
     return sites
 
 
 def test_only_write_csv_opens_files_for_writing():
     # one writer holds the CSV byte rule; any other writing open() bypasses it
-    src_dir = os.path.dirname(experiments.__file__)
     offenders = []
-    for file_name in sorted(os.listdir(src_dir)):
-        if file_name.endswith(".py"):
-            with open(os.path.join(src_dir, file_name)) as fh:
-                sites = _writing_open_sites(fh.read())
-            offenders += [f"{file_name}:{line} in {func}" for func, line in sites if func != "write_csv"]
+    for file_name, func, name, node in _call_sites():
+        if name != "open" or func == "write_csv":
+            continue
+        modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+        # a mode that is not a literal may write
+        if any(not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+") for mode in modes):
+            offenders.append(f"{file_name}:{node.lineno} in {func}")
     assert not offenders, offenders
+
+
+def test_one_rk4_kernel_and_one_stein_fold():
+    # path integration owns the RK4 step; W and Sigma_T share one fold of _flow_sum
+    sites = _call_sites()
+    rk4 = [f"{f}:{node.lineno}" for f, _, name, node in sites if name == "rk4_step" and f != "jump_sde.py"]
+    flow = [f"{f}:{node.lineno} in {func}" for f, func, name, node in sites if name == "_flow_sum" and func != "_stein_fold"]
+    assert not rk4 and not flow, (rk4, flow)
+    assert {func for _, func, name, _ in sites if name == "_stein_fold"} == {"gramian", "gaussian_covariance"}
 
 
 def test_exports_resolve():

@@ -222,22 +222,20 @@ def test_nonfinite_paths_fail_in_both_estimators():
     # -3000 x is far outside RK4's stability region and overflows on 64 cells
     cfg = ExperimentConfig(**STIFF, **{**SMALL, "n_cells": 64})
     engine = experiments._Engine(cfg, (np.zeros((1, cfg.n_cells)), np.ones(1)))
-    with np.errstate(all="ignore"):
-        with pytest.raises(ModelError, match="blew up at t="):
-            engine.terminal_batch(experiments.SLOT_PLAIN, 0, 0.2, 0, 5)
-        with pytest.raises(ModelError, match="blew up at t="):
-            engine.is_batch(0, 0, 5)
-        # the same overflow in the linearized flow leaves W non-finite, so psi* is NaN
-        # on every cell, which the slope run reports before any Monte Carlo
-        with pytest.raises(ModelError, match="psi\\* is non-finite on 64 of n_cells=64 cells"):
-            run_mdp_slope(cfg)
+    with pytest.raises(ModelError, match="blew up at t="):
+        engine.terminal_batch(experiments.SLOT_PLAIN, 0, 0.2, 0, 5)
+    with pytest.raises(ModelError, match="blew up at t="):
+        engine.is_batch(0, 0, 5)
+    # the same overflow in the linearized flow leaves W non-finite, so psi* is NaN
+    # on every cell, which the slope run reports before any Monte Carlo
+    with pytest.raises(ModelError, match="psi\\* is non-finite on 64 of n_cells=64 cells"):
+        run_mdp_slope(cfg)
 
 
 def test_nonfinite_optimal_control_is_a_named_error(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**STIFF, **SMALL, "n_cells": 64}))
-    with np.errstate(all="ignore"):
-        assert cli.main(["mdp-slope", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert cli.main(["mdp-slope", "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("FAILED: optimal control psi* is non-finite on 64 of n_cells=64 cells")
     assert "Traceback" not in err and not (tmp_path / "summary.csv").exists()
@@ -265,6 +263,19 @@ def test_nonfinite_gramian_is_a_named_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("FAILED: controllability Gramian is non-finite on n_cells=64 cells")
     assert not (tmp_path / "rate_summary.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["clt-check", "mdp-slope"])
+def test_fluid_limit_blow_up_is_the_only_report(tmp_path, capsys, command):
+    # from x0 = 0 the stiff fluid limit overflows RK4 on 64 cells; a numpy
+    # RuntimeWarning on the way is an error here, so the named failure is all there is
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "model": "linear_gaussian", "model_params": {"rate": -3000.0, "gain": 3000.0},
+        "n_cells": 64, "n_cells_analysis": 64,
+    }))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("FAILED: fluid limit blew up at t=0.921875\n")
 
 
 def test_rate_writes_nothing_for_a_misshapen_target(tmp_path, capsys):

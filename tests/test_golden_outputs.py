@@ -96,7 +96,7 @@ COMMANDS = {"clt-check-scalar": "clt-check", "mdp-slope-scalar": "mdp-slope", "p
 # miss their 25% gate, so mdp-slope exits 1; summary.csv is written first.
 GOLDEN = {
     "clt-check": (0, {
-        "clt_check.csv": "e9c101471c4abe7b394753f67759eef661f0c2e5311fc0451db75a26f2efefdb",
+        "clt_check.csv": "8abf66fc058d9823383bac9f08c617913ca9ae6ecee3123a9f6a99004f4a1d31",
     }),
     "clt-check-scalar": (0, {
         "clt_check.csv": "16266386ef205861f3cfb5f6b204c44e30ad5474e484516827620cd4bb125b7d",
@@ -112,7 +112,7 @@ GOLDEN = {
         "var_rep.csv": "87f2286485b4006cd00082da305461a65d351893a17b7fa42bbf1c10b16adee9",
     }),
     "mdp-slope": (1, {
-        "summary.csv": "022f21c1e70fd1e79dec4aab5c1f7dd2312dbc4656a22388bb66c15f9b3b2127",
+        "summary.csv": "045bf8f3cf0f2f032ff736e5caebbde38f870321275aee7b53e5466ed2a7cb63",
     }),
     "mdp-slope-scalar": (1, {
         "summary.csv": "48fc5194cbe56d91478121322774db96c54585c6b346feb8294fb1126196d1f1",
@@ -130,9 +130,9 @@ GOLDEN = {
         "pollutant_report.csv": "e4c9771b66c3e24c7333948e1faf7187adf703fb58e66de761eb82d1873e2ed6",
     }),
     "rate": (0, {
-        "rate_path_0.csv": "02577ea8b33d0fe0e377fc3288609c2b7c5f96c6765d5e3b62f9979cd1d2518c",
-        "rate_psi_0.csv": "ff7269322fe5cf370c5e0591ccfd965b1e4d690dce43f8c3b2a15628d7613e21",
-        "rate_summary.csv": "04b1b83c462dec1fc393236ff98ca3815c53a2cf4a3d6ae5a3ede31421f2adc0",
+        "rate_path_0.csv": "ea3c03fd37779a5241632d5ceb459ab9facc65cd83166d8f5bbabc8baea279a9",
+        "rate_psi_0.csv": "329c529c13377d2cc6443104e9b4f702ac2af293af9b629bac5abdf2b6b37218",
+        "rate_summary.csv": "83a0934154cab127f838496ff9ef1d71ef5440aef0774f14dc4325d8686ca2f1",
     }),
     "simulate": (0, {
         "paths/eps0_rep0.csv": "3343bc1f640fd51755a8f66d41e9b8084e5b6755da6503e1be603efb043600de",

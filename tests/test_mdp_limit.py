@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from jumpmdp.jump_sde import ModelError, ModelSpec, PathGrid, fluid_limit, rk4_step
 from jumpmdp.mark_space import MarkMeasure
 from jumpmdp.mdp_limit import (
-    _covariance_path,
     build_linearization,
     decompose_controlled_path,
     gaussian_covariance,
@@ -213,40 +214,68 @@ def test_gain_times_u_equals_mark_integral():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def covariance_path(sysm):
-    # the (n_cells + 1, d, d) covariances at sysm.times that gaussian_covariance runs through
-    return np.array(list(_covariance_path(sysm)))
+def cut(sysm, c):
+    # the system on the first c cells of its grid: its Sigma_T is Sigma at sysm.times[c]
+    return dataclasses.replace(
+        sysm, times=sysm.times[:c + 1], drift_mat=sysm.drift_mat[:c], jump_vals=sysm.jump_vals[:c]
+    )
+
+
+def van_loan_covariances(sysm):
+    """Sigma at each of sysm.times, from one block exponential per cell (Van Loan,
+    IEEE TAC 1978): e^{h [[-A, Q], [0, A']]} = [[., F12], [0, F22]] gives
+    e^{A h} = F22' and int_0^h e^{A s} Q e^{A' s} ds = F22' F12."""
+    d, h, gain = sysm.dim, sysm.dt, sysm.gain
+    s = np.zeros((d, d))
+    out = [s]
+    for c in range(sysm.n_cells):
+        a = sysm.drift_mat[c]
+        block = np.zeros((2 * d, 2 * d))
+        block[:d, :d], block[:d, d:], block[d:, d:] = -a, gain[c] @ gain[c].T, a.T
+        e = expm(h * block)
+        phi = e[d:, d:].T
+        s = phi @ s @ phi.T + phi @ e[:d, d:]
+        out.append(s)
+    return np.array(out)
+
+
+def rel_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
 def test_gaussian_covariance_closed_forms():
     model, sysm = linearize("linear_gaussian", {"rate": 0.0, "gain": 0.0}, n_cells=100)
-    assert np.all(covariance_path(sysm) == 0.0)
+    assert all(np.all(gaussian_covariance(cut(sysm, c)) == 0.0) for c in range(1, 101))
 
     model, sysm = linearize("linear_gaussian", {"rate": 0.0, "gain": 1.5}, n_cells=500)
-    covs = covariance_path(sysm)
-    assert np.max(np.abs(covs[:, 0, 0] - 1.5**2 * sysm.times)) < 1e-10
+    covs = np.array([gaussian_covariance(cut(sysm, c))[0, 0] for c in range(1, 501)])
+    assert np.max(np.abs(covs - 1.5**2 * sysm.times[1:])) < 1e-10
 
     a, sig = -0.9, 1.2
     model, sysm = linearize("linear_gaussian", {"rate": a, "gain": sig}, n_cells=1000)
-    covs = covariance_path(sysm)
     exact = sig**2 * (math.exp(2 * a * 1.0) - 1.0) / (2 * a)
-    assert abs(covs[-1][0, 0] - exact) < 1e-8
-    assert covs[0, 0, 0] == 0.0
+    assert abs(gaussian_covariance(sysm)[0, 0] - exact) < 1e-8
+    # the fold starts from zero: one cell holds the one-cell integral alone
+    first = sig**2 * math.expm1(2 * a * sysm.dt) / (2 * a)
+    assert abs(gaussian_covariance(cut(sysm, 1))[0, 0] - first) <= 2e-15 * first
 
 
 def test_covariance_psd():
     model, sysm = linearize("two_d_benchmark", n_cells=150)
-    covs = covariance_path(sysm)
-    for c in range(0, 151, 10):
-        vals = np.linalg.eigvalsh(covs[c])
+    oracle = van_loan_covariances(sysm)
+    for c in range(10, 151, 10):
+        cov = gaussian_covariance(cut(sysm, c))
+        vals = np.linalg.eigvalsh(cov)
         assert vals.min() >= -1e-10
+        assert rel_gap(cov, oracle[c]) <= 1e-13
 
 
 def test_gaussian_covariance_is_the_end_of_the_path():
     model, sysm = linearize("two_d_benchmark", n_cells=150)
     sigma_t = gaussian_covariance(sysm)
     assert sigma_t.shape == (2, 2)
-    assert same_bits(sigma_t, covariance_path(sysm)[-1])
+    assert same_bits(sigma_t, sigma_t.T)
+    assert rel_gap(sigma_t, van_loan_covariances(sysm)[-1]) <= 1e-13
 
 
 def test_gaussian_covariance_keeps_no_per_cell_array(pollutant_36, traced_peak):
@@ -290,23 +319,26 @@ def test_gain_of_a_time_invariant_system_is_one_cell():
     assert same_bits(gain[0], sysm.jump_vals[0] * np.sqrt(sysm.measure.weights))
 
 
-def test_rk4_lyapunov_guard_names_the_first_unstable_cell():
-    # time-varying systems keep the RK4 Lyapunov step: outside its stability
-    # interval it raises instead of returning a finite wrong covariance
-    model = tanh_pollutant_model()
-    sysm = build_linearization(model, fluid_limit(model, 32)[0])
-    assert not sysm.time_invariant
-    with pytest.raises(ModelError, match=r"unstable at cell 0 \(t=0\.0\)"):
-        gaussian_covariance(sysm)
-    # A1 = diag(x) + I at the cell midpoint: cell 30 is the first with 2 dt |A1| > 2.785
+def jump_at_cell_30():
+    # A1 = diag(x) + I at the cell midpoint, with x = 100 from grid time 30 on:
+    # 2 dt |A1| = 4.04 from cell 30, where an RK4 Lyapunov step is unstable
     values = np.zeros((51, 2))
     values[30:] = 100.0
-    sysm = build_linearization(state_dependent_model(), PathGrid(np.linspace(0.0, 1.0, 51), values))
-    with pytest.raises(ModelError, match=r"unstable at cell 30 \(t=0\.6\)"):
-        gaussian_covariance(sysm)
-    for n_cells in (150, 200):
-        _, sysm = linearize("two_d_benchmark", n_cells=n_cells)
-        assert np.all(np.isfinite(gaussian_covariance(sysm)))
+    return build_linearization(state_dependent_model(), PathGrid(np.linspace(0.0, 1.0, 51), values))
+
+
+@pytest.mark.parametrize("case", ["pollutant-tanh-32", "jump-at-cell-30", "two_d_benchmark-150", "two_d_benchmark-200"])
+def test_time_varying_covariance_matches_the_van_loan_oracle(case, request):
+    # exact per-cell steps: no stability limit, and no RK4 grid error
+    if case == "pollutant-tanh-32":
+        model = request.getfixturevalue("tanh_pollutant")
+        sysm = build_linearization(model, fluid_limit(model, 32)[0])
+    elif case == "jump-at-cell-30":
+        sysm = jump_at_cell_30()
+    else:
+        sysm = linearize("two_d_benchmark", n_cells=int(case.rsplit("-", 1)[1]))[1]
+    assert not sysm.time_invariant
+    assert rel_gap(gaussian_covariance(sysm), van_loan_covariances(sysm)[-1]) <= 1e-13
 
 
 def test_decomposition_zero_control_no_events():
@@ -384,23 +416,14 @@ def reference_decomposition(model, epsilon, ctrl, seed):
 PART_NAMES = ("fluctuation", "drift_gap", "martingale", "coefficient_gap", "coupling", "forcing")
 
 
-def tanh_pollutant_model():
-    # a state-dependent jump kernel, so the coupling term is not identically zero
-    params = params_from_dict({
-        "d_space": 1, "velocity": [2.0], "max_mode": 3,
-        "atoms": [[0.3, 1.0, 0.6], [0.7, 2.0, 0.4]],
-        "jump_kernel": {"kind": "tanh", "intercept": 1.0, "amplitude": 0.5, "slope": [0.7]},
-        "probes": [[[[0], 1.0], [[1], 0.5]]],
-    })
-    return assemble_model(params, build_eigensystem(params))
-
-
 @pytest.mark.parametrize("name", ["two_d_benchmark", "pollutant-2d", "pollutant-tanh"])
-def test_decomposition_terms_match_the_step_loop(name):
+def test_decomposition_terms_match_the_step_loop(name, request):
     # the five terms sum to the fluctuation for any accumulator values, so
     # each term is checked on its own against the per-step loop
-    model = {"pollutant-2d": pollutant_2d_model, "pollutant-tanh": tanh_pollutant_model}.get(
-        name, lambda: build_model(name))()
+    if name == "pollutant-tanh":
+        model = request.getfixturevalue("tanh_pollutant")
+    else:
+        model = pollutant_2d_model() if name == "pollutant-2d" else build_model(name)
     eps = 0.1
     psi = np.random.default_rng(5).normal(size=(model.measure.n_atoms, 48))
     ctrl = truncated_tilt(psi, model.horizon, eps**0.25, 1.0)
@@ -430,7 +453,7 @@ def test_decomposition_closed_forms_for_constant_control():
 def test_decomposition_blow_up_is_a_named_error():
     model = build_model("linear_gaussian", {"rate": -3000.0, "gain": 3000.0, "x0": 1.0})
     ctrl = ControlField(np.zeros((1, 64)), model.horizon, 0.5)
-    with np.errstate(all="ignore"), pytest.raises(ModelError, match=r"jump path blew up at t=.* \(eps=0\.1\)"):
+    with pytest.raises(ModelError, match=r"jump path blew up at t=.* \(eps=0\.1\)"):
         decompose_controlled_path(model, 0.1, ctrl, seed=0)
 
 

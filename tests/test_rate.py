@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from jumpmdp.jump_sde import ModelError, PathGrid, fluid_limit
-from jumpmdp.mdp_limit import LinearizedSystem, build_linearization, solve_limit_path
+from jumpmdp.mdp_limit import LinearizedSystem, build_linearization, gaussian_covariance, solve_limit_path
 from jumpmdp.models import build_model
 from jumpmdp.rate import (
     InadmissiblePathError,
@@ -105,15 +105,36 @@ def flow_oracle_gramian(sysm):
     return np.einsum("cik,clk->il", b, b) * sysm.dt
 
 
-@pytest.mark.parametrize("name", ["scalar_benchmark", "linear_gaussian", "pollutant-36"])
-def test_time_invariant_gramian_matches_the_flow_oracle(name, request):
+@pytest.mark.parametrize(
+    "name", ["scalar_benchmark", "linear_gaussian", "pollutant-36", "two_d_benchmark", "pollutant-tanh"]
+)
+def test_gramian_matches_the_flow_oracle(name, request):
+    # the last two vary along their fluid paths, so the fold takes one step per cell
+    n_cells = 200 if name == "two_d_benchmark" else 2000
     if name == "pollutant-36":
         sysm = build_linearization(*request.getfixturevalue("pollutant_36"))
+    elif name == "pollutant-tanh":
+        model = request.getfixturevalue("tanh_pollutant")
+        sysm = build_linearization(model, fluid_limit(model, n_cells)[0])
     else:
-        sysm = linearize(name, {"rate": -0.9, "gain": 1.2} if name == "linear_gaussian" else None, n_cells=2000)
-    assert sysm.time_invariant
+        sysm = linearize(name, {"rate": -0.9, "gain": 1.2} if name == "linear_gaussian" else None, n_cells=n_cells)
+    assert sysm.time_invariant == (name not in ("two_d_benchmark", "pollutant-tanh"))
     oracle = flow_oracle_gramian(sysm)
     assert np.max(np.abs(sysm.gramian - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("name", ["linear_gaussian", "two_d_benchmark"])
+def test_gramian_approaches_the_covariance_like_dt_squared(name):
+    # W_n sums the RK4 cell map, Sigma_T,n the exact flow with the same frozen
+    # cells: lambda_max of the two close in like dt^2, a factor 4 per doubling
+    params = {"rate": -0.9, "gain": 1.2} if name == "linear_gaussian" else None
+    gaps = []
+    for n_cells in (50, 100, 200, 400):
+        sysm = linearize(name, params, n_cells=n_cells)
+        top = [np.linalg.eigvalsh(m)[-1] for m in (sysm.gramian, gaussian_covariance(sysm))]
+        gaps.append(abs(top[0] - top[1]))
+    ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+    assert np.all((ratios >= 3.9) & (ratios <= 4.1)), ratios
 
 
 def test_time_invariant_rate_of_path_matches_the_stacked_solve(pollutant_36):
