@@ -2,9 +2,11 @@
 
 The state follows drift b between events and jumps by eps * G(x(s-), y) at
 each event (s, y) of a Poisson random measure with intensity (1/eps) * nu x dt.
-Drift segments are advanced with classical RK4; events are applied at their
-exact times rather than binned to the grid, which removes the O(dt) jump
-placement bias that would otherwise pollute slope estimates at small eps.
+Drift segments are advanced with classical RK4, or with the exponential
+RK4 of Cox & Matthews (ETDRK4) when the model declares a diagonal linear
+part of its drift; events are applied at their exact times rather than
+binned to the grid, which removes the O(dt) jump placement bias that would
+otherwise pollute slope estimates at small eps.
 """
 
 from __future__ import annotations
@@ -87,6 +89,11 @@ class ModelSpec:
     (cheapest) evaluation.  The Jacobians take a single state:
     drift_jac(x) -> (d, d), and jump_jac(x) -> (n_atoms, d, d) has slice k
     equal to DxG(x, y_k).
+
+    linear, when given, is the (d,) diagonal L of a linear part of the
+    drift, b(x) = L * x + N(x): fluid_limit and path integration then step
+    by ETDRK4, which treats L exactly and is free of its stiffness.  None
+    (the default) keeps classical RK4.
     """
 
     dim: int
@@ -97,6 +104,7 @@ class ModelSpec:
     drift_jac: Callable
     jump_jac: Callable
     measure: MarkMeasure
+    linear: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         x0 = np.asarray(self.x0, dtype=float).ravel()
@@ -106,6 +114,14 @@ class ModelSpec:
             raise ModelError("horizon must be positive")
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
+        if self.linear is not None:
+            linear = np.array(self.linear, dtype=float)
+            if linear.shape != (self.dim,):
+                raise ModelError(f"linear must have shape ({self.dim},), got {linear.shape}")
+            if not np.isfinite(linear).all():
+                raise ModelError("linear must be finite")
+            linear.setflags(write=False)
+            object.__setattr__(self, "linear", linear)
         n, d = self.measure.n_atoms, self.dim
         stack = np.stack([x0, x0])
         for name, x, want in (
@@ -254,14 +270,40 @@ def _event_schedule(grid: np.ndarray, events: EventBatch) -> tuple[np.ndarray, .
     return h, record, atom
 
 
+def _etd_advance(drift: Callable, linear: np.ndarray, h_steps: np.ndarray) -> Callable:
+    """advance(p, x), the ETDRK4 step p of _integrate on the (B, D) states x.
+
+    h_steps is (L, B, 1), step-major.  The coefficients are built once per
+    distinct step length, and step p of row r reads the row of its own.
+    """
+    from .exponential import etdrk4_step, phi_coefficients
+
+    lengths, which = np.unique(h_steps.ravel(), return_inverse=True)
+    table = phi_coefficients(lengths[:, None], linear)
+    which = which.reshape(h_steps.shape[:2])
+
+    def nonlinear(x):
+        return drift(x) - linear * x
+
+    return lambda p, x: etdrk4_step(nonlinear, x, *(c[which[p]] for c in table))
+
+
 def _integrate(
-    drift: Callable, jump: Callable, x0: np.ndarray, grid: np.ndarray, epsilon: float, events: EventBatch
+    drift: Callable,
+    jump: Callable,
+    x0: np.ndarray,
+    grid: np.ndarray,
+    epsilon: float,
+    events: EventBatch,
+    linear: np.ndarray | None = None,
 ) -> np.ndarray:
     """The event-exact loop of simulate_jump_paths, for any state size D.
 
     drift(x) -> (B, D) and jump(x) -> (B, D, n_atoms) take a (B, D) batch of
-    states, each row starting at x0.  Returns the (B, n_cells + 1, D) grid
-    states; a non-finite one raises ModelError.
+    states, each row starting at x0.  Drift segments are RK4 steps, or
+    ETDRK4 steps when the (D,) diagonal linear part of the drift is given;
+    those build their coefficients once per distinct step length.  Returns
+    the (B, n_cells + 1, D) grid states; a non-finite one raises ModelError.
     """
     h, record, atom = _event_schedule(grid, events)
     b, length = h.shape
@@ -277,8 +319,9 @@ def _integrate(
     states[:, 0] = x0
     x = np.tile(x0, (b, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is named below
+        etd = None if linear is None else _etd_advance(drift, linear, h_steps)
         for p in range(length):
-            stepped = rk4_step(drift, x, h_steps[p])
+            stepped = rk4_step(drift, x, h_steps[p]) if etd is None else etd(p, x)
             x = stepped if all_moving[p] else np.where(moving[p], stepped, x)
             states[:, p + 1] = x
             if any_jump[p]:
@@ -286,7 +329,7 @@ def _integrate(
                 x = np.where(jumping[p], kicked, x)
     # each row records grid values 1..n in step order
     keep = np.concatenate([np.ones((b, 1), dtype=bool), record >= 0], axis=1)
-    del h_steps, moving, jumping, atom_steps, h, record, atom  # free before the compaction copy
+    del h_steps, moving, jumping, atom_steps, h, record, atom, etd  # free before the compaction copy
     out = states[keep].reshape(b, n_cells + 1, dim)
     del states
     finite = np.isfinite(out).all(axis=2)
@@ -305,8 +348,9 @@ def simulate_jump_paths(
 ) -> np.ndarray:
     """Integrate the jump SDE along each row of events, all in lockstep.
 
-    Drift is advanced by RK4 over each interval between breakpoints (grid
-    times and event times merged); at an event (s, y) the state jumps by
+    Drift is advanced by RK4 (ETDRK4 when the model declares its linear
+    part) over each interval between breakpoints (grid times and event
+    times merged); at an event (s, y) the state jumps by
     eps * G(x(s-), y).  Every row walks the same number of padded steps
     (see _event_schedule) through one batched drift and jump evaluation per
     stage, and each row's arithmetic is that of the row integrated alone.
@@ -319,7 +363,7 @@ def simulate_jump_paths(
     if events.times.size and events.times.max() > model.horizon:
         raise ModelError("event times outside [0, horizon]")
     grid = np.linspace(0.0, model.horizon, n_cells + 1)
-    return _integrate(model.drift, model.jump, model.x0, grid, epsilon, events)
+    return _integrate(model.drift, model.jump, model.x0, grid, epsilon, events, model.linear)
 
 
 def simulate_jump_path(
@@ -336,24 +380,36 @@ def simulate_jump_path(
 def fluid_limit(model: ModelSpec, n_cells: int = 1000) -> tuple[PathGrid, float]:
     """Deterministic limit path and its peak norm.
 
-    Solves dx/dt = b(x) + sum_k G(x, y_k) w_k by RK4 on the uniform grid and
-    returns (path, sup_t |x(t)|).
+    Solves dx/dt = b(x) + sum_k G(x, y_k) w_k on the uniform grid and
+    returns (path, sup_t |x(t)|).  The step is RK4, or ETDRK4 when the model
+    declares the diagonal linear part L of its drift: then L * x is treated
+    exactly and N(x) = (b(x) - L * x) + sum_k G(x, y_k) w_k explicitly, with
+    one set of coefficients for the one step length.  A model whose N is
+    constant (the constant-kernel pollutant model) gets its closed-form
+    path to round-off on any grid.  A non-finite state raises ModelError.
     """
     grid = np.linspace(0.0, model.horizon, n_cells + 1)
     h = model.horizon / n_cells
+    linear = model.linear
 
     def rhs(x):
         return np.asarray(model.drift(x), dtype=float) + model.compensator(x)
+
+    def nonlinear(x):
+        return (np.asarray(model.drift(x), dtype=float) - linear * x) + model.compensator(x)
 
     out = np.empty((n_cells + 1, model.dim))
     x = model.x0.copy()
     out[0] = x
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is named here
+        if linear is not None:
+            from .exponential import etdrk4_step, phi_coefficients
+
+            coef = phi_coefficients(h, linear)
         for i in range(1, n_cells + 1):
-            x = rk4_step(rhs, x, h)
+            x = rk4_step(rhs, x, h) if linear is None else etdrk4_step(nonlinear, x, *coef)
             if not np.all(np.isfinite(x)):
                 raise ModelError(f"fluid limit blew up at t={float(grid[i])!r}")
             out[i] = x
     path = PathGrid(grid, out)
     return path, path.sup_norm()
-

@@ -140,6 +140,28 @@ def test_one_rk4_kernel_and_one_stein_fold():
     assert {func for _, func, name, _ in sites if name == "_stein_fold"} == {"gramian", "gaussian_covariance"}
 
 
+def test_one_exponential_step_and_one_phi_builder():
+    # both steppers run inside jump_sde only; the ETDRK4 coefficients come
+    # from one builder, called once per fluid_limit and once per _integrate
+    sites = _call_sites()
+    steps = [f"{f}:{node.lineno}" for f, _, name, node in sites
+             if name in ("rk4_step", "etdrk4_step") and f != "jump_sde.py"]
+    assert not steps, steps
+    callers = lambda callee: {(f, func) for f, func, name, _ in sites if name == callee}
+    assert callers("phi_coefficients") == {("jump_sde.py", "fluid_limit"), ("jump_sde.py", "_etd_advance")}
+    assert callers("_etd_advance") == {("jump_sde.py", "_integrate")}
+    # no other integrator function evaluates an exponential or reads the Taylor table
+    integrators = ("jump_sde.py", "exponential.py", "mdp_limit.py")
+    writers = {(f, func) for f, func, name, _ in sites if f in integrators and name in ("exp", "expm1")}
+    with open(os.path.join(os.path.dirname(experiments.__file__), "exponential.py")) as fh:
+        for node in ast.walk(ast.parse(fh.read())):
+            if isinstance(node, ast.FunctionDef) and "_PHI_SERIES" in {
+                n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+            }:
+                writers.add(("exponential.py", node.name))
+    assert writers == {("exponential.py", "phi_coefficients")}, writers
+
+
 def test_exports_resolve():
     # a deletion that misses an __all__ entry or a package import fails here
     import jumpmdp

@@ -118,16 +118,16 @@ GOLDEN = {
         "summary.csv": "48fc5194cbe56d91478121322774db96c54585c6b346feb8294fb1126196d1f1",
     }),
     "pollutant": (0, {
-        "pollutant_field_T.csv": "4347fece98364f10bdd54b04dd6b3177554484df622f3ff49254d076876f5307",
-        "pollutant_fluid_coeffs.csv": "b9c158d060b6e04983394d6c748ba5b3db31d6faceba33b9d170b99619d5d464",
+        "pollutant_field_T.csv": "e45a35c97d9d0ed42618ffed83c8622d32ca8c0e849aa38a723c8cccc3a50b87",
+        "pollutant_fluid_coeffs.csv": "5923338b157326ca2c9e1f049bf4ee7401e3c4f36524a2ba482135aa11026d35",
         "pollutant_modes.csv": "8aebc500888f0f0317e9532be190e5eefcf4cb0dbc5573b50d3ac4f758bb43c5",
-        "pollutant_report.csv": "9d68f38cfcce08f798e46e3b79745bb11185cb9e210f0f7134ba27e382809faf",
+        "pollutant_report.csv": "341326d57a915da5314c89decffb272099b456cddefe82c8ba9367e775f34c76",
     }),
     "pollutant-2d": (0, {
-        "pollutant_field_T.csv": "0ce8ffdc52d445f43b9f8ff9e57dad88d93f4a46e247289275c7f64e8f6a9a6f",
-        "pollutant_fluid_coeffs.csv": "9a9f2e07fb7f989481862e861b6ebd4d3dce4522529b39a90e48e145a4deaa37",
+        "pollutant_field_T.csv": "75044f20aff754d6954a1367c7ad97e3cfbf879dcaa5825f65ff07a4a337e48f",
+        "pollutant_fluid_coeffs.csv": "17ac8f13d3f6b98adf15ea491bfa4ea5724db73f35b67d6f8b25064e7b05bbf9",
         "pollutant_modes.csv": "01b375d020dd32684e40f10facb1ccd6d299eb6131ad2d53f639ed7b0cafaa6d",
-        "pollutant_report.csv": "e4c9771b66c3e24c7333948e1faf7187adf703fb58e66de761eb82d1873e2ed6",
+        "pollutant_report.csv": "6ac5fbcd525d72fe9c4b95de8becb22f77d8cf92b2de62203159e4e297889fd7",
     }),
     "rate": (0, {
         "rate_path_0.csv": "ea3c03fd37779a5241632d5ceb459ab9facc65cd83166d8f5bbabc8baea279a9",

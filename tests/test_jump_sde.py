@@ -1,12 +1,14 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumpmdp.experiments import ExperimentConfig
+from jumpmdp.exponential import _PHI_SWITCH, phi_coefficients
 from jumpmdp.jump_sde import (
     ModelError,
     ModelSpec,
@@ -220,6 +222,95 @@ def test_fluid_limit_blow_up_names_a_plain_time():
     with pytest.raises(ModelError, match=r"fluid limit blew up at t=") as info:
         fluid_limit(model, 64)
     assert "np.float64" not in str(info.value)
+
+
+def phi_reference(z, h):
+    """(E, E2, Q, f1, f2, f3) at z = h L in 90-digit arithmetic."""
+    with mpmath.workdps(90):
+        z, h = mpmath.mpf(z), mpmath.mpf(h)
+        if z == 0:
+            return [1, 1, h / 2, h / 6, h / 6, h / 6]
+        e, w = mpmath.exp(z), z / 2
+        return [
+            e, mpmath.exp(w), h * mpmath.expm1(w) / z,
+            h * (-4 - z + e * (4 - 3 * z + z * z)) / z**3,
+            h * (2 + z + e * (z - 2)) / z**3,
+            h * (-4 - 3 * z - z * z + e * (4 - z)) / z**3,
+        ]
+
+
+def test_phi_coefficients_match_high_precision():
+    # the direct formulas cancel at tiny z; Q switches at |z| = 2 * _PHI_SWITCH
+    edges = [s * c * (1 + t) for s in (-1, 1) for c in (_PHI_SWITCH, 2 * _PHI_SWITCH) for t in (-1e-6, 1e-6)]
+    zs = [0.0, -1e-12, -1e-6, -1e-3, -0.1, *edges, -2.0, -30.0, -1e3, -1e5, 0.3, 1.5]
+    for h in (1.0, 1.0 / 64):
+        linear = np.array(zs) / h
+        got = phi_coefficients(h, linear)
+        for i, z in enumerate(h * linear):
+            for name, value, exact in zip(("E", "E2", "Q", "f1", "f2", "f3"), got, phi_reference(z, h)):
+                exact = float(exact)  # e^{-1e3} is below the doubles; compare with what rounds
+                assert abs(value[i] - exact) <= 1e-13 * abs(exact), (name, z, h, value[i], exact)
+    # h broadcasts against L, one row per step length
+    rows = phi_coefficients(np.array([[0.0], [0.5]]), np.array([-3.0, 0.0]))
+    assert rows[0].shape == (2, 2) and rows[3][0].tolist() == [0.0, 0.0]
+    assert rows[3][1, 1] == 0.5 / 6 and rows[2][1, 1] == 0.25
+
+
+def test_zero_linear_part_is_rk4():
+    # ETDRK4 with L = 0 is RK4 in exact arithmetic: the paths agree to round-off
+    for name in ("scalar_benchmark", "two_d_benchmark"):
+        model = build_model(name)
+        declared = dataclasses.replace(model, linear=np.zeros(model.dim))
+        rk4, _ = fluid_limit(model, 200)
+        etd, _ = fluid_limit(declared, 200)
+        assert np.abs(etd.values - rk4.values).max() <= 1e-14 * np.abs(rk4.values).max()
+        events = sample_poisson_batch(model.measure, 10.0, 1.0, [substream(4, r) for r in range(20)])
+        rk4 = simulate_jump_paths(model, 0.1, events, n_cells=32)
+        etd = simulate_jump_paths(declared, 0.1, events, n_cells=32)
+        assert np.abs(etd - rk4).max() <= 1e-14 * np.abs(rk4).max()
+
+
+def test_declared_linear_part_takes_the_stiffness():
+    # x' = -3000 x + 1 blows RK4 up on 64 cells; with L = -3000 declared the
+    # step is exact for the constant remainder
+    model = dataclasses.replace(
+        still_model(),
+        drift=lambda x: -3000.0 * x,
+        drift_jac=lambda x: np.array([[-3000.0]]),
+        linear=np.array([-3000.0]),
+    )
+    path, _ = fluid_limit(model, 64)
+    exact = 1.0 / 3000.0 + (0.5 - 1.0 / 3000.0) * np.exp(-3000.0 * path.times)
+    assert np.abs(path.values[:, 0] - exact).max() <= 1e-15
+    # a path has no compensator: it decays from x0, and from each jump of eps
+    t = path.times
+    paths = simulate_jump_paths(model, 0.1, EventBatch.stack([events_at([]), events_at([0.3])]), n_cells=64)
+    free = 0.5 * np.exp(-3000.0 * t)
+    kicked = free + np.where(t > 0.3, 0.1 * np.exp(-3000.0 * np.maximum(t - 0.3, 0.0)), 0.0)
+    assert np.allclose(paths[:, :, 0], [free, kicked], rtol=1e-12, atol=1e-300)
+    for bad, message in ((np.zeros(2), r"shape \(1,\)"), (np.array([np.nan]), "finite")):
+        with pytest.raises(ModelError, match=message):
+            dataclasses.replace(model, linear=bad)
+
+
+def test_etdrk4_is_fourth_order_on_a_stiff_nonlinear_drift():
+    # L = (-50, -1) plus a coupled nonlinear N; 8 cells put dt * 50 beyond
+    # RK4's stability limit, and the reference is RK4 on 4000 cells
+    linear = np.array([-50.0, -1.0])
+    model = ModelSpec(
+        dim=2, horizon=1.0, x0=np.array([1.0, 0.5]),
+        drift=lambda x: linear * x + np.stack([np.sin(x[..., 1]), x[..., 0] * x[..., 1]], axis=-1),
+        jump=lambda x: np.zeros(x.shape + (1,)),
+        drift_jac=lambda x: np.diag(linear) + np.array([[0.0, math.cos(x[1])], [x[1], x[0]]]),
+        jump_jac=lambda x: np.zeros((1, 2, 2)),
+        measure=MarkMeasure.single_atom(1.0, 1.0),
+    )
+    model.validate_derivatives()
+    reference = fluid_limit(model, 4000)[0].terminal()
+    declared = dataclasses.replace(model, linear=linear)
+    errors = [np.abs(fluid_limit(declared, n)[0].terminal() - reference).max() for n in (8, 32, 64, 128)]
+    assert errors[0] < 1e-3
+    assert 12.0 < errors[1] / errors[2] < 18.0 and 14.0 < errors[2] / errors[3] < 18.0
 
 
 def test_grid_refinement_stability():

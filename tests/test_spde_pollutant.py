@@ -1,4 +1,6 @@
 import cmath
+import csv
+import json
 import math
 import re
 from dataclasses import replace
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import hyp0f1, j1
 
+from jumpmdp import cli
 from jumpmdp.jump_sde import ModelError, fluid_limit, simulate_jump_path
 from jumpmdp.mark_space import MarkMeasure
 from jumpmdp.prm import sample_poisson_measure
@@ -139,6 +142,49 @@ def test_mode_zero_closed_form_fluid():
     mean_mag = 0.6 * 1.0 + 0.4 * 2.0
     exact = path.times * mean_mag * 1.0  # phi_0 = sqrt(1/l) = 1
     assert np.max(np.abs(path.values[:, 0] - exact)) < 1e-6
+
+
+def closed_form_fluid(model, times):
+    # constant kernel: b(v) = L v and the compensator m is constant, so
+    # v(t) = e^{Lt} v0 + (e^{Lt} - 1) / L * m
+    lt = np.multiply.outer(times, model.linear)
+    return np.exp(lt) * model.x0 + np.expm1(lt) / model.linear * model.compensator(model.x0)
+
+
+def two_d_params(**kw):
+    atoms = MarkMeasure.from_atoms([((0.3, 0.4, 1.0), 0.6), ((0.7, 0.6, 2.0), 0.4)])
+    return make_params(d_space=2, velocity=(2.0, 0.0), measure=atoms, **kw)
+
+
+@pytest.mark.parametrize("d_space,level,n_cells", [(1, 24, 64), (1, 30, 64), (1, 24, 2000), (2, 17, 64), (2, 24, 64)])
+def test_constant_kernel_fluid_is_its_closed_form(d_space, level, n_cells):
+    # the relaxation rates reach (J pi)^2: 5.7e3 at 1-D J=24 and 1.1e4 at
+    # 2-D J=24, far outside RK4's stability region on these grids
+    make = make_params if d_space == 1 else two_d_params
+    x0 = {(0,) * d_space: 0.5, (3,) * d_space: -0.2, (level,) * d_space: 0.1}
+    model = assemble_model(make(max_mode=level, x0_coeffs=x0))
+    path, peak = fluid_limit(model, n_cells)
+    exact = closed_form_fluid(model, path.times)
+    scale = np.abs(exact).max()
+    assert np.abs(path.values - exact).max() <= 1e-12 * scale
+    assert peak == pytest.approx(np.linalg.norm(exact, axis=1).max(), rel=1e-12)
+
+
+def test_pollutant_command_reports_the_closed_form_peak(tmp_path):
+    # 2-D at J = 6 puts dt * lambda_max at 3.6 on the command's 200-cell fluid
+    # grid, where RK4 wrote a peak norm of 4.86e90 and exited 0
+    spec = {
+        "d_space": 2, "velocity": [2.0, 0.0], "decay": 0.5, "radius": 0.05, "max_mode": 6,
+        "atoms": [[0.3, 0.4, 1.0, 0.6], [0.7, 0.6, 2.0, 0.4]], "epsilon": 0.05, "seeds": [0],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"pollutant": spec}))
+    assert cli.main(["pollutant", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "pollutant_report.csv") as fh:
+        report = {row["quantity"]: float(row["value"]) for row in csv.DictReader(fh)}
+    model = assemble_model(params_from_dict(spec))
+    exact = closed_form_fluid(model, np.linspace(0.0, 1.0, 201))
+    assert report["fluid_peak_norm"] == pytest.approx(np.linalg.norm(exact, axis=1).max(), rel=1e-12)
 
 
 def test_jump_positivity_of_mass_mode():
