@@ -368,18 +368,10 @@ def run_mdp_slope(cfg: ExperimentConfig, out_dir: str | None = None) -> SlopeRes
     model = build_model(cfg.model, cfg.model_params)
     fine, _ = fluid_limit(model, cfg.n_cells_analysis)
     fluid_sim, _ = fluid_limit(model, cfg.n_cells)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed flow is named below
-        gram = controllability_gramian(build_linearization(model, fine))
-        predicted, zstar = sphere_minimum(gram, cfg.threshold)
-        # the optimal control for the sphere event, on the simulation grid
-        psi_star = rate_to_point(build_linearization(model, fluid_sim), zstar).psi
-    bad_cells = int(np.count_nonzero(~np.isfinite(psi_star).all(axis=0)))
-    if bad_cells:
-        raise ModelError(
-            f"optimal control psi* is non-finite on {bad_cells} of n_cells={cfg.n_cells} "
-            "cells: the linearized flow overflows on the simulation grid"
-        )
-    gram.check_finite()
+    gram = controllability_gramian(build_linearization(model, fine))
+    predicted, zstar = sphere_minimum(gram, cfg.threshold)
+    # the optimal control for the sphere event, on the simulation grid
+    psi_star = rate_to_point(build_linearization(model, fluid_sim), zstar).psi
     fluid_end = fluid_sim.terminal()
     rows: list[EstimateRow] = []
     c = cfg.threshold

@@ -11,6 +11,7 @@ otherwise pollute slope estimates at small eps.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -217,7 +218,10 @@ class PathGrid:
         return self.values[-1]
 
     def sup_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
+        """max_t |x(t)|, with the squares taken on values scaled by a power of two
+        (exact), so a finite path has a finite peak with the unscaled bits."""
+        scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(self.values))))[1] - 1)
+        return scale * float(np.max(np.linalg.norm(self.values / scale, axis=1)))
 
     def to_csv(self, path) -> None:
         header = "t," + ",".join(f"x_{i + 1}" for i in range(self.dim))

@@ -65,15 +65,18 @@ class LinearizedSystem:
         return self.drift_mat.strides[0] == 0 and self.jump_vals.strides[0] == 0
 
     @property
+    def stored_cells(self) -> int:
+        """Cells with their own A1 and G: 1 on a time-invariant system, else n_cells."""
+        return 1 if self.time_invariant else self.n_cells
+
+    @property
     def gain(self) -> np.ndarray:
         """B = G diag(sqrt(w)) per cell, (n_cells, d, n_atoms); B B' = G diag(w) G'.
 
-        A time-invariant system gets a read-only stride-0 view of its one cell.
+        A read-only view over the stored cells.
         """
-        sqrt_w = np.sqrt(self.measure.weights)
-        if self.time_invariant:
-            return np.broadcast_to(self.jump_vals[:1] * sqrt_w, self.jump_vals.shape)
-        return self.jump_vals * sqrt_w
+        b = self.jump_vals[:self.stored_cells] * np.sqrt(self.measure.weights)
+        return np.broadcast_to(b, self.jump_vals.shape)
 
     @cached_property
     def propagators(self) -> tuple[np.ndarray, np.ndarray]:
@@ -82,10 +85,10 @@ class LinearizedSystem:
             x+ = R x + dt S f,   Z = dt A1,   S = I + Z/2 + Z^2/6 + Z^3/24,   R = I + Z S,
 
         with A1 and f frozen per cell.  solve_limit_path applies this map and
-        the rate solvers invert it.  Built once per system, on the distinct
+        the rate solvers invert it.  Built once per system, on the stored
         cells only.
         """
-        a1 = self.drift_mat[:1] if self.time_invariant else self.drift_mat
+        a1 = self.drift_mat[:self.stored_cells]
         h = self.dt
         eye = np.eye(self.dim)
         prop = np.empty(a1.shape)
@@ -108,8 +111,8 @@ class LinearizedSystem:
 
         W is the Stein fold W <- R[c] W R[c]' + dt b[c] b[c]' over the cells
         from zero, with b = S B (see _stein_fold); no per-cell array is kept.
-        Built once per system.  An unstable flow overflows to inf/NaN;
-        Gramian.check_finite names a non-finite W.
+        Built once per system.  An unstable flow that overflows W raises
+        ModelError.
         """
         prop, src = self.propagators
         gain = self.gain
@@ -120,8 +123,7 @@ class LinearizedSystem:
             b = (src[c] / dt) @ gain[c]
             return prop[c] - eye, dt * (b @ b.T), 1
 
-        w = _stein_fold(self, cell)
-        w = 0.5 * (w + w.T)
+        w = _stein_fold(self, cell, "controllability Gramian")
         w.flags.writeable = False  # shared by every caller
         return w
 
@@ -158,19 +160,24 @@ def _flow_sum(f: np.ndarray, m: np.ndarray, n: int, start: np.ndarray | None = N
     return s_r + t + t @ e_r.T
 
 
-def _stein_fold(sys: LinearizedSystem, cell) -> np.ndarray:
-    """S <- P_c S P_c' + m_c over the cells of sys, from S = 0.
+def _stein_fold(sys: LinearizedSystem, cell, name: str) -> np.ndarray:
+    """S <- P_c S P_c' + m_c over the cells of sys from S = 0, symmetrized.
 
     cell(c) -> (P_c - I, m_c, substeps) is one substep of cell c, taken
     `substeps` times.  A time-invariant system is one _flow_sum over all
     n_cells * substeps steps of its one cell; a time-varying one chains one
-    _flow_sum per cell.
+    _flow_sum per cell.  An unstable flow overflows on any grid, so a
+    non-finite S raises ModelError naming the matrix (`name`).
     """
-    distinct = 1 if sys.time_invariant else sys.n_cells
+    stored = sys.stored_cells
     s = None
-    for c in range(distinct):
-        f, m, substeps = cell(c)
-        s = _flow_sum(f, m, sys.n_cells // distinct * substeps, s)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite S is named below
+        for c in range(stored):
+            f, m, substeps = cell(c)
+            s = _flow_sum(f, m, sys.n_cells // stored * substeps, s)
+        s = 0.5 * (s + s.T)
+    if not np.isfinite(s).all():
+        raise ModelError(f"{name} is non-finite on n_cells={sys.n_cells} cells: the linearized flow overflows")
     return s
 
 
@@ -259,7 +266,8 @@ def gaussian_covariance(sys: LinearizedSystem) -> np.ndarray:
     coefficients frozen per cell, and carries no grid error and no stability
     limit: each cell takes 2^k substeps h = dt / 2^k with ||A1 h||_inf <= 1/2,
     each the exact map S <- e^{A1 h} S e^{A1' h} + int_0^h e^{A1 s} Q e^{A1' s} ds
-    from _exact_step, folded over the cells by _stein_fold.
+    from _exact_step, folded over the cells by _stein_fold.  An unstable
+    flow that overflows Sigma_T raises ModelError.
     """
     gain = sys.gain
 
@@ -270,8 +278,7 @@ def gaussian_covariance(sys: LinearizedSystem) -> np.ndarray:
         f, m = _exact_step(a, gain[c] @ gain[c].T, sys.dt / 2.0**k)
         return f, m, 2**k
 
-    s = _stein_fold(sys, cell)
-    return 0.5 * (s + s.T)
+    return _stein_fold(sys, cell, "Gaussian covariance Sigma_T")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ map solve_limit_path applies, so the energy identities below hold to
 round-off rather than to a differencing bias.
 
 Infinite rates are reported as math.inf together with the residual of the
-range test that triggered them, never as a large finite float.
+range test that triggered them, never as a large finite float.  A flow that
+overflows decides no range question: the Gramian fold and the backward pass
+of rate_to_point each raise ModelError naming what went non-finite.
 """
 
 from __future__ import annotations
@@ -67,19 +69,11 @@ class Gramian:
     the discrete state-transition factor from cell c to the horizon (the
     RK4-consistent analogue of Phi(T, s)).  The flow itself is never stored:
     LinearizedSystem.gramian folds W <- R[c] W R[c]' + (cell c's term) over
-    the cells, the same Stein fold that gives the Lyapunov covariance.
+    the cells, the same Stein fold that gives the Lyapunov covariance.  The
+    fold raises ModelError on a non-finite W, so matrix is always finite.
     """
 
     matrix: np.ndarray       # (d, d) symmetric PSD
-    n_cells: int
-
-    def check_finite(self) -> None:
-        """Raise ModelError when the flow overflowed and left W non-finite."""
-        if not np.isfinite(self.matrix).all():
-            raise ModelError(
-                f"controllability Gramian is non-finite on n_cells={self.n_cells} cells: "
-                "the linearized flow overflows; refine the grid"
-            )
 
 
 def rate_of_path(
@@ -96,9 +90,9 @@ def rate_of_path(
     the range of the gain makes the rate infinite, with the violation
     reported.  u lies in the row space of B, u = B' v with v = (B^+)' u, so
     psi = G' v equals u / sqrt(w) on atoms of positive weight without a
-    division.  A time-invariant system takes one solve, with every cell's
-    right-hand side at once, and one pseudo-inverse on its one cell; a
-    time-varying one solves and inverts all cells as a stack.
+    division.  The inverse of dt S and the pseudo-inverse of the gain are
+    taken on the stored cells only (one on a time-invariant system) and
+    broadcast over every cell's right-hand side.
     """
     if not np.array_equal(path.times, sys.times):
         raise ModelError("path grid does not match the linearized system grid")
@@ -109,13 +103,10 @@ def rate_of_path(
         )
     prop, src = sys.propagators
     gain = sys.gain
+    m = sys.stored_cells
     # all cells at once, vectors as (n_cells, ., 1) columns
-    if sys.time_invariant:  # one solve with every cell's right-hand side, one pseudo-inverse
-        f = np.linalg.solve(src[0], (eta[1:] - eta[:-1] @ prop[0].T).T).T[:, :, None]
-        pinv = np.linalg.pinv(gain[0], rcond=pinv_rtol)
-    else:
-        f = np.linalg.solve(src, eta[1:, :, None] - prop @ eta[:-1, :, None])
-        pinv = np.linalg.pinv(gain, rcond=pinv_rtol)
+    f = np.linalg.inv(src[:m]) @ (eta[1:, :, None] - prop @ eta[:-1, :, None])
+    pinv = np.linalg.pinv(gain[:m], rcond=pinv_rtol)
     u = pinv @ f
     psi = (sys.jump_vals.swapaxes(1, 2) @ (pinv.swapaxes(-1, -2) @ u))[..., 0].T
     resid = np.linalg.norm(gain @ u - f, axis=1)
@@ -128,7 +119,7 @@ def rate_of_path(
 def controllability_gramian(sys: LinearizedSystem) -> Gramian:
     """Gramian of the discrete controlled flow, exact for the cell solvers;
     its Stein fold (LinearizedSystem.gramian) runs once per system."""
-    return Gramian(matrix=sys.gramian, n_cells=sys.n_cells)
+    return Gramian(matrix=sys.gramian)
 
 
 def _psd_pinv(w: np.ndarray, rtol: float) -> np.ndarray:
@@ -153,27 +144,31 @@ def rate_to_point(
     terminal point whenever z lies in the range of W, otherwise the rate is
     infinite with the range residual attached.  flow(s)' W^+ z comes from a
     backward pass over one d-vector, v <- R[c]' v from v = W^+ z, so
-    no per-cell matrix is formed.  A non-finite W (an overflowed flow)
-    decides no range question: its psi, residual and rate are NaN, and
-    Gramian.check_finite names the failure.
+    no per-cell matrix is formed.  A flow that overflows raises ModelError:
+    in W from the Gramian fold, and in psi from the backward pass, which can
+    overflow along a direction the gain never reaches while W stays finite.
     """
     z = np.asarray(z, dtype=float).ravel()
     if z.shape != (sys.dim,):
         raise ModelError(f"z must have shape ({sys.dim},)")
     w = controllability_gramian(sys).matrix
-    if not np.isfinite(w).all():
-        psi = np.full((sys.measure.n_atoms, sys.n_cells), math.nan)
-        return RateSolution(value=math.nan, psi=psi, path=solve_limit_path(sys, psi), residual=math.nan)
     xi = _psd_pinv(w, pinv_rtol) @ z
     resid = float(np.linalg.norm(w @ xi - z))
     feasible = resid <= range_tol * (1.0 + float(np.linalg.norm(z)))
     prop, src = sys.propagators
     pulled = np.empty((sys.n_cells, sys.dim))  # row c: dt flow[c]' W^+ z
     v = xi
-    for c in range(sys.n_cells - 1, -1, -1):
-        pulled[c] = src[c].T @ v
-        v = prop[c].T @ v
-    psi = np.einsum("cjk,cj->kc", sys.jump_vals, pulled) / sys.dt
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite psi is named below
+        for c in range(sys.n_cells - 1, -1, -1):
+            pulled[c] = src[c].T @ v
+            v = prop[c].T @ v
+        psi = np.einsum("cjk,cj->kc", sys.jump_vals, pulled) / sys.dt
+    bad = int(np.count_nonzero(~np.isfinite(psi).all(axis=0)))
+    if bad:
+        raise ModelError(
+            f"optimal control psi is non-finite on {bad} of n_cells={sys.n_cells} cells: "
+            "the backward flow overflows"
+        )
     value = 0.5 * float(z @ xi) if feasible else math.inf
     return RateSolution(value=value, psi=psi, path=solve_limit_path(sys, psi), residual=resid)
 
@@ -185,11 +180,9 @@ def sphere_minimum(
 
     For the quadratic form 0.5 z' W^+ z the minimum over the sphere is
     radius^2 / (2 * lambda_max(W)), reached along the top eigenvector; exact
-    via the eigendecomposition, no iterative optimizer involved.  A
-    non-finite W (an overflowed flow) gives NaN at z* = 0.
+    via the eigendecomposition, no iterative optimizer involved.  W is
+    finite: the Gramian fold raises on an overflowed flow.
     """
-    if not np.isfinite(gram.matrix).all():
-        return math.nan, np.zeros(gram.matrix.shape[0])
     vals, vecs = np.linalg.eigh(gram.matrix)
     lam = float(vals[-1])
     if lam <= pinv_rtol * max(lam, 1.0) or lam <= 0.0:

@@ -140,6 +140,17 @@ def test_one_rk4_kernel_and_one_stein_fold():
     assert {func for _, func, name, _ in sites if name == "_stein_fold"} == {"gramian", "gaussian_covariance"}
 
 
+def test_overflow_is_named_where_it_is_computed():
+    # each loop or fold that may overflow silences numpy and names its own
+    # non-finite result; the drivers neither silence nor re-check
+    sites = _call_sites()
+    silencers = {func for _, func, name, _ in sites if name == "errstate"}
+    assert silencers == {"_integrate", "fluid_limit", "_stein_fold", "rate_to_point"}, silencers
+    drivers = [f"{f}:{node.lineno}" for f, _, name, node in sites
+               if f in ("experiments.py", "cli.py") and name in ("errstate", "check_finite")]
+    assert not drivers, drivers
+
+
 def test_one_exponential_step_and_one_phi_builder():
     # both steppers run inside jump_sde only; the ETDRK4 coefficients come
     # from one builder, called once per fluid_limit and once per _integrate

@@ -226,9 +226,9 @@ def test_nonfinite_paths_fail_in_both_estimators():
         engine.terminal_batch(experiments.SLOT_PLAIN, 0, 0.2, 0, 5)
     with pytest.raises(ModelError, match="blew up at t="):
         engine.is_batch(0, 0, 5)
-    # the same overflow in the linearized flow leaves W non-finite, so psi* is NaN
-    # on every cell, which the slope run reports before any Monte Carlo
-    with pytest.raises(ModelError, match="psi\\* is non-finite on 64 of n_cells=64 cells"):
+    # the same overflow in the linearized flow leaves W non-finite on the 200
+    # analysis cells too, which the Gramian fold names before any Monte Carlo
+    with pytest.raises(ModelError, match="controllability Gramian is non-finite on n_cells=200 cells"):
         run_mdp_slope(cfg)
 
 
@@ -237,19 +237,19 @@ def test_nonfinite_optimal_control_is_a_named_error(tmp_path, capsys):
     path.write_text(json.dumps({**STIFF, **SMALL, "n_cells": 64}))
     assert cli.main(["mdp-slope", "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("FAILED: optimal control psi* is non-finite on 64 of n_cells=64 cells")
+    assert err.startswith("FAILED: controllability Gramian is non-finite on n_cells=200 cells")
     assert "Traceback" not in err and not (tmp_path / "summary.csv").exists()
 
 
 def test_nonfinite_optimal_control_fails_without_warnings(tmp_path, capsys):
-    # the overflowing flow pass and its range residual stay quiet: the named error is the message
+    # the overflowing Gramian fold stays quiet: the named error is the message
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**STIFF, **SMALL, "n_cells": 64}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["mdp-slope", "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("FAILED: optimal control psi* is non-finite on 64 of n_cells=64 cells")
+    assert err.startswith("FAILED: controllability Gramian is non-finite on n_cells=200 cells")
 
 
 def test_nonfinite_gramian_is_a_named_error(tmp_path, capsys):
@@ -263,6 +263,26 @@ def test_nonfinite_gramian_is_a_named_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("FAILED: controllability Gramian is non-finite on n_cells=64 cells")
     assert not (tmp_path / "rate_summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, matrix, table",
+    [
+        ("clt-check", "Gaussian covariance Sigma_T", "clt_check.csv"),
+        ("mdp-slope", "controllability Gramian", "summary.csv"),
+        ("rate", "controllability Gramian", "rate_summary.csv"),
+    ],
+)
+def test_overflowed_linear_analysis_is_the_only_report(tmp_path, capsys, monkeypatch, command, matrix, table):
+    # x' = 400 x: W and Sigma_T are about e^800 on any grid, so each command
+    # stops at the fold, before any Monte Carlo; a numpy RuntimeWarning is an error here
+    monkeypatch.setattr(experiments, "_monte_carlo", None)  # a Monte Carlo run would raise TypeError
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "linear_gaussian", "model_params": {"rate": 400.0, "gain": 1.0}}))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"FAILED: {matrix} is non-finite on n_cells=2000 cells: the linearized flow overflows\n"
+    assert not (tmp_path / table).exists()
 
 
 @pytest.mark.parametrize("command", ["clt-check", "mdp-slope"])

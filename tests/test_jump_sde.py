@@ -224,6 +224,15 @@ def test_fluid_limit_blow_up_names_a_plain_time():
     assert "np.float64" not in str(info.value)
 
 
+def test_fluid_peak_of_a_large_finite_path_is_finite():
+    # x' = 400 x + 1 reaches 1.3e171 at T = 1: its square overflows, its norm does not
+    path, peak = fluid_limit(build_model("linear_gaussian", {"rate": 400.0, "gain": 1.0}), 2000)
+    assert peak == float(np.max(np.abs(path.values))) and math.isfinite(peak)
+    # an ordinary path keeps the bits of the unscaled norm
+    values = np.random.default_rng(3).normal(size=(9, 3))
+    assert PathGrid(np.linspace(0.0, 1.0, 9), values).sup_norm() == float(np.max(np.linalg.norm(values, axis=1)))
+
+
 def phi_reference(z, h):
     """(E, E2, Q, f1, f2, f3) at z = h L in 90-digit arithmetic."""
     with mpmath.workdps(90):

@@ -311,6 +311,16 @@ def test_time_invariant_covariance_scalar_closed_form(n_cells):
     assert abs(gaussian_covariance(sysm)[0, 0] - exact) <= 2e-15 * exact
 
 
+def test_overflowed_fold_is_a_named_error():
+    # x' = 400 x: W and Sigma_T are about e^800 on any grid
+    model, sysm = linearize("linear_gaussian", {"rate": 400.0, "gain": 1.0}, n_cells=2000)
+    tail = "is non-finite on n_cells=2000 cells: the linearized flow overflows$"
+    with pytest.raises(ModelError, match=f"^Gaussian covariance Sigma_T {tail}"):
+        gaussian_covariance(sysm)
+    with pytest.raises(ModelError, match=f"^controllability Gramian {tail}"):
+        sysm.gramian
+
+
 def test_gain_of_a_time_invariant_system_is_one_cell():
     model, sysm = linearize("scalar_benchmark")
     gain = sysm.gain

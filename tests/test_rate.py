@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jumpmdp.jump_sde import ModelError, PathGrid, fluid_limit
+from jumpmdp.mark_space import MarkMeasure
 from jumpmdp.mdp_limit import LinearizedSystem, build_linearization, gaussian_covariance, solve_limit_path
 from jumpmdp.models import build_model
 from jumpmdp.rate import (
@@ -364,13 +365,26 @@ def test_terminal_rate_keeps_no_per_cell_matrix(pollutant_36, traced_peak):
 
 
 def test_overflowed_gramian_is_not_out_of_range():
-    # the stiff flow overflows on 64 cells: W is non-finite, so the rates are NaN, not inf
+    # the stiff flow overflows on 64 cells: the Gramian fold names it, and no rate is inf or NaN
     sysm = linearize("linear_gaussian", {"rate": -3000.0, "gain": 3000.0, "x0": 1.0}, n_cells=64)
-    with np.errstate(all="ignore"):
-        sol = rate_to_point(sysm, np.array([1.0]))
-    assert math.isnan(sol.value) and math.isnan(sol.residual)
-    gram = controllability_gramian(sysm)
-    assert math.isnan(sphere_minimum(gram, 1.0)[0])
     with pytest.raises(ModelError, match="Gramian is non-finite on n_cells=64 cells"):
-        gram.check_finite()
-    controllability_gramian(linearize("linear_gaussian")).check_finite()
+        rate_to_point(sysm, np.array([1.0]))
+    with pytest.raises(ModelError, match="Gramian is non-finite on n_cells=64 cells"):
+        controllability_gramian(sysm)
+    assert np.isfinite(controllability_gramian(linearize("linear_gaussian")).matrix).all()
+
+
+def test_backward_pass_overflow_is_a_named_error():
+    # x1' = 500 x1 is never driven, so W is finite; the backward pass still
+    # carries e^1000 along it, and 0 * inf leaves psi NaN near the start
+    n = 2000
+    a, g = np.array([[500.0, 0.0], [1.0, -1.0]]), np.array([[0.0], [1.0]])
+    sysm = LinearizedSystem(
+        times=np.linspace(0.0, 2.0, n + 1),
+        drift_mat=np.broadcast_to(a, (n, 2, 2)),
+        jump_vals=np.broadcast_to(g, (n, 2, 1)),
+        measure=MarkMeasure.single_atom(1.0, 1.0),
+    )
+    assert np.isfinite(controllability_gramian(sysm).matrix).all()
+    with pytest.raises(ModelError, match="optimal control psi is non-finite on 568 of n_cells=2000 cells"):
+        rate_to_point(sysm, np.array([0.0, 1.0]))
