@@ -339,11 +339,12 @@ def decompose_controlled_path(
     cuts = np.cumsum([d, d, d * k, d * k])
 
     def drift(z):
-        xbar, x0v = z[:, :d], z[:, d:2 * d]
-        g_bar, g_0 = model.jump(xbar), model.jump(x0v)
+        # one model call per stage on the (2B, d) rows xbar_0, x0_0, xbar_1, ...
+        b = len(z)
+        pairs = z[:, :2 * d].reshape(2 * b, d)
+        f, g = model.drift(pairs).reshape(b, 2, d), model.jump(pairs).reshape(b, 2, d * k)
         return np.concatenate([
-            model.drift(xbar), model.drift(x0v) + g_0 @ w,
-            g_bar.reshape(len(z), -1), g_0.reshape(len(z), -1), np.zeros((len(z), d)),
+            f[:, 0], f[:, 1] + g[:, 1].reshape(b, d, k) @ w, g[:, 0], g[:, 1], np.zeros((b, d)),
         ], axis=1)
 
     def jump(z):

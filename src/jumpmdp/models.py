@@ -14,25 +14,10 @@ import math
 
 import numpy as np
 
-from .jump_sde import ModelError, ModelSpec
+from .jump_sde import ModelError, ModelSpec, _constant_jump
 from .mark_space import MarkMeasure
 
 __all__ = ["MODEL_BUILDERS", "build_model"]
-
-
-def _constant_jump(values: np.ndarray):
-    """jump(x) for a state-independent (d, n_atoms) coefficient.
-
-    A single state gets the read-only array itself; a batch gets a
-    broadcast view of it.
-    """
-    values = np.array(values, dtype=float)
-    values.setflags(write=False)
-
-    def jump(x):
-        return values if x.ndim == 1 else np.broadcast_to(values, x.shape[:-1] + values.shape)
-
-    return jump
 
 
 def scalar_benchmark(

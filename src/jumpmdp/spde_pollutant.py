@@ -34,7 +34,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .jump_sde import ModelSpec, check_keys, deviation_scale, fluid_limit, simulate_jump_paths, write_csv
+from .jump_sde import (
+    ModelSpec, _constant_jump, check_keys, deviation_scale, fluid_limit, simulate_jump_paths, write_csv,
+)
 from .mark_space import MarkMeasure
 from .prm import sample_poisson_batch, substream
 
@@ -66,17 +68,20 @@ class KernelSpec:
     """Scalar reaction kernel on probe values, with its gradient.
 
     fn maps probe values of shape (..., n_probes) to kernel values of shape
-    (...), a float for one probe vector; grad takes one probe vector.
+    (...), a float for one probe vector; grad takes one probe vector.  value,
+    when set, is the constant of a kernel that does not depend on the probes.
     """
 
     fn: Callable
     grad: Callable
+    value: float | None = None
 
 
 def constant_kernel(value: float = 1.0) -> KernelSpec:
     return KernelSpec(
         fn=lambda p: value if np.ndim(p) == 1 else np.full(np.shape(p)[:-1], value),
         grad=lambda p: np.zeros(np.asarray(p).size),
+        value=value,
     )
 
 
@@ -435,6 +440,23 @@ def _ball_mean(d: int, alpha: complex) -> complex:
     return scale * complex((w * np.exp(alpha * cos - shift)).sum())
 
 
+@functools.lru_cache(maxsize=None)
+def _ball_average(terms: tuple, site: tuple, radius: float, d: int) -> float:
+    """One mode's weighted ball average from its per-axis _Axis.terms tuples,
+    NaN when it overflows.  Cached: the truncation levels of a process share
+    their low modes, and a mode's value does not depend on the level."""
+    total = 0j
+    try:
+        for combo in itertools.product(*terms):
+            coef = math.prod(c for c, _ in combo)
+            zs = sum(z * x for (_, z), x in zip(combo, site))
+            alpha = radius * cmath.sqrt(sum(z * z for _, z in combo))
+            total += coef * cmath.exp(zs) * _ball_mean(d, alpha)
+    except OverflowError:  # cmath.exp or math.exp beyond the float range
+        return math.nan
+    return total.real
+
+
 def ball_average_coefficients(sys: EigenSystem, site: np.ndarray, radius: float) -> np.ndarray:
     """Weighted ball averages |B|^{-1} * int_{|z-site|<=radius} phi_j rho0 dz.
 
@@ -445,24 +467,17 @@ def ball_average_coefficients(sys: EigenSystem, site: np.ndarray, radius: float)
     alpha = r sqrt(z.z), the 1-D marginal of the uniform ball (_ball_mean).
     Each mode is evaluated on its own, on a Gauss rule sized by its own alpha,
     so a mode's coefficient does not depend on which other modes are
-    retained.  A non-finite value raises PollutantError.
+    retained, and is computed once per process.  A non-finite value raises
+    PollutantError.
     """
     site = np.asarray(site, dtype=float).ravel()
     d = len(sys.axes)
     if site.shape != (d,):
         raise PollutantError(f"site must have {d} components")
     out = np.empty(sys.n_modes)
+    key = tuple(site.tolist()), float(radius), d
     for n, mode in enumerate(sys.modes):
-        total = 0j
-        try:
-            for combo in itertools.product(*(ax.terms(j) for ax, j in zip(sys.axes, mode))):
-                coef = math.prod(c for c, _ in combo)
-                zs = sum(z * x for (_, z), x in zip(combo, site))
-                alpha = radius * cmath.sqrt(sum(z * z for _, z in combo))
-                total += coef * cmath.exp(zs) * _ball_mean(d, alpha)
-        except OverflowError:  # cmath.exp or math.exp beyond the float range
-            total = complex(math.nan)
-        out[n] = total.real
+        out[n] = _ball_average(tuple(tuple(ax.terms(j)) for ax, j in zip(sys.axes, mode)), *key)
         if not math.isfinite(out[n]):
             raise PollutantError(f"ball average of mode {mode} around site {site} is not finite")
     return out
@@ -477,7 +492,10 @@ def assemble_model(params: PollutantParams, sys: EigenSystem | None = None) -> M
     is integrated exactly (ETDRK4).  Jump for a mark (x, a): the vector
     a * K0(probe values) * ball_average(x), one column per atom of the mark
     measure.  Jacobians follow from the kernel gradients.  Ball averages are
-    computed once per atom, exact to round-off.
+    computed once per atom, exact to round-off.  A constant jump kernel makes
+    G state-independent: it is built once (jump_sde._constant_jump), and
+    jump_jac returns one read-only zero stack.  Without drift kernels
+    drift_jac returns one read-only diag(linear).
     """
     sys = build_eigensystem(params) if sys is None else sys
     n_modes = sys.n_modes
@@ -512,21 +530,33 @@ def assemble_model(params: PollutantParams, sys: EigenSystem | None = None) -> M
                 out = out + np.multiply.outer(ker.fn(p), zvec)
         return out
 
+    diag = np.diag(linear)
+    diag.flags.writeable = False
+
     def drift_jac(v):
-        jac = np.diag(linear)
+        jac = diag  # shared; each reaction term makes a new array
         if kernels:
             p = probe_values(v)
             for ker, zvec in zip(kernels, outputs):
                 jac = jac + np.outer(zvec, np.asarray(ker.grad(p), dtype=float) @ probes)
         return jac
 
-    def jump(v):
-        k = k0.fn(probe_values(v))
-        return balls * (mags * (float(k) if v.ndim == 1 else k[..., None, None]))
+    if k0.value is None:
+        def jump(v):
+            k = k0.fn(probe_values(v))
+            return balls * (mags * (float(k) if v.ndim == 1 else k[..., None, None]))
 
-    def jump_jac(v):
-        grad = np.asarray(k0.grad(probe_values(v)), dtype=float) @ probes
-        return mags[:, None, None] * (balls.T[:, :, None] * grad)
+        def jump_jac(v):
+            grad = np.asarray(k0.grad(probe_values(v)), dtype=float) @ probes
+            return mags[:, None, None] * (balls.T[:, :, None] * grad)
+    else:
+        # the same expression and bits as the closure above at K0 = value
+        jump = _constant_jump(balls * (mags * float(k0.value)))
+        zeros = np.zeros((params.measure.n_atoms, n_modes, n_modes))
+        zeros.flags.writeable = False
+
+        def jump_jac(v):
+            return zeros
 
     return ModelSpec(
         dim=n_modes,

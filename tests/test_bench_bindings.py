@@ -173,6 +173,25 @@ def test_one_exponential_step_and_one_phi_builder():
     assert writers == {("exponential.py", "phi_coefficients")}, writers
 
 
+def test_one_constant_jump_builder():
+    # a state-independent G is spread over a batch in one function, shared by
+    # the model catalog and the constant-kernel pollutant model
+    spread = ast.dump(ast.parse("np.broadcast_to(values, x.shape[:-1] + values.shape)", mode="eval").body)
+    src_dir = os.path.dirname(experiments.__file__)
+    holders = []
+    for file_name in sorted(os.listdir(src_dir)):
+        if file_name.endswith(".py"):
+            with open(os.path.join(src_dir, file_name)) as fh:
+                tree = ast.parse(fh.read())
+            holders += [
+                (file_name, top.name) for top in tree.body
+                if isinstance(top, ast.FunctionDef) and any(ast.dump(n) == spread for n in ast.walk(top))
+            ]
+    assert holders == [("jump_sde.py", "_constant_jump")], holders
+    callers = {f for f, _, name, _ in _call_sites() if name == "_constant_jump"}
+    assert {"models.py", "spde_pollutant.py"} <= callers, callers
+
+
 def test_exports_resolve():
     # a deletion that misses an __all__ entry or a package import fails here
     import jumpmdp

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -222,6 +223,29 @@ def test_fluid_limit_blow_up_names_a_plain_time():
     with pytest.raises(ModelError, match=r"fluid limit blew up at t=") as info:
         fluid_limit(model, 64)
     assert "np.float64" not in str(info.value)
+
+
+def test_exponential_fluid_blow_up_names_its_first_nonfinite_time():
+    # x' = x over T = 1000, declared as its linear part with N = 0: each
+    # ETDRK4 step multiplies x by e^{L h} (L h = 15.625), and L x = x cannot
+    # overflow before x does, so x first overflows at the first grid time
+    # with L t > log(max float); the check after the loop names that time
+    rate, horizon, n_cells = 1.0, 1000.0, 64
+    model = ModelSpec(
+        dim=1, horizon=horizon, x0=np.array([1.0]),
+        drift=lambda x: rate * x,
+        jump=lambda x: np.zeros(x.shape + (1,)),
+        drift_jac=lambda x: np.array([[rate]]),
+        jump_jac=lambda x: np.zeros((1, 1, 1)),
+        measure=MarkMeasure.single_atom(1.0, 1.0),
+        linear=np.array([rate]),
+    )
+    h = horizon / n_cells
+    first = math.floor(math.log(sys.float_info.max) / (rate * h)) + 1
+    with pytest.raises(ModelError) as info:
+        fluid_limit(model, n_cells)
+    assert str(info.value) == f"fluid limit blew up at t={first * h!r}"
+    assert first * h == 718.75
 
 
 def test_fluid_peak_of_a_large_finite_path_is_finite():

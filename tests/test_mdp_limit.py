@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from jumpmdp import jump_sde, mdp_limit
 from jumpmdp.jump_sde import ModelError, ModelSpec, PathGrid, fluid_limit, rk4_step
 from jumpmdp.mark_space import MarkMeasure
 from jumpmdp.mdp_limit import (
@@ -445,6 +446,60 @@ def test_decomposition_terms_match_the_step_loop(name, request):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (key, seed)
         if name != "pollutant-2d":
             assert np.max(np.abs(ref[4])) > 0  # coupling is live
+
+
+def two_call_augmented_drift(model):
+    # the decomposition's augmented drift before it stacked the xbar and x0
+    # rows: two calls each of model.jump and model.drift per stage
+    w, d = model.measure.weights, model.dim
+
+    def drift(z):
+        xbar, x0v = z[:, :d], z[:, d:2 * d]
+        g_bar, g_0 = model.jump(xbar), model.jump(x0v)
+        return np.concatenate([
+            model.drift(xbar), model.drift(x0v) + g_0 @ w,
+            g_bar.reshape(len(z), -1), g_0.reshape(len(z), -1), np.zeros((len(z), d)),
+        ], axis=1)
+
+    return drift
+
+
+@pytest.mark.parametrize("name", ["two_d_benchmark", "pollutant-2d"])
+def test_decomposition_evaluates_the_model_once_per_stage(name, request, monkeypatch):
+    base = request.getfixturevalue("pollutant_36")[0] if name == "pollutant-2d" else build_model(name)
+    shapes = {"drift": [], "jump": []}
+
+    def counted(key):
+        fn = getattr(base, key)
+
+        def call(x):
+            shapes[key].append(x.shape)
+            return fn(x)
+
+        return call
+
+    model = dataclasses.replace(base, drift=counted("drift"), jump=counted("jump"))
+    eps, d = 0.1, model.dim
+    psi = np.random.default_rng(5).normal(size=(model.measure.n_atoms, 48))
+    ctrl = truncated_tilt(psi, model.horizon, eps**0.25, 1.0)
+    for seed in range(3):
+        for calls in shapes.values():
+            calls.clear()  # drops ModelSpec's shape checks
+        parts = decompose_controlled_path(model, eps, ctrl, seed=seed)
+        n_events = sample_controlled_measure(model.measure, 1.0 / eps, ctrl, seed).times.size
+        stages = 4 * (ctrl.n_cells + n_events)  # four RK4 stages per grid or event step
+        assert n_events > 0
+        assert shapes["drift"] == [(2, d)] * stages
+        assert sorted(shapes["jump"]) == [(1, d)] * n_events + [(2, d)] * stages
+
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                mdp_limit, "_integrate",
+                lambda drift, *rest: jump_sde._integrate(two_call_augmented_drift(base), *rest),
+            )
+            ref = decompose_controlled_path(base, eps, ctrl, seed=seed)
+        for key in PART_NAMES:
+            assert same_bits(getattr(parts, key).values, getattr(ref, key).values), (key, seed)
 
 
 def test_decomposition_closed_forms_for_constant_control():

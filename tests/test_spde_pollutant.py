@@ -12,6 +12,7 @@ from scipy.special import hyp0f1, j1
 from jumpmdp import cli
 from jumpmdp.jump_sde import ModelError, fluid_limit, simulate_jump_path
 from jumpmdp.mark_space import MarkMeasure
+from jumpmdp.mdp_limit import build_linearization
 from jumpmdp.prm import sample_poisson_measure
 from jumpmdp.spde_pollutant import (
     KernelSpec,
@@ -475,3 +476,32 @@ def test_constant_kernel_catalog():
     assert k.grad(np.zeros(0)).size == 0
     ks = KernelSpec(fn=lambda p: float(p[0]) ** 2, grad=lambda p: np.array([2.0 * p[0]]))
     assert ks.fn(np.array([3.0])) == 9.0
+
+
+def test_constant_kernel_model_matches_the_general_closure():
+    # an affine kernel with zero slope has the same constant value but goes
+    # through the general closure; the constant kernel builds G once.  The
+    # magnitudes are not powers of two, so G's rounding depends on the order
+    # of its products.
+    spec = {
+        "d_space": 2, "velocity": [2.0, 0.0], "decay": 0.5, "max_mode": 3,
+        "atoms": [[0.3, 0.4, 1.3, 0.6], [0.7, 0.6, 0.7, 0.4]],
+        "probes": [[[[0, 0], 1.0], [[1, 0], -0.5]]], "x0": [[[0, 0], 0.3], [[1, 1], -0.2]],
+    }
+    value = 1.7
+    const = assemble_model(params_from_dict({**spec, "jump_kernel": {"kind": "constant", "value": value}}))
+    general = assemble_model(params_from_dict(
+        {**spec, "jump_kernel": {"kind": "affine", "intercept": value, "slope": [0.0]}}
+    ))
+    batch = const.x0 + np.arange(3.0)[:, None]
+    for x in (const.x0, batch):
+        got, want = const.jump(x), general.jump(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.array_equal(const.jump_jac(const.x0), general.jump_jac(const.x0))
+    (fluid_c, _), (fluid_g, _) = fluid_limit(const, 64), fluid_limit(general, 64)
+    assert fluid_c.values.tobytes() == fluid_g.values.tobytes()
+    lin_c, lin_g = build_linearization(const, fluid_c), build_linearization(general, fluid_g)
+    for key in ("drift_mat", "jump_vals"):
+        assert np.ascontiguousarray(getattr(lin_c, key)).tobytes() == np.ascontiguousarray(getattr(lin_g, key)).tobytes()
+    for arr in (const.jump(const.x0), const.jump(batch), const.jump_jac(const.x0)):
+        assert not arr.flags.writeable
