@@ -32,7 +32,6 @@ from .mdp_limit import (
     solve_limit_path,
 )
 from .rate import (
-    Gramian,
     RateSolution,
     controllability_gramian,
     rate_of_path,

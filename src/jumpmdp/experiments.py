@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -112,13 +113,20 @@ class ExperimentConfig:
             raise ModelError("eps_grid must be positive and strictly decreasing")
         if not (0 < self.rho < 0.5):
             raise ModelError("rho must lie in (0, 1/2)")
-        if self.replications < 100 or self.is_replications < 100:
-            raise ModelError("need at least 100 replications")
         if not (0 < self.beta <= 1):
             raise ModelError("beta must lie in (0, 1]")
-        for key, least in (("n_cells", 1), ("n_cells_analysis", 1), ("workers", 1), ("clt_replications", 2)):
-            if getattr(self, key) < least:
-                raise ModelError(f"{key} must be at least {least}, got {getattr(self, key)!r}")
+        if not self.threshold >= 0:
+            raise ModelError(f"threshold must be nonnegative, got {self.threshold!r}")
+        if not self.clt_epsilon > 0:
+            raise ModelError(f"clt_epsilon must be positive, got {self.clt_epsilon!r}")
+        counts = (("n_cells", 1), ("n_cells_analysis", 1), ("workers", 1), ("clt_replications", 2),
+                  ("replications", 100), ("is_replications", 100))
+        for key, least in counts:
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ModelError(f"{key} must be an integer, got {value!r}")
+            if value < least:
+                raise ModelError(f"{key} must be at least {least}, got {value!r}")
         object.__setattr__(self, "eps_grid", eps)
         object.__setattr__(self, "rate_targets", tuple(tuple(z) if np.ndim(z) else (z,) for z in self.rate_targets))
 

@@ -7,7 +7,8 @@ this module builds:
 * the jump values G_i(x0(s), y_k) on the atoms, whose gain matrix
   B(s) = G(s) diag(sqrt(w)) carries a control in the atom coordinates
   u_k = sqrt(w_k) psi(y_k) of L2 of the mark measure,
-* the Lyapunov covariance of the matching small-noise Gaussian process, and
+* one exact map per cell (_exact_cell) behind the propagators, the Gramian W
+  and the covariance Sigma_T of the matching small-noise Gaussian process, and
 * a replay decomposition of controlled fluctuation paths into drift,
   martingale, coefficient, coupling and forcing terms whose sum reconstructs
   the path exactly.
@@ -80,48 +81,40 @@ class LinearizedSystem:
 
     @cached_property
     def propagators(self) -> tuple[np.ndarray, np.ndarray]:
-        """(R, dt*S) per cell, each (n_cells, d, d): the RK4 step of x' = A1 x + f,
+        """(R, Gam) per cell, each (n_cells, d, d): the exact step of x' = A1 x + f,
 
-            x+ = R x + dt S f,   Z = dt A1,   S = I + Z/2 + Z^2/6 + Z^3/24,   R = I + Z S,
+            x+ = R x + Gam f,   R = e^{A1 dt},   Gam = int_0^dt e^{A1 s} ds,
 
-        with A1 and f frozen per cell.  solve_limit_path applies this map and
-        the rate solvers invert it.  Built once per system, on the stored
-        cells only.
+        with A1 and f frozen per cell (_exact_cell).  solve_limit_path applies
+        this map and the rate solvers invert it.  Built once per system, on
+        the stored cells only.
         """
         a1 = self.drift_mat[:self.stored_cells]
-        h = self.dt
-        eye = np.eye(self.dim)
-        prop = np.empty(a1.shape)
-        src = np.empty(a1.shape)
-        for c in range(a1.shape[0]):
-            z = h * a1[c]
-            z2 = z @ z
-            z3 = z2 @ z
-            s = eye + z / 2.0 + z2 / 6.0 + z3 / 24.0
-            prop[c] = eye + z @ s
-            src[c] = h * s
+        prop, src = np.empty(a1.shape), np.empty(a1.shape)
+        for c, a in enumerate(a1):
+            f, src[c], _ = _exact_cell(a, np.zeros_like(a), self.dt)
+            prop[c] = np.eye(self.dim) + f
         shape = self.drift_mat.shape  # read-only; a time-invariant system spreads its one cell
         return np.broadcast_to(prop, shape), np.broadcast_to(src, shape)
 
     @cached_property
     def gramian(self) -> np.ndarray:
         """W = sum_c flow[c] B[c] B[c]' flow[c]' dt, where
-        flow[c] = R[n-1] ... R[c+1] (dt S[c]) / dt carries a source in cell c to
+        flow[c] = R[n-1] ... R[c+1] Gam[c] / dt carries a source in cell c to
         the horizon by the propagators.
 
-        W is the Stein fold W <- R[c] W R[c]' + dt b[c] b[c]' over the cells
-        from zero, with b = S B (see _stein_fold); no per-cell array is kept.
+        W is the Stein fold W <- R[c] W R[c]' + b[c] b[c]' / dt over the cells
+        from zero, with b = Gam B (see _stein_fold); no per-cell array is kept.
+        R - I enters as A1 Gam = e^{A1 dt} - I, so it loses no digits to I.
         Built once per system.  An unstable flow that overflows W raises
         ModelError.
         """
-        prop, src = self.propagators
+        src = self.propagators[1]
         gain = self.gain
-        dt = self.dt
-        eye = np.eye(self.dim)
 
         def cell(c):
-            b = (src[c] / dt) @ gain[c]
-            return prop[c] - eye, dt * (b @ b.T), 1
+            b = src[c] @ gain[c]
+            return self.drift_mat[c] @ src[c], (b @ b.T) / self.dt
 
         w = _stein_fold(self, cell, "controllability Gramian")
         w.flags.writeable = False  # shared by every caller
@@ -141,7 +134,8 @@ def _flow_sum(f: np.ndarray, m: np.ndarray, n: int, start: np.ndarray | None = N
     the block sum s_K and e = P^K - I, then n // K steps carry the block by
     Q = I + e, and the n % K leading terms close the sum.  Every step is
     written around the identity (t = s + f s, s <- m + t + t f'), and powers
-    are kept as P^j - I, so a near-identity P loses no digits to I.
+    are kept as P^j - I, so a near-identity P loses no digits to I.  A carry
+    step, total + (s + u + (total + u) e') with u = e total, rounds it once.
     """
     k = math.isqrt(n)
     q, r = divmod(n, k)
@@ -154,31 +148,66 @@ def _flow_sum(f: np.ndarray, m: np.ndarray, n: int, start: np.ndarray | None = N
         e = e + f + e @ f
     total = np.zeros_like(m) if start is None else start
     for _ in range(q):
-        t = total + e @ total
-        total = s + t + t @ e.T
-    t = total + e_r @ total
-    return s_r + t + t @ e_r.T
+        u = e @ total
+        total = total + (s + u + (total + u) @ e.T)
+    u = e_r @ total
+    return total + (s_r + u + (total + u) @ e_r.T)
 
 
 def _stein_fold(sys: LinearizedSystem, cell, name: str) -> np.ndarray:
     """S <- P_c S P_c' + m_c over the cells of sys from S = 0, symmetrized.
 
-    cell(c) -> (P_c - I, m_c, substeps) is one substep of cell c, taken
-    `substeps` times.  A time-invariant system is one _flow_sum over all
-    n_cells * substeps steps of its one cell; a time-varying one chains one
-    _flow_sum per cell.  An unstable flow overflows on any grid, so a
-    non-finite S raises ModelError naming the matrix (`name`).
+    cell(c) -> (P_c - I, m_c) is the map of cell c.  A time-invariant system
+    is one _flow_sum over all n_cells steps of its one cell; a time-varying
+    one chains one _flow_sum per cell.  An unstable flow overflows on any
+    grid, so a non-finite S raises ModelError naming the matrix (`name`).
     """
     stored = sys.stored_cells
     s = None
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite S is named below
         for c in range(stored):
-            f, m, substeps = cell(c)
-            s = _flow_sum(f, m, sys.n_cells // stored * substeps, s)
+            f, m = cell(c)
+            s = _flow_sum(f, m, sys.n_cells // stored, s)
         s = 0.5 * (s + s.T)
     if not np.isfinite(s).all():
         raise ModelError(f"{name} is non-finite on n_cells={sys.n_cells} cells: the linearized flow overflows")
     return s
+
+
+def _exact_cell(a: np.ndarray, q: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, Gam, M) of one cell with A frozen: F = e^{A dt} - I,
+    Gam = int_0^dt e^{A s} ds and M = int_0^dt e^{A s} q e^{A' s} ds.
+
+    Taylor series on h = dt / 2^k, the smallest k with ||A h||_inf <= 1/2
+    (terms Z^j / j!, h Z^j / (j + 1)! and h L^j(q) / (j + 1)! with Z = A h,
+    L(X) = Z X + X Z', until no term changes any sum), then k doublings
+    around the identity: F <- 2F + F F, Gam <- 2 Gam + F Gam, M <- M + P M P'
+    with P = I + F (Van Loan, IEEE TAC 1978; Moler & Van Loan, SIAM Review
+    2003).  e^{A dt} beyond the float range raises ModelError.
+    """
+    z_norm = dt * float(np.abs(a).sum(axis=1).max())  # ||A dt||_inf
+    k = max(0, math.frexp(2.0 * z_norm)[1]) if 0.0 < z_norm < math.inf else 0  # z_norm / 2^k < 1/2
+    h = dt / 2.0**k
+    z = h * a
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite map is named below
+        f, gam, m = np.zeros_like(z), h * np.eye(len(z)), np.zeros_like(q)
+        fj, mj = np.eye(len(z)), h * q
+        for j in range(1, 64):
+            fj = (fj @ z) / j
+            sums = f + fj, gam + (h / (j + 1)) * fj, m + mj
+            if all(np.array_equal(new, old) for new, old in zip(sums, (f, gam, m))):
+                break
+            f, gam, m = sums
+            p = z @ mj
+            mj = (p + p.T) / (j + 1)
+        for _ in range(k):
+            t = m + f @ m
+            m = m + t + t @ f.T
+            gam = 2.0 * gam + f @ gam
+            f = 2.0 * f + f @ f
+    if not all(np.isfinite(x).all() for x in (f, gam, m)):
+        raise ModelError(f"cell map e^(A1 dt) is non-finite at dt={dt!r}: the linearized flow overflows in one cell")
+    return f, gam, m
 
 
 def build_linearization(model: ModelSpec, fluid_path: PathGrid) -> LinearizedSystem:
@@ -238,45 +267,21 @@ def solve_limit_path(sys: LinearizedSystem, psi) -> PathGrid:
     return PathGrid(sys.times, out)
 
 
-def _exact_step(a: np.ndarray, q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(e^{A h} - I, int_0^h e^{A s} q e^{A' s} ds) by their Taylor series.
-
-    With Z = A h and L(X) = Z X + X Z', the terms are Z^k / k! and
-    h L^k(q) / (k + 1)!; both series run until a term no longer changes
-    their sums.  Meant for ||A h|| <= 1/2, where that takes about 20 terms.
-    """
-    z = h * a
-    f, m = np.zeros_like(z), np.zeros_like(q)
-    fk, mk = np.eye(len(z)), h * q
-    for k in range(1, 64):
-        fk = (fk @ z) / k
-        f_next, m_next = f + fk, m + mk
-        if np.array_equal(f_next, f) and np.array_equal(m_next, m):
-            break
-        f, m = f_next, m_next
-        p = z @ mk
-        mk = (p + p.T) / (k + 1)
-    return f, m
-
-
 def gaussian_covariance(sys: LinearizedSystem) -> np.ndarray:
     """Sigma_T, the (d, d) covariance of the Gaussian limit at the horizon.
 
     Sigma_T solves S' = A1 S + S A1' + G diag(w) G' from zero, with the
     coefficients frozen per cell, and carries no grid error and no stability
-    limit: each cell takes 2^k substeps h = dt / 2^k with ||A1 h||_inf <= 1/2,
-    each the exact map S <- e^{A1 h} S e^{A1' h} + int_0^h e^{A1 s} Q e^{A1' s} ds
-    from _exact_step, folded over the cells by _stein_fold.  An unstable
-    flow that overflows Sigma_T raises ModelError.
+    limit: each cell is the exact map S <- e^{A1 dt} S e^{A1' dt} + M with
+    M = int_0^dt e^{A1 s} Q e^{A1' s} ds from _exact_cell, folded over the
+    cells by _stein_fold.  An unstable flow that overflows Sigma_T raises
+    ModelError.
     """
     gain = sys.gain
 
     def cell(c):
-        a = sys.drift_mat[c]
-        z_norm = sys.dt * float(np.abs(a).sum(axis=1).max())  # ||A1 dt||_inf
-        k = max(0, math.frexp(2.0 * z_norm)[1]) if 0.0 < z_norm < math.inf else 0  # z_norm / 2^k < 1/2
-        f, m = _exact_step(a, gain[c] @ gain[c].T, sys.dt / 2.0**k)
-        return f, m, 2**k
+        f, _, m = _exact_cell(sys.drift_mat[c], gain[c] @ gain[c].T, sys.dt)
+        return f, m
 
     return _stein_fold(sys, cell, "Gaussian covariance Sigma_T")
 

@@ -9,7 +9,8 @@ of psi against the mark measure.
 
 Both invert the per-cell affine map LinearizedSystem.propagators, the same
 map solve_limit_path applies, so the energy identities below hold to
-round-off rather than to a differencing bias.
+round-off rather than to a differencing bias.  That map is exact for the
+frozen coefficients, with no stability limit.
 
 Infinite rates are reported as math.inf together with the residual of the
 range test that triggered them, never as a large finite float.  A flow that
@@ -30,7 +31,6 @@ from .mdp_limit import LinearizedSystem, solve_limit_path
 __all__ = [
     "InadmissiblePathError",
     "RateSolution",
-    "Gramian",
     "rate_of_path",
     "controllability_gramian",
     "rate_to_point",
@@ -61,21 +61,6 @@ class RateSolution:
     residual: float
 
 
-@dataclass(frozen=True)
-class Gramian:
-    """Controllability Gramian W of the discrete controlled flow.
-
-    W = sum_c flow[c] @ gain[c] @ gain[c].T @ flow[c].T * dt, where flow[c] is
-    the discrete state-transition factor from cell c to the horizon (the
-    RK4-consistent analogue of Phi(T, s)).  The flow itself is never stored:
-    LinearizedSystem.gramian folds W <- R[c] W R[c]' + (cell c's term) over
-    the cells, the same Stein fold that gives the Lyapunov covariance.  The
-    fold raises ModelError on a non-finite W, so matrix is always finite.
-    """
-
-    matrix: np.ndarray       # (d, d) symmetric PSD
-
-
 def rate_of_path(
     sys: LinearizedSystem,
     path: PathGrid,
@@ -90,7 +75,7 @@ def rate_of_path(
     the range of the gain makes the rate infinite, with the violation
     reported.  u lies in the row space of B, u = B' v with v = (B^+)' u, so
     psi = G' v equals u / sqrt(w) on atoms of positive weight without a
-    division.  The inverse of dt S and the pseudo-inverse of the gain are
+    division.  The inverse of Gam and the pseudo-inverse of the gain are
     taken on the stored cells only (one on a time-invariant system) and
     broadcast over every cell's right-hand side.
     """
@@ -116,10 +101,11 @@ def rate_of_path(
     return RateSolution(value=value, psi=psi, path=solve_limit_path(sys, psi), residual=worst)
 
 
-def controllability_gramian(sys: LinearizedSystem) -> Gramian:
-    """Gramian of the discrete controlled flow, exact for the cell solvers;
-    its Stein fold (LinearizedSystem.gramian) runs once per system."""
-    return Gramian(matrix=sys.gramian)
+def controllability_gramian(sys: LinearizedSystem) -> np.ndarray:
+    """W, the read-only (d, d) Gramian of the discrete controlled flow, exact
+    for the cell solvers; its Stein fold (LinearizedSystem.gramian) runs once
+    per system and raises ModelError on a non-finite W."""
+    return sys.gramian
 
 
 def _psd_pinv(w: np.ndarray, rtol: float) -> np.ndarray:
@@ -151,7 +137,7 @@ def rate_to_point(
     z = np.asarray(z, dtype=float).ravel()
     if z.shape != (sys.dim,):
         raise ModelError(f"z must have shape ({sys.dim},)")
-    w = controllability_gramian(sys).matrix
+    w = controllability_gramian(sys)
     xi = _psd_pinv(w, pinv_rtol) @ z
     resid = float(np.linalg.norm(w @ xi - z))
     feasible = resid <= range_tol * (1.0 + float(np.linalg.norm(z)))
@@ -174,18 +160,19 @@ def rate_to_point(
 
 
 def sphere_minimum(
-    gram: Gramian, radius: float, pinv_rtol: float = PINV_RTOL
+    gram: np.ndarray, radius: float, pinv_rtol: float = PINV_RTOL
 ) -> tuple[float, np.ndarray]:
     """Minimum of the terminal rate over the sphere |z| = radius.
 
     For the quadratic form 0.5 z' W^+ z the minimum over the sphere is
     radius^2 / (2 * lambda_max(W)), reached along the top eigenvector; exact
-    via the eigendecomposition, no iterative optimizer involved.  W is
-    finite: the Gramian fold raises on an overflowed flow.
+    via the eigendecomposition, no iterative optimizer involved.  gram is
+    W from controllability_gramian, finite because its fold raises on an
+    overflowed flow.
     """
-    vals, vecs = np.linalg.eigh(gram.matrix)
+    vals, vecs = np.linalg.eigh(gram)
     lam = float(vals[-1])
     if lam <= pinv_rtol * max(lam, 1.0) or lam <= 0.0:
-        return math.inf, np.zeros(gram.matrix.shape[0])
+        return math.inf, np.zeros(gram.shape[0])
     zstar = radius * vecs[:, -1]
     return radius**2 / (2.0 * lam), zstar

@@ -182,7 +182,7 @@ def test_criterion_5_gramian_closed_forms():
         sysm = build_linearization(model, fluid)
         w_exact = sig**2 * (math.exp(2 * a * T) - 1.0) / (2 * a)
         gram = controllability_gramian(sysm)
-        assert abs(gram.matrix[0, 0] - w_exact) / w_exact <= 1e-6
+        assert abs(gram[0, 0] - w_exact) / w_exact <= 1e-6
         z = np.array([0.9])
         i1 = rate_to_point(sysm, z).value
         i4 = rate_to_point(sysm, 2.0 * z).value

@@ -98,13 +98,16 @@ def test_galerkin_config_is_accepted():
     assert model.dim == (params.max_mode + 1) ** params.d_space
 
 
-def _call_sites():
-    """(file name, enclosing function, callee name, call node) of every call in src/jumpmdp."""
+def _call_sites(outermost=False):
+    """(file name, enclosing function, callee name, call node) of every call in src/jumpmdp.
+
+    The enclosing function is the innermost one, or with outermost=True the
+    top-level function or method that holds the call."""
     src_dir = os.path.dirname(experiments.__file__)
     sites = []
 
     def visit(node, file_name, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (outermost and func):
             func = node.name
         if isinstance(node, ast.Call):
             sites.append((file_name, func, getattr(node.func, "id", getattr(node.func, "attr", None)), node))
@@ -138,6 +141,22 @@ def test_one_rk4_kernel_and_one_stein_fold():
     flow = [f"{f}:{node.lineno} in {func}" for f, func, name, node in sites if name == "_flow_sum" and func != "_stein_fold"]
     assert not rk4 and not flow, (rk4, flow)
     assert {func for _, func, name, _ in sites if name == "_stein_fold"} == {"gramian", "gaussian_covariance"}
+    # one exact cell builder makes the propagators (and through them W) and Sigma_T's cell map
+    builders = {(f, func) for f, func, name, _ in _call_sites(outermost=True) if name == "_exact_cell"}
+    assert builders == {("mdp_limit.py", "propagators"), ("mdp_limit.py", "gaussian_covariance")}, builders
+    assert not hasattr(module("mdp_limit"), "_exact_step")
+    # and no RK4 polynomial is multiplied out beside rk4_step: no operand 6 or 24 (Z^2/6, Z^3/24)
+    src_dir = os.path.dirname(experiments.__file__)
+    weights = []
+    for file_name in ("mdp_limit.py", "rate.py"):
+        with open(os.path.join(src_dir, file_name)) as fh:
+            weights += [
+                f"{file_name}:{node.lineno}" for node in ast.walk(ast.parse(fh.read()))
+                if isinstance(node, ast.BinOp) and any(
+                    isinstance(side, ast.Constant) and side.value in (6, 24) for side in (node.left, node.right)
+                )
+            ]
+    assert not weights, weights
 
 
 def test_overflow_is_named_where_it_is_computed():
@@ -145,7 +164,7 @@ def test_overflow_is_named_where_it_is_computed():
     # non-finite result; the drivers neither silence nor re-check
     sites = _call_sites()
     silencers = {func for _, func, name, _ in sites if name == "errstate"}
-    assert silencers == {"_integrate", "fluid_limit", "_stein_fold", "rate_to_point"}, silencers
+    assert silencers == {"_integrate", "fluid_limit", "_stein_fold", "_exact_cell", "rate_to_point"}, silencers
     drivers = [f"{f}:{node.lineno}" for f, _, name, node in sites
                if f in ("experiments.py", "cli.py") and name in ("errstate", "check_finite")]
     assert not drivers, drivers

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -102,6 +103,40 @@ def test_counts_below_one_are_named_errors(tmp_path, capsys, command, config, ex
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path), *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"FAILED: {key} must be at least 1, got ") and "Traceback" not in err
+
+
+def test_zero_clt_epsilon_is_a_named_error(tmp_path, capsys):
+    # clt-check divides by sqrt(clt_epsilon)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"clt_epsilon": 0, "clt_replications": 20, "n_cells": 8}))
+    assert cli.main(["clt-check", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "FAILED: clt_epsilon must be positive, got 0\n"
+    assert not (tmp_path / "clt_check.csv").exists()
+
+
+def test_negative_threshold_is_a_named_error(tmp_path, capsys):
+    # a negative threshold makes every path a hit; threshold 0 stays valid (test_zero_threshold_is_trivial)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL, "threshold": -1}))
+    assert cli.main(["mdp-slope", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "FAILED: threshold must be nonnegative, got -1\n"
+    assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n_cells", 1.5), ("n_cells_analysis", 200.0), ("replications", 400.5),
+     ("is_replications", "200"), ("clt_replications", 2.5), ("workers", True)],
+)
+def test_non_integer_counts_are_named_errors(tmp_path, capsys, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL, key: value}))
+    assert cli.main(["mdp-slope", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"FAILED: {key} must be an integer, got {value!r}\n"
+    assert not (tmp_path / "summary.csv").exists()
 
 
 def test_clt_check_needs_two_replications(tmp_path, capsys):
@@ -226,9 +261,9 @@ def test_nonfinite_paths_fail_in_both_estimators():
         engine.terminal_batch(experiments.SLOT_PLAIN, 0, 0.2, 0, 5)
     with pytest.raises(ModelError, match="blew up at t="):
         engine.is_batch(0, 0, 5)
-    # the same overflow in the linearized flow leaves W non-finite on the 200
-    # analysis cells too, which the Gramian fold names before any Monte Carlo
-    with pytest.raises(ModelError, match="controllability Gramian is non-finite on n_cells=200 cells"):
+    # the linear analysis is exact on the 200 analysis cells, so the run gets
+    # to the Monte Carlo paths and names their blow-up
+    with pytest.raises(ModelError, match=r"^jump path blew up at t=.* \(eps=.*\)"):
         run_mdp_slope(cfg)
 
 
@@ -237,32 +272,34 @@ def test_nonfinite_optimal_control_is_a_named_error(tmp_path, capsys):
     path.write_text(json.dumps({**STIFF, **SMALL, "n_cells": 64}))
     assert cli.main(["mdp-slope", "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("FAILED: controllability Gramian is non-finite on n_cells=200 cells")
+    assert re.match(r"FAILED: jump path blew up at t=.* \(eps=.*\)", err)
     assert "Traceback" not in err and not (tmp_path / "summary.csv").exists()
 
 
 def test_nonfinite_optimal_control_fails_without_warnings(tmp_path, capsys):
-    # the overflowing Gramian fold stays quiet: the named error is the message
+    # the exact linear analysis and the path blow-up stay quiet: the named error is the message
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**STIFF, **SMALL, "n_cells": 64}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["mdp-slope", "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("FAILED: controllability Gramian is non-finite on n_cells=200 cells")
+    assert re.match(r"FAILED: jump path blew up at t=.* \(eps=.*\)", err)
+    assert not (tmp_path / "summary.csv").exists()
 
 
-def test_nonfinite_gramian_is_a_named_error(tmp_path, capsys):
-    # on 64 analysis cells the stiff flow overflows; the rate command names it instead of
-    # writing an infinite sphere rate
+def test_stiff_rate_command_reports_the_sampled_rate(tmp_path, capsys):
+    # on 64 analysis cells dt |A1| = 47: the exact cell map has no stability limit, so the
+    # rate command writes the sphere rate of the sampled system, 1 / (2 W) = 1/128
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**STIFF, "n_cells_analysis": 64}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli.main(["rate", "--config", str(path), "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("FAILED: controllability Gramian is non-finite on n_cells=64 cells")
-    assert not (tmp_path / "rate_summary.csv").exists()
+        assert cli.main(["rate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (tmp_path / "rate_summary.csv").read_text().splitlines()
+    sphere = float(rows[1].split(",")[1])
+    assert rows[1].startswith("sphere_1.0,") and abs(sphere - 1.0 / 128.0) <= 1e-13 / 128.0
 
 
 @pytest.mark.parametrize(

@@ -96,10 +96,10 @@ COMMANDS = {"clt-check-scalar": "clt-check", "mdp-slope-scalar": "mdp-slope", "p
 # miss their 25% gate, so mdp-slope exits 1; summary.csv is written first.
 GOLDEN = {
     "clt-check": (0, {
-        "clt_check.csv": "8abf66fc058d9823383bac9f08c617913ca9ae6ecee3123a9f6a99004f4a1d31",
+        "clt_check.csv": "3e0e1946e68ba059488711b4a929905116b3cd775819332cff7100b1febfe3c4",
     }),
     "clt-check-scalar": (0, {
-        "clt_check.csv": "16266386ef205861f3cfb5f6b204c44e30ad5474e484516827620cd4bb125b7d",
+        "clt_check.csv": "c653d5596201d439713cc77a2b1ae61d63bb7c74a03a8e8ea8576f45606e2841",
     }),
     "fluid": (0, {
         "fluid.csv": "7b60050e6534186acc75a606ab4fb8d0b52104eb29226de3eb4de7418ad86d3d",
@@ -112,10 +112,10 @@ GOLDEN = {
         "var_rep.csv": "87f2286485b4006cd00082da305461a65d351893a17b7fa42bbf1c10b16adee9",
     }),
     "mdp-slope": (1, {
-        "summary.csv": "045bf8f3cf0f2f032ff736e5caebbde38f870321275aee7b53e5466ed2a7cb63",
+        "summary.csv": "e3d0750e29b6540040c017b09bf677bf32ea80276f85bfccb412ca328b278736",
     }),
     "mdp-slope-scalar": (1, {
-        "summary.csv": "48fc5194cbe56d91478121322774db96c54585c6b346feb8294fb1126196d1f1",
+        "summary.csv": "ef4c1d7a3d4000c5e0ec40b7b777169cc0c14041bb2d748d2909f299632ce331",
     }),
     "pollutant": (0, {
         "pollutant_field_T.csv": "e45a35c97d9d0ed42618ffed83c8622d32ca8c0e849aa38a723c8cccc3a50b87",
@@ -130,9 +130,9 @@ GOLDEN = {
         "pollutant_report.csv": "6ac5fbcd525d72fe9c4b95de8becb22f77d8cf92b2de62203159e4e297889fd7",
     }),
     "rate": (0, {
-        "rate_path_0.csv": "ea3c03fd37779a5241632d5ceb459ab9facc65cd83166d8f5bbabc8baea279a9",
-        "rate_psi_0.csv": "329c529c13377d2cc6443104e9b4f702ac2af293af9b629bac5abdf2b6b37218",
-        "rate_summary.csv": "83a0934154cab127f838496ff9ef1d71ef5440aef0774f14dc4325d8686ca2f1",
+        "rate_path_0.csv": "40d68a3afc0169711c38b4b597a6ed04163a3a613bba18eff6277f7200117a10",
+        "rate_psi_0.csv": "a5838bdd3997e6310a6b2359006c7c286f475eedb1179e8470f18e7106645b79",
+        "rate_summary.csv": "c79cb08adab3cea1644a13c58a0952034e56adeda1b729d54de3cd71c2600535",
     }),
     "simulate": (0, {
         "paths/eps0_rep0.csv": "3343bc1f640fd51755a8f66d41e9b8084e5b6755da6503e1be603efb043600de",

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -68,15 +70,18 @@ def test_limit_path_zero_and_linearity():
     assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
-def test_limit_path_is_one_rk4_step_per_cell():
-    # the propagators are RK4 with the coefficients frozen per cell
+def test_limit_path_is_the_exact_solution_per_cell():
+    # the propagators solve x' = A1 x + f exactly with A1 and f frozen per cell:
+    # [x; 1] <- e^{dt [[A1, f], [0, 0]]} [x; 1]
     model, sysm = linearize("two_d_benchmark")
     psi = np.random.default_rng(7).normal(size=(2, sysm.n_cells))
     forcing = sysm.forcing_from_psi(psi)
-    replay = np.zeros((sysm.n_cells + 1, sysm.dim))
+    d = sysm.dim
+    replay = np.zeros((sysm.n_cells + 1, d))
     for c in range(sysm.n_cells):
-        a1, f = sysm.drift_mat[c], forcing[c]
-        replay[c + 1] = rk4_step(lambda v: a1 @ v + f, replay[c], sysm.dt)
+        block = np.zeros((d + 1, d + 1))
+        block[:d, :d], block[:d, d] = sysm.drift_mat[c], forcing[c]
+        replay[c + 1] = (expm(sysm.dt * block) @ np.append(replay[c], 1.0))[:d]
     path = solve_limit_path(sysm, psi).values
     assert np.max(np.abs(path - replay)) <= 1e-13 * np.max(np.abs(replay))
     assert sysm.propagators is sysm.propagators
@@ -96,18 +101,32 @@ def reference_coefficients(model, fluid):
 
 
 def reference_propagators(sysm):
-    # the RK4 map evaluated on every cell, whether or not the system stores one
-    n, d, h = sysm.n_cells, sysm.dim, sysm.dt
-    eye = np.eye(d)
+    """(R, Gam) on every cell, whether or not the system stores one, from one
+    block exponential per cell (Van Loan, IEEE TAC 1978):
+    e^{dt [[A1, I], [0, 0]]} = [[e^{A1 dt}, int_0^dt e^{A1 s} ds], [0, I]]."""
+    n, d = sysm.n_cells, sysm.dim
     prop, src = np.empty((n, d, d)), np.empty((n, d, d))
     for c in range(n):
-        z = h * sysm.drift_mat[c]
-        z2 = z @ z
-        z3 = z2 @ z
-        s = eye + z / 2.0 + z2 / 6.0 + z3 / 24.0
-        prop[c] = eye + z @ s
-        src[c] = h * s
+        block = np.zeros((2 * d, 2 * d))
+        block[:d, :d], block[:d, d:] = sysm.drift_mat[c], np.eye(d)
+        e = expm(sysm.dt * block)
+        prop[c], src[c] = e[:d, :d], e[:d, d:]
     return prop, src
+
+
+def builder_propagators(sysm):
+    # the private cell builder applied to every cell
+    n, d = sysm.n_cells, sysm.dim
+    prop, src = np.empty((n, d, d)), np.empty((n, d, d))
+    for c in range(n):
+        f, src[c], _ = mdp_limit._exact_cell(sysm.drift_mat[c], np.zeros((d, d)), sysm.dt)
+        prop[c] = np.eye(d) + f
+    return prop, src
+
+
+def cellwise_gap(got, want):
+    # the largest per-cell gap, relative to the cell's largest entry
+    return max(np.max(np.abs(g - w)) / np.max(np.abs(w)) for g, w in zip(got, want))
 
 
 def same_bits(a, b):
@@ -130,7 +149,7 @@ def test_time_invariant_system_is_stored_as_one_cell(name):
     sysm = build_linearization(model, fluid)
     assert sysm.time_invariant
     a1, jv = reference_coefficients(model, fluid)
-    prop, src = reference_propagators(sysm)
+    prop, src = builder_propagators(sysm)
     for view, ref in zip((sysm.drift_mat, sysm.jump_vals, *sysm.propagators), (a1, jv, prop, src)):
         assert view.strides[0] == 0 and not view.flags.writeable
         assert same_bits(view, ref)
@@ -144,7 +163,34 @@ def test_time_varying_propagators_match_the_cell_loop(n_cells):
     a1, jv = reference_coefficients(model, fluid_limit(model, n_cells)[0])
     assert same_bits(sysm.drift_mat, a1) and same_bits(sysm.jump_vals, jv)
     for got, ref in zip(sysm.propagators, reference_propagators(sysm)):
-        assert same_bits(got, ref)
+        assert cellwise_gap(got, ref) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "name, n_cells",
+    [("scalar_benchmark", 2000), ("pollutant-36", 2000), ("pollutant-36", 256), ("pollutant-36", 32)],
+)
+def test_propagators_match_the_matrix_exponential(name, n_cells, pollutant_36):
+    # R against scipy's expm and Gam against the Van Loan block (two_d_benchmark is
+    # the time-varying case above), also where dt lambda_max = 1.93 (256 cells) and
+    # 15.4 (32 cells) of the 36-mode model
+    model = pollutant_36[0] if name == "pollutant-36" else build_model(name)
+    fluid = pollutant_36[1] if name == "pollutant-36" and n_cells == 2000 else fluid_limit(model, n_cells)[0]
+    sysm = build_linearization(model, fluid)
+    stored = sysm.stored_cells
+    for got, ref in zip(sysm.propagators, reference_propagators(cut(sysm, stored))):
+        assert cellwise_gap(got[:stored], ref) <= 1e-14
+
+
+def test_overflowed_cell_map_is_a_named_error():
+    # x' = 1000 x on one cell: e^1000 is beyond the float range; no numpy warning on the way
+    model, sysm = linearize("linear_gaussian", {"rate": 1000.0, "gain": 1.0}, n_cells=1)
+    message = r"^cell map e\^\(A1 dt\) is non-finite at dt=1\.0: the linearized flow overflows in one cell$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (lambda: sysm.propagators, lambda: sysm.gramian, lambda: gaussian_covariance(sysm)):
+            with pytest.raises(ModelError, match=message):
+                build()
 
 
 def state_dependent_model():
@@ -320,6 +366,38 @@ def test_overflowed_fold_is_a_named_error():
         gaussian_covariance(sysm)
     with pytest.raises(ModelError, match=f"^controllability Gramian {tail}"):
         sysm.gramian
+
+
+def mp_fold(steps):
+    """S <- (I + f) S (I + f)' + m over the recorded (f, m) from S = 0, in 40
+    digits on the same double-precision cell maps, symmetrized and rounded."""
+    with mpmath.workdps(40):
+        d = len(steps[0][0])
+        s = mpmath.zeros(d, d)
+        for f, m in steps:
+            p = mpmath.eye(d) + mpmath.matrix(f.tolist())
+            s = p * s * p.T + mpmath.matrix(m.tolist())
+        return np.array((s + s.T).tolist(), dtype=float) / 2.0
+
+
+def test_chained_fold_matches_a_40_digit_fold(monkeypatch):
+    # two_d_benchmark varies along its fluid path, so the fold chains one step per cell
+    # and rounds the carried sum once per cell
+    model, sysm = linearize("two_d_benchmark", n_cells=2000)
+    steps = []
+    real = mdp_limit._flow_sum
+
+    def recorded(f, m, n, start=None):
+        assert n == 1
+        steps.append((f, m))
+        return real(f, m, n, start)
+
+    monkeypatch.setattr(mdp_limit, "_flow_sum", recorded)
+    for build in (lambda: sysm.gramian, lambda: gaussian_covariance(sysm)):
+        steps.clear()
+        matrix = build()
+        assert len(steps) == 2000
+        assert rel_gap(matrix, mp_fold(steps)) <= 2e-15
 
 
 def test_gain_of_a_time_invariant_system_is_one_cell():

@@ -3,6 +3,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from jumpmdp.jump_sde import ModelError, PathGrid, fluid_limit
 from jumpmdp.mark_space import MarkMeasure
@@ -15,6 +16,7 @@ from jumpmdp.rate import (
     rate_to_point,
     sphere_minimum,
 )
+from jumpmdp.spde_pollutant import assemble_model, params_from_dict
 
 
 def linearize(name, params=None, n_cells=400):
@@ -65,7 +67,7 @@ def test_terminal_rate_brownian_energy():
     # A1 = 0, gain = 1: W = T and I(z) = z^2 / (2T)
     sysm = linearize("linear_gaussian", {"rate": 0.0, "gain": 1.0}, n_cells=800)
     gram = controllability_gramian(sysm)
-    assert gram.matrix[0, 0] == pytest.approx(1.0, rel=1e-10)
+    assert gram[0, 0] == pytest.approx(1.0, rel=1e-10)
     sol = rate_to_point(sysm, np.array([0.7]))
     assert sol.value == pytest.approx(0.7**2 / 2.0, rel=1e-9)
 
@@ -75,7 +77,7 @@ def test_terminal_rate_gramian_closed_form():
     sysm = linearize("linear_gaussian", {"rate": a, "gain": sig}, n_cells=2000)
     w_exact = sig**2 * (math.exp(2 * a * T) - 1.0) / (2 * a)
     gram = controllability_gramian(sysm)
-    assert gram.matrix[0, 0] == pytest.approx(w_exact, rel=1e-6)
+    assert gram[0, 0] == pytest.approx(w_exact, rel=1e-6)
     z = np.array([1.1])
     sol = rate_to_point(sysm, z)
     assert sol.value == pytest.approx(z[0] ** 2 / (2 * w_exact), rel=1e-6)
@@ -90,11 +92,18 @@ def test_quadratic_scaling():
 
 
 def flow_oracle(sysm):
-    """flow[c], carrying a source in cell c to the horizon, stored for every cell."""
+    """flow[c] = Phi(T, t_c+1) Gam[c] / dt, carrying a source in cell c to the
+    horizon, stored for every cell.
+
+    A time-invariant system takes Phi(T, t) = e^{A1 (T - t)} from scipy's
+    expm: 2000 powers of one rounded R drift from the exact map by up to
+    5e-14.  A time-varying one multiplies its propagators."""
     prop, src = sysm.propagators
     flow = np.empty((sysm.n_cells, sysm.dim, sysm.dim))
     acc = np.eye(sysm.dim)
     for c in range(sysm.n_cells - 1, -1, -1):
+        if sysm.time_invariant:
+            acc = expm(sysm.drift_mat[0] * (sysm.dt * (sysm.n_cells - 1 - c)))
         flow[c] = (acc @ src[c]) / sysm.dt
         acc = acc @ prop[c]
     return flow
@@ -161,8 +170,8 @@ def test_time_invariant_rate_of_path_matches_the_stacked_solve(pollutant_36):
 def test_gramian_construction_audit():
     sysm = linearize("two_d_benchmark", n_cells=150)
     gram = controllability_gramian(sysm)
-    assert np.max(np.abs(flow_oracle_gramian(sysm) - gram.matrix)) < 1e-12
-    vals = np.linalg.eigvalsh(gram.matrix)
+    assert np.max(np.abs(flow_oracle_gramian(sysm) - gram)) < 1e-12
+    vals = np.linalg.eigvalsh(gram)
     assert vals.min() >= -1e-12
 
 
@@ -174,7 +183,7 @@ def test_streamed_psi_matches_the_flow_oracle(name, z):
     sysm = linearize(name, n_cells=300)
     assert sysm.time_invariant == (name == "scalar_benchmark")
     z = np.array(z)
-    xi = np.linalg.pinv(controllability_gramian(sysm).matrix, rcond=1e-10) @ z
+    xi = np.linalg.pinv(controllability_gramian(sysm), rcond=1e-10) @ z
     oracle = np.einsum("cjk,cij,i->kc", sysm.jump_vals, flow_oracle(sysm), xi)
     psi = rate_to_point(sysm, z).psi
     assert np.max(np.abs(psi - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -329,7 +338,7 @@ def test_sphere_minimum():
     sysm = linearize("two_d_benchmark", n_cells=200)
     gram = controllability_gramian(sysm)
     val, zstar = sphere_minimum(gram, 1.5)
-    lam_max = np.linalg.eigvalsh(gram.matrix)[-1]
+    lam_max = np.linalg.eigvalsh(gram)[-1]
     assert val == pytest.approx(1.5**2 / (2 * lam_max), rel=1e-12)
     assert np.linalg.norm(zstar) == pytest.approx(1.5, rel=1e-12)
     direct = rate_to_point(sysm, zstar).value
@@ -348,7 +357,7 @@ def test_one_flow_pass_per_system(monkeypatch):
     monkeypatch.setattr(LinearizedSystem, "gramian", counted)
     sysm = linearize("two_d_benchmark", n_cells=100)
     gram = controllability_gramian(sysm)
-    assert controllability_gramian(sysm).matrix is gram.matrix
+    assert controllability_gramian(sysm) is gram
     rate_to_point(sysm, np.array([0.4, -0.25]))
     assert passes == [1]
 
@@ -364,14 +373,42 @@ def test_terminal_rate_keeps_no_per_cell_matrix(pollutant_36, traced_peak):
     assert peak < 4e6
 
 
-def test_overflowed_gramian_is_not_out_of_range():
-    # the stiff flow overflows on 64 cells: the Gramian fold names it, and no rate is inf or NaN
-    sysm = linearize("linear_gaussian", {"rate": -3000.0, "gain": 3000.0, "x0": 1.0}, n_cells=64)
-    with pytest.raises(ModelError, match="Gramian is non-finite on n_cells=64 cells"):
-        rate_to_point(sysm, np.array([1.0]))
-    with pytest.raises(ModelError, match="Gramian is non-finite on n_cells=64 cells"):
-        controllability_gramian(sysm)
-    assert np.isfinite(controllability_gramian(linearize("linear_gaussian")).matrix).all()
+def test_stiff_gramian_is_the_sampled_closed_form():
+    # dt |A1| = 47 on 64 cells: the exact cell map has no stability limit, so W is
+    # the Gramian of the sampled system, gain^2 Gam^2 / dt sum_j e^{2 a dt j}
+    a, gain = -3000.0, 3000.0
+    sysm = linearize("linear_gaussian", {"rate": a, "gain": gain, "x0": 1.0}, n_cells=64)
+    gam = math.expm1(a * sysm.dt) / a
+    w_exact = gain**2 * gam**2 / sysm.dt * math.expm1(2 * a * 1.0) / math.expm1(2 * a * sysm.dt)
+    assert abs(controllability_gramian(sysm)[0, 0] - w_exact) <= 1e-13 * w_exact
+    sol = rate_to_point(sysm, np.array([1.0]))
+    assert abs(sol.value - 1.0 / (2.0 * w_exact)) <= 1e-13 / (2.0 * w_exact)
+    assert np.isfinite(controllability_gramian(linearize("linear_gaussian"))).all()
+
+
+def pollutant_sphere_rate(spec, n_cells):
+    model = assemble_model(params_from_dict(spec))
+    sysm = build_linearization(model, fluid_limit(model, n_cells)[0])
+    return sphere_minimum(controllability_gramian(sysm), 1.0)[0]
+
+
+ATOMS_1D = [[0.3, 1.0, 0.6], [0.7, 2.0, 0.4]]
+ATOMS_2D = [[0.3, 0.4, 1.0, 0.6], [0.7, 0.6, 2.0, 0.4]]
+
+
+def test_stiff_pollutant_sphere_rate_is_the_mode_closed_form():
+    # 25 modes on 2000 cells, dt lambda_max = 2.84: the closed form of the
+    # J-converged 1-D model is 1.2237374
+    spec = {"d_space": 1, "velocity": [2.0], "decay": 0.5, "max_mode": 24, "atoms": ATOMS_1D}
+    assert abs(pollutant_sphere_rate(spec, 2000) - 1.2237374) <= 1e-6 * 1.2237374
+
+
+def test_coarse_grid_pollutant_sphere_rate_is_finite():
+    # the 36-mode 2-D model on 32 cells, dt lambda_max = 15.4: its closed form is
+    # 1.2196455, and W of piecewise-constant controls is 1e-4 off it
+    spec = {"d_space": 2, "velocity": [2.0, 0.0], "decay": 0.5, "max_mode": 5, "atoms": ATOMS_2D}
+    rate = pollutant_sphere_rate(spec, 32)
+    assert math.isfinite(rate) and abs(rate - 1.2196455) <= 1e-3 * 1.2196455
 
 
 def test_backward_pass_overflow_is_a_named_error():
@@ -385,6 +422,6 @@ def test_backward_pass_overflow_is_a_named_error():
         jump_vals=np.broadcast_to(g, (n, 2, 1)),
         measure=MarkMeasure.single_atom(1.0, 1.0),
     )
-    assert np.isfinite(controllability_gramian(sysm).matrix).all()
-    with pytest.raises(ModelError, match="optimal control psi is non-finite on 568 of n_cells=2000 cells"):
+    assert np.isfinite(controllability_gramian(sysm)).all()
+    with pytest.raises(ModelError, match="optimal control psi is non-finite on 569 of n_cells=2000 cells"):
         rate_to_point(sysm, np.array([0.0, 1.0]))
