@@ -37,6 +37,7 @@ from .rate import (
     rate_of_path,
     rate_to_point,
     sphere_minimum,
+    sphere_rate,
 )
 from .models import MODEL_BUILDERS, build_model
 from .experiments import (

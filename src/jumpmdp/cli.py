@@ -35,7 +35,7 @@ from .mark_space import MarkSpaceError
 from .mdp_limit import build_linearization
 from .models import build_model
 from .prm import ControlError
-from .rate import InadmissiblePathError, controllability_gramian, rate_to_point, sphere_minimum
+from .rate import InadmissiblePathError, rate_to_point, sphere_rate
 from . import spde_pollutant as spp
 
 # invalid configs, models and inputs: reported like failed checks, no traceback
@@ -118,19 +118,19 @@ def cmd_rate(cfg: ExperimentConfig) -> None:
     for k, z in enumerate(cfg.rate_targets):
         if len(z) != model.dim:
             raise ModelError(f"rate_targets[{k}] has {len(z)} entries, but {cfg.model} has dim {model.dim}")
-    fluid, _ = fluid_limit(model, cfg.n_cells_analysis)
-    sysm = build_linearization(model, fluid)
-    value, zstar = sphere_minimum(controllability_gramian(sysm), cfg.threshold)
+    sim = build_linearization(model, fluid_limit(model, cfg.n_cells)[0])  # the sphere rate starts here
+    value, zstar, error, _ = sphere_rate(model, sim, cfg.threshold)
+    sysm = build_linearization(model, fluid_limit(model, cfg.n_cells_analysis)[0])  # the tables' grid
     targets = [np.asarray(z, dtype=float) for z in cfg.rate_targets] or [zstar]
     sols = [rate_to_point(sysm, z) for z in targets]
-    summary = [(f"sphere_{cfg.threshold!r}", value, 0.0)]
-    summary += [(f"point_{k}", sol.value, sol.residual) for k, sol in enumerate(sols)]
-    write_csv(os.path.join(out, "rate_summary.csv"), "target,rate,residual", summary)
+    summary = [(f"sphere_{cfg.threshold!r}", value, 0.0, error)]
+    summary += [(f"point_{k}", sol.value, sol.residual, None) for k, sol in enumerate(sols)]
+    write_csv(os.path.join(out, "rate_summary.csv"), "target,rate,residual,error", summary)
     for k, (z, sol) in enumerate(zip(targets, sols)):
         sol.path.to_csv(os.path.join(out, f"rate_path_{k}.csv"))
         write_csv(os.path.join(out, f"rate_psi_{k}.csv"), None, sol.psi.tolist())
         print(f"rate: target {tuple(z.tolist())} -> I = {sol.value!r} (residual {sol.residual:.2e})")
-    print(f"rate: sphere radius {cfg.threshold!r} -> inf I = {value!r} at z* = {zstar}")
+    print(f"rate: sphere radius {cfg.threshold!r} -> inf I = {value!r} (error {error:.1e}) at z* = {zstar}")
 
 
 def cmd_lemma_check(cfg: ExperimentConfig) -> None:

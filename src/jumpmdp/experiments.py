@@ -22,7 +22,7 @@ import numpy as np
 from .jump_sde import (
     ModelError, PathGrid, check_keys, deviation_scale, fluid_limit, simulate_jump_paths, write_csv,
 )
-from .mdp_limit import build_linearization, gaussian_covariance
+from .mdp_limit import build_linearization
 from .models import build_model
 from .prm import (
     ControlField,
@@ -33,7 +33,7 @@ from .prm import (
     substream,
     tilt_cost,
 )
-from .rate import controllability_gramian, rate_to_point, sphere_minimum
+from .rate import rate_to_point, sphere_rate
 
 __all__ = [
     "CheckFailure",
@@ -374,13 +374,12 @@ def run_mdp_slope(cfg: ExperimentConfig, out_dir: str | None = None) -> SlopeRes
     -b(eps) log p_hat is left empty for rows whose plain estimate is zero.
     """
     model = build_model(cfg.model, cfg.model_params)
-    fine, _ = fluid_limit(model, cfg.n_cells_analysis)
-    fluid_sim, _ = fluid_limit(model, cfg.n_cells)
-    gram = controllability_gramian(build_linearization(model, fine))
-    predicted, zstar = sphere_minimum(gram, cfg.threshold)
+    fluid, _ = fluid_limit(model, cfg.n_cells)
+    sysm = build_linearization(model, fluid)
+    predicted, zstar, _, _ = sphere_rate(model, sysm, cfg.threshold)
     # the optimal control for the sphere event, on the simulation grid
-    psi_star = rate_to_point(build_linearization(model, fluid_sim), zstar).psi
-    fluid_end = fluid_sim.terminal()
+    psi_star = rate_to_point(sysm, zstar).psi
+    fluid_end = fluid.terminal()
     rows: list[EstimateRow] = []
     c = cfg.threshold
     with _monte_carlo(cfg, (psi_star, fluid_end)) as collect:
@@ -391,24 +390,15 @@ def run_mdp_slope(cfg: ExperimentConfig, out_dir: str | None = None) -> SlopeRes
             hits = (np.linalg.norm((xt - fluid_end) / a, axis=1) >= c).astype(float)
             p_plain = math.fsum(hits) / cfg.replications
             se_plain = math.sqrt(max(p_plain * (1.0 - p_plain), 0.0) / cfg.replications)
-            rows.append(
-                EstimateRow(
-                    epsilon=eps, a_eps=a, b_eps=b, p_hat=p_plain, se=se_plain,
-                    neg_b_log_p=(-b * math.log(p_plain)) if p_plain > 0 else None,
-                    predicted_rate=predicted, estimator="plain",
-                )
-            )
             weights = collect("is_batch", (eps_idx,), cfg.is_replications)
             p_is = math.fsum(weights) / cfg.is_replications
             var_is = math.fsum((weights - p_is) ** 2) / max(cfg.is_replications - 1, 1)
             se_is = math.sqrt(var_is / cfg.is_replications)
-            rows.append(
-                EstimateRow(
-                    epsilon=eps, a_eps=a, b_eps=b, p_hat=p_is, se=se_is,
-                    neg_b_log_p=(-b * math.log(p_is)) if p_is > 0 else None,
-                    predicted_rate=predicted, estimator="is",
-                )
-            )
+            rows += [
+                EstimateRow(epsilon=eps, a_eps=a, b_eps=b, p_hat=p, se=se, predicted_rate=predicted, estimator=kind,
+                            neg_b_log_p=(-b * math.log(p)) if p > 0 else None)
+                for p, se, kind in ((p_plain, se_plain, "plain"), (p_is, se_is, "is"))
+            ]
     result = SlopeResult(rows=tuple(rows), predicted_rate=predicted, config_hash=cfg.config_hash())
     if out_dir:
         write_summary_csv(rows, os.path.join(out_dir, "summary.csv"))
@@ -483,13 +473,11 @@ def run_clt_check(cfg: ExperimentConfig, out_dir: str | None = None) -> CltResul
     which the limiting covariance is the Lyapunov solution itself.
     """
     model = build_model(cfg.model, cfg.model_params)
-    fine, _ = fluid_limit(model, cfg.n_cells_analysis)
-    sys_fine = build_linearization(model, fine)
-    sigma_t = gaussian_covariance(sys_fine)
-    fluid_end = fluid_limit(model, cfg.n_cells)[0].terminal()
+    fluid = fluid_limit(model, cfg.n_cells)[0]
+    sigma_t = sphere_rate(model, build_linearization(model, fluid), cfg.threshold)[3]
     with _monte_carlo(cfg) as collect:
         xt = collect("terminal_batch", (SLOT_CLT, 0, cfg.clt_epsilon), cfg.clt_replications)
-    samples = (xt - fluid_end) / math.sqrt(cfg.clt_epsilon)  # fluctuation scale
+    samples = (xt - fluid.terminal()) / math.sqrt(cfg.clt_epsilon)  # fluctuation scale
     mean = samples.mean(axis=0)
     cov = np.cov(samples.T, ddof=1).reshape(model.dim, model.dim)
     denom = max(float(np.linalg.norm(sigma_t)), 1e-300)

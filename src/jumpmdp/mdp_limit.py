@@ -92,7 +92,7 @@ class LinearizedSystem:
         a1 = self.drift_mat[:self.stored_cells]
         prop, src = np.empty(a1.shape), np.empty(a1.shape)
         for c, a in enumerate(a1):
-            f, src[c], _ = _exact_cell(a, np.zeros_like(a), self.dt)
+            f, src[c], _ = _exact_cell(a, None, self.dt)
             prop[c] = np.eye(self.dim) + f
         shape = self.drift_mat.shape  # read-only; a time-invariant system spreads its one cell
         return np.broadcast_to(prop, shape), np.broadcast_to(src, shape)
@@ -174,9 +174,9 @@ def _stein_fold(sys: LinearizedSystem, cell, name: str) -> np.ndarray:
     return s
 
 
-def _exact_cell(a: np.ndarray, q: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _exact_cell(a: np.ndarray, q: np.ndarray | None, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """(F, Gam, M) of one cell with A frozen: F = e^{A dt} - I,
-    Gam = int_0^dt e^{A s} ds and M = int_0^dt e^{A s} q e^{A' s} ds.
+    Gam = int_0^dt e^{A s} ds and M = int_0^dt e^{A s} q e^{A' s} ds (None for q None).
 
     Taylor series on h = dt / 2^k, the smallest k with ||A h||_inf <= 1/2
     (terms Z^j / j!, h Z^j / (j + 1)! and h L^j(q) / (j + 1)! with Z = A h,
@@ -190,22 +190,24 @@ def _exact_cell(a: np.ndarray, q: np.ndarray, dt: float) -> tuple[np.ndarray, np
     h = dt / 2.0**k
     z = h * a
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite map is named below
-        f, gam, m = np.zeros_like(z), h * np.eye(len(z)), np.zeros_like(q)
-        fj, mj = np.eye(len(z)), h * q
+        f, gam, fj = np.zeros_like(z), h * np.eye(len(z)), np.eye(len(z))
+        m, mj = (None, None) if q is None else (np.zeros_like(q), h * q)
         for j in range(1, 64):
             fj = (fj @ z) / j
-            sums = f + fj, gam + (h / (j + 1)) * fj, m + mj
-            if all(np.array_equal(new, old) for new, old in zip(sums, (f, gam, m))):
+            sums = f + fj, gam + (h / (j + 1)) * fj, None if q is None else m + mj
+            if all(new is None or np.array_equal(new, old) for new, old in zip(sums, (f, gam, m))):
                 break
             f, gam, m = sums
-            p = z @ mj
-            mj = (p + p.T) / (j + 1)
+            if q is not None:
+                p = z @ mj
+                mj = (p + p.T) / (j + 1)
         for _ in range(k):
-            t = m + f @ m
-            m = m + t + t @ f.T
+            if q is not None:
+                t = m + f @ m
+                m = m + t + t @ f.T
             gam = 2.0 * gam + f @ gam
             f = 2.0 * f + f @ f
-    if not all(np.isfinite(x).all() for x in (f, gam, m)):
+    if not all(x is None or np.isfinite(x).all() for x in (f, gam, m)):
         raise ModelError(f"cell map e^(A1 dt) is non-finite at dt={dt!r}: the linearized flow overflows in one cell")
     return f, gam, m
 

@@ -3,9 +3,10 @@
 Two evaluations are provided: path-wise (minimal mark-space control energy
 steering the linearized equation along a given path) and terminal (the
 minimum-energy control of classical linear-quadratic theory, built from a
-controllability Gramian).  Controls act through the gain B = G diag(sqrt(w))
-in the atom coordinates u_k = sqrt(w_k) psi(y_k), so |u|^2 is the L2 norm
-of psi against the mark measure.
+controllability Gramian).  The terminal sphere's rate comes from Sigma_T,
+the covariance of the Gaussian limit (sphere_rate).  Controls act through
+the gain B = G diag(sqrt(w)) in the atom coordinates u_k = sqrt(w_k) psi(y_k),
+so |u|^2 is the L2 norm of psi against the mark measure.
 
 Both invert the per-cell affine map LinearizedSystem.propagators, the same
 map solve_limit_path applies, so the energy identities below hold to
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jump_sde import ModelError, PathGrid
-from .mdp_limit import LinearizedSystem, solve_limit_path
+from .jump_sde import ModelError, ModelSpec, PathGrid, fluid_limit
+from .mdp_limit import LinearizedSystem, build_linearization, gaussian_covariance, solve_limit_path
 
 __all__ = [
     "InadmissiblePathError",
@@ -35,10 +36,13 @@ __all__ = [
     "controllability_gramian",
     "rate_to_point",
     "sphere_minimum",
+    "sphere_rate",
 ]
 
 PINV_RTOL = 1e-10
 RANGE_TOL = 1e-8
+RICHARDSON_RTOL = 1e-8  # sphere_rate: two successive extrapolants agree to this
+MAX_DOUBLINGS = 6
 
 
 class InadmissiblePathError(ValueError):
@@ -166,9 +170,7 @@ def sphere_minimum(
 
     For the quadratic form 0.5 z' W^+ z the minimum over the sphere is
     radius^2 / (2 * lambda_max(W)), reached along the top eigenvector; exact
-    via the eigendecomposition, no iterative optimizer involved.  gram is
-    W from controllability_gramian, finite because its fold raises on an
-    overflowed flow.
+    via the eigendecomposition, no iterative optimizer involved.  gram is W or Sigma_T.
     """
     vals, vecs = np.linalg.eigh(gram)
     lam = float(vals[-1])
@@ -176,3 +178,29 @@ def sphere_minimum(
         return math.inf, np.zeros(gram.shape[0])
     zstar = radius * vecs[:, -1]
     return radius**2 / (2.0 * lam), zstar
+
+
+def sphere_rate(model: ModelSpec, sys: LinearizedSystem, radius: float) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """(rate, z*, error, Sigma_T) of the sphere |z| = radius: sphere_minimum of Sigma_T.
+
+    On a time-invariant system of more than one cell, Sigma_T on the grid of
+    sys is exact: error 0.  On a time-varying one its O(dt^2) error goes by
+    doubling the grid of sys, the linearization of model, until two
+    successive extrapolants (4 r_2n - r_n) / 3 agree to RICHARDSON_RTOL
+    relative: the last is the rate, their gap the error, and z* and Sigma_T
+    are the finest grid's.  MAX_DOUBLINGS doublings short of that raise ModelError.
+    """
+    sigma = gaussian_covariance(sys)
+    rate, zstar = sphere_minimum(sigma, radius)
+    if sys.time_invariant and sys.n_cells > 1:
+        return rate, zstar, 0.0, sigma
+    extrapolant = math.nan  # compares false: one extrapolant decides nothing
+    for level in range(1, MAX_DOUBLINGS + 1):
+        sigma = gaussian_covariance(build_linearization(model, fluid_limit(model, sys.n_cells << level)[0]))
+        coarse, (rate, zstar) = rate, sphere_minimum(sigma, radius)
+        previous, extrapolant = extrapolant, (4.0 * rate - coarse) / 3.0
+        if abs(extrapolant - previous) <= RICHARDSON_RTOL * abs(extrapolant):
+            return extrapolant, zstar, abs(extrapolant - previous), sigma
+    raise ModelError(f"sphere rate not converged on n_cells={sys.n_cells} to {sys.n_cells << MAX_DOUBLINGS}: "
+                     f"the last Richardson extrapolants {previous!r} and {extrapolant!r} differ by more than "
+                     f"{RICHARDSON_RTOL!r}")

@@ -98,8 +98,9 @@ def test_galerkin_config_is_accepted():
     assert model.dim == (params.max_mode + 1) ** params.d_space
 
 
-def _call_sites(outermost=False):
-    """(file name, enclosing function, callee name, call node) of every call in src/jumpmdp.
+def _call_sites(outermost=False, kind=ast.Call):
+    """(file name, enclosing function, callee name, call node) of every call in src/jumpmdp,
+    or with kind=ast.Attribute (attribute name, node) of every attribute access.
 
     The enclosing function is the innermost one, or with outermost=True the
     top-level function or method that holds the call."""
@@ -109,8 +110,9 @@ def _call_sites(outermost=False):
     def visit(node, file_name, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (outermost and func):
             func = node.name
-        if isinstance(node, ast.Call):
-            sites.append((file_name, func, getattr(node.func, "id", getattr(node.func, "attr", None)), node))
+        if isinstance(node, kind):
+            target = node.func if kind is ast.Call else node
+            sites.append((file_name, func, getattr(target, "id", getattr(target, "attr", None)), node))
         for child in ast.iter_child_nodes(node):
             visit(child, file_name, func)
 
@@ -157,6 +159,23 @@ def test_one_rk4_kernel_and_one_stein_fold():
                 )
             ]
     assert not weights, weights
+
+
+def test_one_analysis_grid():
+    # the drivers start the sphere rate, z* and Sigma_T from their simulation grid
+    # through one function, so each builds one fluid path and one linearization
+    sites = _call_sites(outermost=True)
+    for driver in ("run_mdp_slope", "run_clt_check"):
+        calls = [name for f, func, name, _ in sites if (f, func) == ("experiments.py", driver)]
+        assert calls.count("fluid_limit") == calls.count("build_linearization") == calls.count("sphere_rate") == 1, driver
+    callers = lambda callee: {(f, func) for f, func, name, _ in sites if name == callee}
+    assert callers("sphere_rate") == {("experiments.py", "run_mdp_slope"), ("experiments.py", "run_clt_check"),
+                                      ("cli.py", "cmd_rate")}
+    assert callers("sphere_minimum") == callers("gaussian_covariance") == {("rate.py", "sphere_rate")}
+    # n_cells_analysis is only the output grid of fluid and of rate's path and psi tables
+    readers = {(f, func) for f, func, name, _ in _call_sites(outermost=True, kind=ast.Attribute)
+               if name == "n_cells_analysis"}
+    assert readers == {("cli.py", "cmd_fluid"), ("cli.py", "cmd_rate")}, readers
 
 
 def test_overflow_is_named_where_it_is_computed():

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -290,7 +291,8 @@ def test_nonfinite_optimal_control_fails_without_warnings(tmp_path, capsys):
 
 def test_stiff_rate_command_reports_the_sampled_rate(tmp_path, capsys):
     # on 64 analysis cells dt |A1| = 47: the exact cell map has no stability limit, so the
-    # rate command writes the sphere rate of the sampled system, 1 / (2 W) = 1/128
+    # rate command writes the point rate of the sampled system, 1 / (2 W) = 1/128, at z* = 1;
+    # the sphere row is the limit's, 1 / (2 Sigma_T) = 1/3000
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**STIFF, "n_cells_analysis": 64}))
     with warnings.catch_warnings():
@@ -298,27 +300,47 @@ def test_stiff_rate_command_reports_the_sampled_rate(tmp_path, capsys):
         assert cli.main(["rate", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().err == ""
     rows = (tmp_path / "rate_summary.csv").read_text().splitlines()
-    sphere = float(rows[1].split(",")[1])
-    assert rows[1].startswith("sphere_1.0,") and abs(sphere - 1.0 / 128.0) <= 1e-13 / 128.0
+    sphere, point = (float(row.split(",")[1]) for row in rows[1:])
+    assert rows[1].startswith("sphere_1.0,") and abs(sphere - 1.0 / 3000.0) <= 1e-12 / 3000.0
+    assert rows[2].startswith("point_0,") and abs(point - 1.0 / 128.0) <= 1e-13 / 128.0
+
+
+def test_stiff_sphere_rate_is_the_limit_rate(tmp_path, monkeypatch):
+    # Sigma_T = 1500 is exact on any grid; W of piecewise-constant controls on
+    # 2000 cells is 1270.3, which gave 3.936e-4.  On 32 cells the RK4 paths are
+    # finite but meaningless (their norms overflow), so mdp-slope's Monte Carlo
+    # is replaced by paths that end at the fluid limit: the rate is not read from them
+    cfg = {**STIFF, "model_params": {**STIFF["model_params"], "x0": 0.5}, "n_cells": 32}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["rate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    sphere = (tmp_path / "rate_summary.csv").read_text().splitlines()[1].split(",")
+    assert sphere[0] == "sphere_1.0" and abs(float(sphere[1]) - 1.0 / 3000.0) <= 1e-12 / 3000.0
+    assert float(sphere[3]) == 0.0  # time invariant: no extrapolation error
+
+    @contextlib.contextmanager
+    def at_the_fluid_end(run_cfg, importance):
+        yield lambda method, args, n: np.full((n, 1), importance[1][0]) if method == "terminal_batch" else np.ones(n)
+
+    monkeypatch.setattr(experiments, "_monte_carlo", at_the_fluid_end)
+    small = {"eps_grid": (0.2,), "replications": 100, "is_replications": 100}
+    predicted = run_mdp_slope(ExperimentConfig(**cfg, **small)).predicted_rate
+    assert abs(predicted - 1.0 / 3000.0) <= 1e-12 / 3000.0
 
 
 @pytest.mark.parametrize(
-    "command, matrix, table",
-    [
-        ("clt-check", "Gaussian covariance Sigma_T", "clt_check.csv"),
-        ("mdp-slope", "controllability Gramian", "summary.csv"),
-        ("rate", "controllability Gramian", "rate_summary.csv"),
-    ],
+    "command, table", [("clt-check", "clt_check.csv"), ("mdp-slope", "summary.csv"), ("rate", "rate_summary.csv")]
 )
-def test_overflowed_linear_analysis_is_the_only_report(tmp_path, capsys, monkeypatch, command, matrix, table):
-    # x' = 400 x: W and Sigma_T are about e^800 on any grid, so each command
-    # stops at the fold, before any Monte Carlo; a numpy RuntimeWarning is an error here
+def test_overflowed_linear_analysis_is_the_only_report(tmp_path, capsys, monkeypatch, command, table):
+    # x' = 400 x: W and Sigma_T are about e^800 on any grid, so each command stops
+    # at the fold of Sigma_T on the simulation grid, before any Monte Carlo;
+    # a numpy RuntimeWarning is an error here
     monkeypatch.setattr(experiments, "_monte_carlo", None)  # a Monte Carlo run would raise TypeError
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"model": "linear_gaussian", "model_params": {"rate": 400.0, "gain": 1.0}}))
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err == f"FAILED: {matrix} is non-finite on n_cells=2000 cells: the linearized flow overflows\n"
+    assert err == "FAILED: Gaussian covariance Sigma_T is non-finite on n_cells=64 cells: the linearized flow overflows\n"
     assert not (tmp_path / table).exists()
 
 

@@ -96,10 +96,10 @@ COMMANDS = {"clt-check-scalar": "clt-check", "mdp-slope-scalar": "mdp-slope", "p
 # miss their 25% gate, so mdp-slope exits 1; summary.csv is written first.
 GOLDEN = {
     "clt-check": (0, {
-        "clt_check.csv": "3e0e1946e68ba059488711b4a929905116b3cd775819332cff7100b1febfe3c4",
+        "clt_check.csv": "fb1bd16393a707984c543a186d4354d72a1a99a64e40c6cd035848ef4eea7082",
     }),
     "clt-check-scalar": (0, {
-        "clt_check.csv": "c653d5596201d439713cc77a2b1ae61d63bb7c74a03a8e8ea8576f45606e2841",
+        "clt_check.csv": "b7f3ca4e88c5bdab44cc3c55ef6d36b3fb9e433ec9c9479f43e10546e652fbad",
     }),
     "fluid": (0, {
         "fluid.csv": "7b60050e6534186acc75a606ab4fb8d0b52104eb29226de3eb4de7418ad86d3d",
@@ -112,10 +112,10 @@ GOLDEN = {
         "var_rep.csv": "87f2286485b4006cd00082da305461a65d351893a17b7fa42bbf1c10b16adee9",
     }),
     "mdp-slope": (1, {
-        "summary.csv": "e3d0750e29b6540040c017b09bf677bf32ea80276f85bfccb412ca328b278736",
+        "summary.csv": "565ce82624afed2b593ce60792a6d42727d7eba8fe128feae7d93a1495281e30",
     }),
     "mdp-slope-scalar": (1, {
-        "summary.csv": "ef4c1d7a3d4000c5e0ec40b7b777169cc0c14041bb2d748d2909f299632ce331",
+        "summary.csv": "d55f60a0aea5657b0ac6a24a6913a0a2bec21f962c85938f8f763f5f37dc68c9",
     }),
     "pollutant": (0, {
         "pollutant_field_T.csv": "e45a35c97d9d0ed42618ffed83c8622d32ca8c0e849aa38a723c8cccc3a50b87",
@@ -132,7 +132,7 @@ GOLDEN = {
     "rate": (0, {
         "rate_path_0.csv": "40d68a3afc0169711c38b4b597a6ed04163a3a613bba18eff6277f7200117a10",
         "rate_psi_0.csv": "a5838bdd3997e6310a6b2359006c7c286f475eedb1179e8470f18e7106645b79",
-        "rate_summary.csv": "c79cb08adab3cea1644a13c58a0952034e56adeda1b729d54de3cd71c2600535",
+        "rate_summary.csv": "5b6822080b87ebbfd346277767fcc2e322c6d4d5731d3f634d28bf794e9d9f9f",
     }),
     "simulate": (0, {
         "paths/eps0_rep0.csv": "3343bc1f640fd51755a8f66d41e9b8084e5b6755da6503e1be603efb043600de",

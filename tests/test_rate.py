@@ -15,6 +15,7 @@ from jumpmdp.rate import (
     rate_of_path,
     rate_to_point,
     sphere_minimum,
+    sphere_rate,
 )
 from jumpmdp.spde_pollutant import assemble_model, params_from_dict
 
@@ -332,6 +333,51 @@ def test_terminal_rate_matches_least_norm_oracle():
     oracle = 0.5 * float(u_flat @ u_flat) * sysm.dt
     sol = rate_to_point(sysm, z)
     assert sol.value == pytest.approx(oracle, rel=1e-10)
+
+
+def sigma_rate(model, n_cells):
+    return sphere_minimum(gaussian_covariance(build_linearization(model, fluid_limit(model, n_cells)[0])), 1.0)[0]
+
+
+@pytest.fixture(scope="module")
+def extrapolated_references(tanh_pollutant):
+    # Richardson's (4 r_8000 - r_4000) / 3 of the Sigma_T rates
+    models = {"two_d_benchmark": build_model("two_d_benchmark"), "pollutant-tanh": tanh_pollutant}
+    return {name: (model, (4.0 * sigma_rate(model, 8000) - sigma_rate(model, 4000)) / 3.0)
+            for name, model in models.items()}
+
+
+@pytest.mark.parametrize("name", ["two_d_benchmark", "pollutant-tanh"])
+def test_sphere_rate_error_bounds_the_extrapolated_reference(name, extrapolated_references):
+    model, reference = extrapolated_references[name]
+    sysm = build_linearization(model, fluid_limit(model, 64)[0])
+    assert not sysm.time_invariant
+    rate, zstar, error, sigma = sphere_rate(model, sysm, 1.0)
+    assert abs(rate - reference) <= error <= 1e-8 * rate
+    if name == "two_d_benchmark":
+        assert abs(rate - reference) <= 1e-9 * reference
+    # z* is the top eigenvector of the finest Sigma_T, on the sphere
+    assert np.linalg.norm(zstar) == pytest.approx(1.0, rel=1e-14)
+    assert zstar @ sigma @ zstar == pytest.approx(np.linalg.eigvalsh(sigma)[-1], rel=1e-13)
+
+
+def test_sphere_rate_of_a_time_invariant_system_is_sigma_t_as_is():
+    sysm = linearize("scalar_benchmark", n_cells=64)
+    sigma = gaussian_covariance(sysm)
+    rate, zstar, error, cov = sphere_rate(build_model("scalar_benchmark"), sysm, 1.5)
+    assert (rate, error) == (sphere_minimum(sigma, 1.5)[0], 0.0)
+    assert np.array_equal(zstar, sphere_minimum(sigma, 1.5)[1]) and np.array_equal(cov, sigma)
+    assert rate == pytest.approx(1.5**2 / (1.0 - math.exp(-2.0)), rel=1e-14)
+
+
+def test_sphere_rate_past_the_doubling_cap_is_a_named_error():
+    # one cell decides nothing about time invariance; from it six doublings
+    # reach 64 cells, where the extrapolants still differ by 3e-8.  A numpy
+    # RuntimeWarning on the way is an error here
+    model = build_model("two_d_benchmark")
+    sysm = build_linearization(model, fluid_limit(model, 1)[0])
+    with pytest.raises(ModelError, match=r"sphere rate not converged on n_cells=1 to 64: the last Richardson"):
+        sphere_rate(model, sysm, 1.0)
 
 
 def test_sphere_minimum():
