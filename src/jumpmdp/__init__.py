@@ -9,7 +9,6 @@ verify the Gaussian-regime and exponential-decay predictions at desk scale.
 from .mark_space import MarkMeasure
 from .prm import (
     ControlField,
-    PointRealization,
     entropy_integrand,
     log_likelihood_ratio,
     sample_controlled_measure,

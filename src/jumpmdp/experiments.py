@@ -120,7 +120,7 @@ class ExperimentConfig:
         if not self.clt_epsilon > 0:
             raise ModelError(f"clt_epsilon must be positive, got {self.clt_epsilon!r}")
         counts = (("n_cells", 1), ("n_cells_analysis", 1), ("workers", 1), ("clt_replications", 2),
-                  ("replications", 100), ("is_replications", 100))
+                  ("replications", 100), ("is_replications", 100), ("seed", 0))
         for key, least in counts:
             value = getattr(self, key)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
@@ -200,6 +200,11 @@ def write_summary_csv(rows, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _hits(terminals: np.ndarray, fluid_end: np.ndarray, a: float, c: float) -> np.ndarray:
+    """Which rows of X(T) hit the event |Y(T)| >= c, with Y(T) = (X(T) - fluid end) / a."""
+    return np.linalg.norm((terminals - fluid_end) / a, axis=1) >= c
+
+
 class _Engine:
     """Per-process state for Monte Carlo batches.
 
@@ -248,7 +253,7 @@ class _Engine:
             [substream(self.cfg.seed, SLOT_IS, eps_idx, r) for r in range(lo, hi)],
         )
         terminals = simulate_jump_paths(self.model, eps, events, self.cfg.n_cells)[:, -1]
-        hits = [i for i, y in enumerate((terminals - self.fluid_end) / a) if float(np.linalg.norm(y)) >= c]
+        hits = np.flatnonzero(_hits(terminals, self.fluid_end, a, c)).tolist()
         lr_p = log_likelihood_ratios(events, ctrl_plus, meas, theta, hits)
         lr_m = log_likelihood_ratios(events, ctrl_minus, meas, theta, hits)
         log_mix = np.logaddexp(lr_p, lr_m) - math.log(2.0)
@@ -387,7 +392,7 @@ def run_mdp_slope(cfg: ExperimentConfig, out_dir: str | None = None) -> SlopeRes
             a = cfg.a_eps(eps)
             b = cfg.b_eps(eps)
             xt = collect("terminal_batch", (SLOT_PLAIN, eps_idx, eps), cfg.replications)
-            hits = (np.linalg.norm((xt - fluid_end) / a, axis=1) >= c).astype(float)
+            hits = _hits(xt, fluid_end, a, c).astype(float)
             p_plain = math.fsum(hits) / cfg.replications
             se_plain = math.sqrt(max(p_plain * (1.0 - p_plain), 0.0) / cfg.replications)
             weights = collect("is_batch", (eps_idx,), cfg.is_replications)
@@ -761,6 +766,8 @@ def verify_var_rep(
     # config blocks arrive from JSON, where 2 and 2e4 are as good as 2.0 and 20000
     gamma, cap, theta, mass, horizon = map(float, (gamma, cap, theta, mass, horizon))
     replications = int(replications)
+    if replications < 2:
+        raise ModelError(f"var_rep replications must be at least 2 for a standard error, got {replications}")
     fn = _functional(functional, gamma, cap)
     lam = theta * mass * horizon
     rng = substream(cfg.seed, SLOT_VARREP, 0)

@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .mark_space import MarkMeasure
-from .prm import EventBatch, PointRealization
+from .prm import EventBatch
 
 __all__ = [
     "ModelError",
@@ -91,6 +91,9 @@ class ModelSpec:
     drift_jac(x) -> (d, d), and jump_jac(x) -> (n_atoms, d, d) has slice k
     equal to DxG(x, y_k).
 
+    A state-independent G is passed as its (d, n_atoms) array, without a
+    jump_jac; from it jump, a zero jump_jac and the compensator are built once.
+
     linear, when given, is the (d,) diagonal L of a linear part of the
     drift, b(x) = L * x + N(x): fluid_limit and path integration then step
     by ETDRK4, which treats L exactly and is free of its stiffness.  None
@@ -101,11 +104,12 @@ class ModelSpec:
     horizon: float
     x0: np.ndarray
     drift: Callable
-    jump: Callable
+    jump: Callable | np.ndarray
     drift_jac: Callable
-    jump_jac: Callable
     measure: MarkMeasure
+    jump_jac: Callable | None = None
     linear: np.ndarray | None = None
+    _mean_jump: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         x0 = np.asarray(self.x0, dtype=float).ravel()
@@ -124,6 +128,21 @@ class ModelSpec:
             linear.setflags(write=False)
             object.__setattr__(self, "linear", linear)
         n, d = self.measure.n_atoms, self.dim
+        if not callable(self.jump):
+            if self.jump_jac is not None:
+                raise ModelError("a constant (array) jump has a zero jump_jac; leave jump_jac out")
+            jump = _constant_jump(self.jump)
+            g = jump(x0)
+            if g.shape != (d, n):
+                raise ModelError(f"a constant jump must have shape {(d, n)}, got {g.shape}")
+            zeros = np.broadcast_to(0.0, (n, d, d))  # a read-only view
+            mean = (g * self.measure.weights).sum(axis=-1)
+            mean.setflags(write=False)
+            object.__setattr__(self, "jump", jump)
+            object.__setattr__(self, "jump_jac", lambda x: zeros)
+            object.__setattr__(self, "_mean_jump", mean)
+        elif self.jump_jac is None:
+            raise ModelError("a callable jump needs jump_jac, its Jacobian")
         stack = np.stack([x0, x0])
         for name, x, want in (
             ("jump", x0, (d, n)),
@@ -144,33 +163,17 @@ class ModelSpec:
                 )
 
     def compensator(self, x: np.ndarray) -> np.ndarray:
-        """Mean jump drift at state x: sum_k G(x, y_k) w_k."""
+        """Mean jump drift at state x: sum_k G(x, y_k) w_k (for a constant G, one read-only array)."""
+        if self._mean_jump is not None:
+            return self._mean_jump
         return (self.jump(x) * self.measure.weights).sum(axis=-1)
-
-    def validate_derivatives(self, seed: int = 0, n_points: int = 5) -> None:
-        """Central finite differences must match the declared Jacobians."""
-        rng = np.random.default_rng(seed)
-        for _ in range(n_points):
-            x = self.x0 + rng.normal(scale=0.5, size=self.dim)
-            jb = np.asarray(self.drift_jac(x), dtype=float)
-            fd = _fd_jacobian(self.drift, x)
-            if np.linalg.norm(jb - fd) > 1e-5 * (1.0 + np.linalg.norm(jb)):
-                raise ModelError(f"drift_jac mismatch with finite differences at x={x}")
-            jacs = self.jump_jac(x)
-            for k in range(self.measure.n_atoms):
-                fdg = _fd_jacobian(lambda z: self.jump(z)[:, k], x)
-                if np.linalg.norm(jacs[k] - fdg) > 1e-5 * (1.0 + np.linalg.norm(jacs[k])):
-                    raise ModelError(
-                        f"jump_jac mismatch with finite differences at x={x}, atom {k}"
-                    )
 
 
 def _constant_jump(values: np.ndarray) -> Callable:
     """jump(x) for a state-independent (d, n_atoms) coefficient G.
 
     G is copied once and made read-only: a single state gets G itself, a
-    batch a broadcast view of it.  The catalog models and the constant-kernel
-    pollutant model build their jump here.
+    batch a broadcast view of it.  ModelSpec builds an array jump here.
     """
     values = np.array(values, dtype=float)
     values.setflags(write=False)
@@ -179,15 +182,6 @@ def _constant_jump(values: np.ndarray) -> Callable:
         return values if x.ndim == 1 else np.broadcast_to(values, x.shape[:-1] + values.shape)
 
     return jump
-
-
-def _fd_jacobian(f: Callable, x: np.ndarray) -> np.ndarray:
-    h = 1e-5  # central-difference step
-    cols = [
-        (np.asarray(f(x + e), dtype=float) - np.asarray(f(x - e), dtype=float)) / (2 * h)
-        for e in h * np.eye(x.size)
-    ]
-    return np.column_stack(cols)
 
 
 @dataclass(frozen=True)
@@ -389,10 +383,12 @@ def simulate_jump_paths(
 def simulate_jump_path(
     model: ModelSpec,
     epsilon: float,
-    events: PointRealization,
+    events: EventBatch,
     n_cells: int = 64,
 ) -> PathGrid:
-    """One path of simulate_jump_paths, on its uniform grid."""
+    """The path of simulate_jump_paths on a one-row batch, on its uniform grid."""
+    if events.n_rows != 1:
+        raise ModelError(f"simulate_jump_path takes a one-row batch, got {events.n_rows} rows")
     values = simulate_jump_paths(model, epsilon, events, n_cells)[0]
     return PathGrid(np.linspace(0.0, model.horizon, n_cells + 1), values)
 

@@ -4,7 +4,8 @@ Models are registered builders keyed by name and configured purely by
 numeric parameters, so experiment configs stay expression-free and worker
 processes can rebuild any model from its (name, params) pair.  Each builder
 evaluates its jump coefficient on the marks of its own measure, in the
-measure's atom order, for a single state or a batch (see ModelSpec).
+measure's atom order, for a single state or a batch, or passes a constant
+one as its (d, n_atoms) array (see ModelSpec).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from .jump_sde import ModelError, ModelSpec, _constant_jump
+from .jump_sde import ModelError, ModelSpec
 from .mark_space import MarkMeasure
 
 __all__ = ["MODEL_BUILDERS", "build_model"]
@@ -35,24 +36,13 @@ def scalar_benchmark(
     """
     decay = float(decay)
     measure = MarkMeasure.single_atom(mark, weight)
-
-    def drift(x):
-        return -decay * x
-
-    def drift_jac(x):
-        return np.array([[-decay]])
-
-    def jump_jac(x):
-        return np.zeros((measure.n_atoms, 1, 1))
-
     return ModelSpec(
         dim=1,
         horizon=float(horizon),
         x0=np.array([float(x0)]),
-        drift=drift,
-        jump=_constant_jump(measure.marks.T),
-        drift_jac=drift_jac,
-        jump_jac=jump_jac,
+        drift=lambda x: -decay * x,
+        jump=measure.marks.T,
+        drift_jac=lambda x: np.array([[-decay]]),
         measure=measure,
     )
 
@@ -76,9 +66,8 @@ def linear_gaussian(
         horizon=float(horizon),
         x0=np.array([float(x0)]),
         drift=lambda x: rate * x,
-        jump=_constant_jump(gain * measure.marks.T),
+        jump=gain * measure.marks.T,
         drift_jac=lambda x: np.array([[rate]]),
-        jump_jac=lambda x: np.zeros((1, 1, 1)),
         measure=measure,
     )
 
@@ -138,9 +127,8 @@ def rank_deficient_2d(horizon: float = 1.0, factor: float = 2.0) -> ModelSpec:
         horizon=float(horizon),
         x0=np.zeros(2),
         drift=lambda x: -x,
-        jump=_constant_jump(np.array([y, factor * y])),
+        jump=np.array([y, factor * y]),
         drift_jac=lambda x: -np.eye(2),
-        jump_jac=lambda x: np.zeros((1, 2, 2)),
         measure=measure,
     )
 
@@ -159,9 +147,8 @@ def pure_jump(
         horizon=float(horizon),
         x0=np.zeros(d),
         drift=lambda x: np.zeros(x.shape),
-        jump=_constant_jump(np.tile(measure.marks.T, (d, 1))),
+        jump=np.tile(measure.marks.T, (d, 1)),
         drift_jac=lambda x: np.zeros((d, d)),
-        jump_jac=lambda x: np.zeros((1, d, d)),
         measure=measure,
     )
 

@@ -22,7 +22,6 @@ from .mark_space import MarkMeasure
 __all__ = [
     "ControlError",
     "entropy_integrand",
-    "PointRealization",
     "EventBatch",
     "ControlField",
     "substream",
@@ -107,16 +106,6 @@ class EventBatch:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def stack(cls, realizations: Sequence["PointRealization"]) -> "EventBatch":
-        """One row per realization, on the longest of their horizons."""
-        return cls(
-            np.concatenate([np.empty(0)] + [r.times for r in realizations]),
-            np.concatenate([np.empty(0, dtype=np.int64)] + [r.atoms for r in realizations]),
-            np.cumsum([0] + [r.n_events for r in realizations]),
-            max(r.horizon for r in realizations),
-        )
-
     @property
     def n_rows(self) -> int:
         return self.offsets.size - 1
@@ -124,22 +113,6 @@ class EventBatch:
     @property
     def n_events(self) -> int:
         return self.times.size
-
-    def row(self, i: int) -> "PointRealization":
-        """Row i, sharing this batch's arrays; a row of a checked batch needs no new checks."""
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        row = object.__new__(PointRealization)
-        values = (self.times[lo:hi], self.atoms[lo:hi], self.offsets[i:i + 2] - lo, self.horizon)
-        for name, value in zip(("times", "atoms", "offsets", "horizon"), values):
-            object.__setattr__(row, name, value)
-        return row
-
-
-class PointRealization(EventBatch):
-    """One sampled point measure: a batch of one row."""
-
-    def __init__(self, times, atoms, horizon: float) -> None:
-        super().__init__(times, atoms, (0, np.size(times)), horizon)
 
 
 @dataclass(frozen=True)
@@ -253,10 +226,10 @@ def sample_poisson_batch(
 
 def sample_poisson_measure(
     measure: MarkMeasure, theta: float, horizon: float, seed
-) -> PointRealization:
-    """One row of sample_poisson_batch, drawn from seed or substream(seed)."""
+) -> EventBatch:
+    """The one-row sample_poisson_batch drawn from seed or substream(seed)."""
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
-    return sample_poisson_batch(measure, theta, horizon, [rng]).row(0)
+    return sample_poisson_batch(measure, theta, horizon, [rng])
 
 
 def sample_controlled_batch(
@@ -303,10 +276,10 @@ def sample_controlled_batch(
 
 def sample_controlled_measure(
     measure: MarkMeasure, theta: float, ctrl: ControlField, seed
-) -> PointRealization:
-    """One row of sample_controlled_batch, drawn from seed or substream(seed)."""
+) -> EventBatch:
+    """The one-row sample_controlled_batch drawn from seed or substream(seed)."""
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
-    return sample_controlled_batch(measure, theta, [ctrl], [rng]).row(0)
+    return sample_controlled_batch(measure, theta, [ctrl], [rng])
 
 
 def tilt_cost(ctrl: ControlField, measure: MarkMeasure) -> float:
@@ -357,12 +330,14 @@ def log_likelihood_ratios(
 
 
 def log_likelihood_ratio(
-    realization: PointRealization,
+    realization: EventBatch,
     ctrl: ControlField,
     measure: MarkMeasure,
     theta: float,
 ) -> float:
-    """log_likelihood_ratios of a single realization."""
+    """log_likelihood_ratios of a one-row batch."""
+    if realization.n_rows != 1:
+        raise ControlError(f"log_likelihood_ratio takes a one-row batch, got {realization.n_rows} rows")
     return float(log_likelihood_ratios(realization, ctrl, measure, theta)[0])
 
 

@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .jump_sde import (
-    ModelSpec, _constant_jump, check_keys, deviation_scale, fluid_limit, simulate_jump_paths, write_csv,
+    ModelSpec, check_keys, deviation_scale, fluid_limit, simulate_jump_paths, write_csv,
 )
 from .mark_space import MarkMeasure
 from .prm import sample_poisson_batch, substream
@@ -493,8 +493,8 @@ def assemble_model(params: PollutantParams, sys: EigenSystem | None = None) -> M
     a * K0(probe values) * ball_average(x), one column per atom of the mark
     measure.  Jacobians follow from the kernel gradients.  Ball averages are
     computed once per atom, exact to round-off.  A constant jump kernel makes
-    G state-independent: it is built once (jump_sde._constant_jump), and
-    jump_jac returns one read-only zero stack.  Without drift kernels
+    G state-independent: the model gets its array, from which ModelSpec
+    builds the zero jump_jac and the compensator.  Without drift kernels
     drift_jac returns one read-only diag(linear).
     """
     sys = build_eigensystem(params) if sys is None else sys
@@ -551,12 +551,7 @@ def assemble_model(params: PollutantParams, sys: EigenSystem | None = None) -> M
             return mags[:, None, None] * (balls.T[:, :, None] * grad)
     else:
         # the same expression and bits as the closure above at K0 = value
-        jump = _constant_jump(balls * (mags * float(k0.value)))
-        zeros = np.zeros((params.measure.n_atoms, n_modes, n_modes))
-        zeros.flags.writeable = False
-
-        def jump_jac(v):
-            return zeros
+        jump, jump_jac = balls * (mags * float(k0.value)), None
 
     return ModelSpec(
         dim=n_modes,

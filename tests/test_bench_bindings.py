@@ -14,6 +14,8 @@ import importlib
 import inspect
 import os
 
+import numpy as np
+
 from jumpmdp import experiments
 from jumpmdp.mdp_limit import FluctuationParts
 from jumpmdp.rate import RateSolution
@@ -67,6 +69,18 @@ def test_pool_class_is_a_subclassable_module_attribute():
     assert inspect.isclass(pool)
     assert "max_workers" in params(pool.__init__)
     assert "initializer" in params(pool.__init__)
+
+
+def test_one_row_samplers_return_a_counted_batch():
+    # tracer._realization_counts reads the sampled batch's n_events
+    from jumpmdp import mark_space, prm
+
+    measure = mark_space.MarkMeasure.single_atom(1.0, 1.0)
+    ctrl = prm.ControlField(np.zeros((1, 4)), 1.0, 0.5)
+    for events in (prm.sample_poisson_measure(measure, 20.0, 1.0, 3),
+                   prm.sample_controlled_measure(measure, 20.0, ctrl, 3)):
+        assert isinstance(events, prm.EventBatch) and events.n_rows == 1
+        assert type(events.n_events) is int and events.n_events > 0
 
 
 def test_bound_parameter_names():
@@ -212,8 +226,9 @@ def test_one_exponential_step_and_one_phi_builder():
 
 
 def test_one_constant_jump_builder():
-    # a state-independent G is spread over a batch in one function, shared by
-    # the model catalog and the constant-kernel pollutant model
+    # a state-independent G is spread over a batch in one function, which only
+    # ModelSpec calls: the model catalog and the constant-kernel pollutant model
+    # pass G as an array, and neither declares a zero jump Jacobian of its own
     spread = ast.dump(ast.parse("np.broadcast_to(values, x.shape[:-1] + values.shape)", mode="eval").body)
     src_dir = os.path.dirname(experiments.__file__)
     holders = []
@@ -226,8 +241,13 @@ def test_one_constant_jump_builder():
                 if isinstance(top, ast.FunctionDef) and any(ast.dump(n) == spread for n in ast.walk(top))
             ]
     assert holders == [("jump_sde.py", "_constant_jump")], holders
-    callers = {f for f, _, name, _ in _call_sites() if name == "_constant_jump"}
-    assert {"models.py", "spde_pollutant.py"} <= callers, callers
+    sites = _call_sites()
+    callers = {(f, func) for f, func, name, _ in sites if name == "_constant_jump"}
+    assert callers == {("jump_sde.py", "__post_init__")}, callers
+    # (test_jump_sde checks at run time that each such model's Jacobian is ModelSpec's)
+    lambdas = [f"{f}:{node.lineno}" for f, _, _, node in sites if f in ("models.py", "spde_pollutant.py")
+               for kw in node.keywords if kw.arg == "jump_jac" and isinstance(kw.value, ast.Lambda)]
+    assert not lambdas, lambdas
 
 
 def test_exports_resolve():

@@ -140,6 +140,33 @@ def test_non_integer_counts_are_named_errors(tmp_path, capsys, key, value):
     assert not (tmp_path / "summary.csv").exists()
 
 
+def test_negative_seed_is_a_named_error(tmp_path, capsys):
+    # SeedSequence takes no negative entropy
+    assert cli.main(["fluid", "--seed", "-1", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "FAILED: seed must be at least 0, got -1\n"
+
+
+def test_non_integer_seed_is_a_named_error(tmp_path, capsys):
+    # seed 1.5 would run on seed 1's streams under the hash of 1.5
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL, "seed": 1.5}))
+    assert cli.main(["mdp-slope", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "FAILED: seed must be an integer, got 1.5\n"
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_var_rep_needs_two_replications(tmp_path, capsys):
+    # one replication has no standard deviation: std(ddof=1) warns and gives NaN
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"var_rep": {"replications": 1}}))
+    assert cli.main(["var-rep", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "FAILED: var_rep replications must be at least 2 for a standard error, got 1\n"
+    assert not (tmp_path / "var_rep.csv").exists()
+
+
 def test_clt_check_needs_two_replications(tmp_path, capsys):
     # one replication has no sample covariance: np.cov gives NaN
     path = tmp_path / "cfg.json"

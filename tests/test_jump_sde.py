@@ -25,14 +25,14 @@ from jumpmdp.models import MODEL_BUILDERS, build_model
 from jumpmdp.spde_pollutant import assemble_model, params_from_dict
 from jumpmdp.prm import (
     ControlField,
-    EventBatch,
-    PointRealization,
     sample_controlled_measure,
     sample_poisson_batch,
     sample_poisson_measure,
     substream,
     tilt_cost,
 )
+
+from helpers import one_row, stack, validate_derivatives
 
 
 def still_model(dim=1, x0=0.5):
@@ -51,7 +51,7 @@ def still_model(dim=1, x0=0.5):
 
 def events_at(times, horizon=1.0):
     t = np.asarray(times, dtype=float)
-    return PointRealization(t, np.zeros(t.size, dtype=np.int64), horizon)
+    return one_row(t, np.zeros(t.size, dtype=np.int64), horizon)
 
 
 def test_no_events_no_drift_constant():
@@ -66,6 +66,11 @@ def test_single_event_pure_jump():
     after = path.values[path.times > 0.4]
     assert np.all(before == 0.5)
     assert np.allclose(after, 0.5 + eps)
+
+
+def test_one_row_path_needs_a_one_row_batch():
+    with pytest.raises(ModelError, match="simulate_jump_path takes a one-row batch, got 2 rows"):
+        simulate_jump_path(still_model(), 0.25, stack([events_at([0.4]), events_at([])]), n_cells=10)
 
 
 def test_event_on_grid_time_records_left_limit():
@@ -160,7 +165,7 @@ def test_event_schedule_order_and_left_limits():
     # 4 cells of width 0.25: two events inside cell 1, one on grid time 0.5,
     # one at T; atom k labels event k
     grid = np.linspace(0.0, 1.0, 5)
-    events = PointRealization(np.array([0.1, 0.2, 0.5, 1.0]), np.arange(4), 1.0)
+    events = one_row(np.array([0.1, 0.2, 0.5, 1.0]), np.arange(4), 1.0)
     calls = []
     schedule = _event_schedule(grid, events)
     for h, record, atom in zip(*(col[0].tolist() for col in schedule)):
@@ -179,7 +184,7 @@ def test_event_schedule_order_and_left_limits():
         ("advance", 0.25), ("record", 4), ("jump", 3),
     ]
     # in a batch, the shorter row is padded with steps that do nothing
-    h, record, atom = _event_schedule(grid, EventBatch.stack([events, events_at([])]))
+    h, record, atom = _event_schedule(grid, stack([events, events_at([])]))
     assert h.shape == (2, 8)
     assert np.array_equal(h[0], np.diff([0.0, 0.1, 0.2, 0.25, 0.5, 0.5, 0.75, 1.0, 1.0]))
     assert h[1].tolist()[4:] == [0.0] * 4 and record[1].tolist() == [1, 2, 3, 4, -1, -1, -1, -1]
@@ -317,7 +322,7 @@ def test_declared_linear_part_takes_the_stiffness():
     assert np.abs(path.values[:, 0] - exact).max() <= 1e-15
     # a path has no compensator: it decays from x0, and from each jump of eps
     t = path.times
-    paths = simulate_jump_paths(model, 0.1, EventBatch.stack([events_at([]), events_at([0.3])]), n_cells=64)
+    paths = simulate_jump_paths(model, 0.1, stack([events_at([]), events_at([0.3])]), n_cells=64)
     free = 0.5 * np.exp(-3000.0 * t)
     kicked = free + np.where(t > 0.3, 0.1 * np.exp(-3000.0 * np.maximum(t - 0.3, 0.0)), 0.0)
     assert np.allclose(paths[:, :, 0], [free, kicked], rtol=1e-12, atol=1e-300)
@@ -338,7 +343,7 @@ def test_etdrk4_is_fourth_order_on_a_stiff_nonlinear_drift():
         jump_jac=lambda x: np.zeros((1, 2, 2)),
         measure=MarkMeasure.single_atom(1.0, 1.0),
     )
-    model.validate_derivatives()
+    validate_derivatives(model)
     reference = fluid_limit(model, 4000)[0].terminal()
     declared = dataclasses.replace(model, linear=linear)
     errors = [np.abs(fluid_limit(declared, n)[0].terminal() - reference).max() for n in (8, 32, 64, 128)]
@@ -406,11 +411,11 @@ def test_batched_rows_match_single_paths(rows, atom_seed):
         events = []
         for row in rows:
             t = np.unique(row)
-            events.append(PointRealization(t, rng.integers(0, model.measure.n_atoms, t.size), 1.0))
+            events.append(one_row(t, rng.integers(0, model.measure.n_atoms, t.size), 1.0))
         singles = np.stack([simulate_jump_path(model, 0.1, ev, n_cells=8).values for ev in events])
         for size in (1, 3, 50):
             batched = np.concatenate([
-                simulate_jump_paths(model, 0.1, EventBatch.stack(events[lo:lo + size]), n_cells=8)
+                simulate_jump_paths(model, 0.1, stack(events[lo:lo + size]), n_cells=8)
                 for lo in range(0, len(events), size)
             ])
             assert batched.tobytes() == singles.tobytes()
@@ -432,7 +437,7 @@ def test_model_derivative_validation():
         n, d = model.measure.n_atoms, model.dim
         assert model.jump(model.x0).shape == (d, n)
         assert model.jump_jac(model.x0).shape == (n, d, d)
-        model.validate_derivatives(seed=1)
+        validate_derivatives(model, seed=1)
     broken = ModelSpec(
         dim=1, horizon=1.0, x0=np.zeros(1),
         drift=lambda x: -x,
@@ -442,7 +447,7 @@ def test_model_derivative_validation():
         measure=MarkMeasure.single_atom(),
     )
     with pytest.raises(ModelError, match="drift_jac"):
-        broken.validate_derivatives()
+        validate_derivatives(broken)
     # G(x, y) = x * y on marks 1 and 3; the declared slice of atom 1 is wrong
     m = MarkMeasure.from_atoms([(3.0, 1.0), (1.0, 1.0)])
     broken = ModelSpec(
@@ -454,7 +459,35 @@ def test_model_derivative_validation():
         measure=m,
     )
     with pytest.raises(ModelError, match="jump_jac mismatch .* atom 1"):
-        broken.validate_derivatives()
+        validate_derivatives(broken)
+
+
+def test_constant_jump_is_declared_as_data():
+    # a state-independent G comes as an array; ModelSpec builds its jump, one
+    # read-only zero Jacobian and one read-only compensator, with the bits of
+    # the per-call expression
+    models = {name: build_model(name) for name in MODEL_BUILDERS}
+    models["pollutant"] = assemble_model(params_from_dict({
+        "d_space": 1, "velocity": [2.0], "max_mode": 3, "atoms": [[0.3, 1.0, 0.6], [0.7, 2.0, 0.4]],
+    }))
+    constant = set()
+    for name, model in models.items():
+        x1 = model.x0 + 0.3
+        if not any(np.any(model.jump_jac(x)) for x in (model.x0, x1)):
+            constant.add(name)
+            mean = model.compensator(model.x0)
+            assert mean is model.compensator(x1) and not mean.flags.writeable
+            assert mean.tobytes() == (model.jump(model.x0) * model.measure.weights).sum(axis=-1).tobytes()
+            jac = model.jump_jac(model.x0)
+            assert jac is model.jump_jac(x1) and not jac.flags.writeable
+            assert jac.shape == (model.measure.n_atoms, model.dim, model.dim)
+        else:
+            assert model.compensator(model.x0) is not model.compensator(model.x0)
+    assert constant == {"scalar_benchmark", "linear_gaussian", "rank_deficient_2d", "pure_jump", "pollutant"}
+    # a copy made by dataclasses.replace passes the built callables back and keeps the bits
+    model = models["scalar_benchmark"]
+    copy = dataclasses.replace(model, drift=model.drift)
+    assert fluid_limit(copy, 64)[0].values.tobytes() == fluid_limit(model, 64)[0].values.tobytes()
 
 
 def test_jump_contract_violations_are_named():
@@ -482,6 +515,12 @@ def test_jump_contract_violations_are_named():
             jump=lambda x: np.ones(x.shape + (1,)), jump_jac=lambda x: np.zeros((1, 1, 1)),
             **{**base, "drift": lambda x: np.array([float(-x[0])])},
         )
+    with pytest.raises(ModelError, match="a callable jump needs jump_jac"):
+        ModelSpec(jump=lambda x: np.ones(x.shape + (1,)), **base)
+    with pytest.raises(ModelError, match=r"a constant jump must have shape \(1, 1\), got \(2, 1\)"):
+        ModelSpec(jump=np.ones((2, 1)), **base)
+    with pytest.raises(ModelError, match="leave jump_jac out"):
+        ModelSpec(jump=np.ones((1, 1)), jump_jac=lambda x: np.zeros((1, 1, 1)), **base)
 
 
 def test_scaling_schedule():

@@ -11,7 +11,6 @@ from jumpmdp.prm import (
     ControlError,
     ControlField,
     EventBatch,
-    PointRealization,
     entropy_integrand,
     log_likelihood_ratio,
     log_likelihood_ratios,
@@ -23,6 +22,8 @@ from jumpmdp.prm import (
     tilt_cost,
     truncated_tilt,
 )
+
+from helpers import one_row, row, stack
 
 UNIT = MarkMeasure.single_atom(1.0, 1.0)
 
@@ -181,8 +182,15 @@ def test_loglr_reweighting_recovers_untilted_mean():
 def test_loglr_zero_tilt_event_gives_minus_inf():
     psi = np.array([[-1.0, 0.0]])  # phi = (0, 1)
     ctrl = ControlField(psi, 1.0, 1.0)
-    real = PointRealization(np.array([0.1]), np.array([0]), 1.0)
+    real = one_row(np.array([0.1]), np.array([0]), 1.0)
     assert log_likelihood_ratio(real, ctrl, UNIT, 1.0) == -math.inf
+
+
+def test_one_row_loglr_needs_a_one_row_batch():
+    ctrl = ControlField(np.zeros((1, 2)), 1.0, 1.0)
+    two = stack([one_row(np.array([0.1]), np.array([0]), 1.0), one_row(np.empty(0), np.empty(0), 1.0)])
+    with pytest.raises(ControlError, match="log_likelihood_ratio takes a one-row batch, got 2 rows"):
+        log_likelihood_ratio(two, ctrl, UNIT, 1.0)
 
 
 def test_truncated_tilt_examples():
@@ -333,15 +341,15 @@ def test_one_row_samplers_are_rows_of_the_batch():
     marked = sample_poisson_batch(three, 3.0, 1.0, [substream(*k) for k in keys])
     assert set(marked.atoms.tolist()) == {0, 1, 2}
     for i, key in enumerate(keys):
-        assert_row(marked.row(i), *reference_poisson_row(three, 3.0, 1.0, substream(*key)))
+        assert_row(row(marked, i), *reference_poisson_row(three, 3.0, 1.0, substream(*key)))
         one = sample_poisson_measure(TWO, 1.5, 2.0, substream(*key))
-        assert_row(plain.row(i), one.times, one.atoms)
-        assert_row(plain.row(i), *reference_poisson_row(TWO, 1.5, 2.0, substream(*key)))
+        assert_row(row(plain, i), one.times, one.atoms)
+        assert_row(row(plain, i), *reference_poisson_row(TWO, 1.5, 2.0, substream(*key)))
         one = sample_controlled_measure(TWO, 4.0, ctrls[i % 2], substream(*key))
-        assert_row(tilted.row(i), one.times, one.atoms)
-        assert_row(tilted.row(i), *reference_controlled_row(TWO, 4.0, ctrls[i % 2], substream(*key)))
+        assert_row(row(tilted, i), one.times, one.atoms)
+        assert_row(row(tilted, i), *reference_controlled_row(TWO, 4.0, ctrls[i % 2], substream(*key)))
     # under ctrls[0], phi = 0 for atom 0 in cell 1 and for both atoms in cell 2
-    even = [tilted.row(i) for i in range(0, len(keys), 2)]
+    even = [row(tilted, i) for i in range(0, len(keys), 2)]
     cell = ctrls[0].cell_of(np.concatenate([row.times for row in even]))
     atoms = np.concatenate([row.atoms for row in even])
     assert cell.size and not np.any((cell == 2) | ((cell == 1) & (atoms == 0)))
@@ -393,11 +401,11 @@ def test_forced_ties_and_left_edges_are_redrawn_in_stream_order():
     plain = sample_poisson_batch(measure, 10.0, 1.0, new())
     tilted = sample_controlled_batch(measure, 30.0, [ctrl] * len(scripts), new())
     for i, (g1, g2) in enumerate(zip(new(), new())):
-        assert_row(plain.row(i), *reference_poisson_row(measure, 10.0, 1.0, g1))
-        assert_row(tilted.row(i), *reference_controlled_row(measure, 30.0, ctrl, g2))
+        assert_row(row(plain, i), *reference_poisson_row(measure, 10.0, 1.0, g1))
+        assert_row(row(tilted, i), *reference_controlled_row(measure, 30.0, ctrl, g2))
     # the scripted draws were replaced
-    assert 0.5 not in plain.row(0).times and 0.25 not in plain.row(2).times
-    assert 0.25 not in tilted.row(0).times and 0.125 not in tilted.row(2).times
+    assert 0.5 not in row(plain, 0).times and 0.25 not in row(plain, 2).times
+    assert 0.25 not in row(tilted, 0).times and 0.125 not in row(tilted, 2).times
 
 
 @pytest.mark.parametrize(
@@ -421,13 +429,13 @@ def test_batched_log_likelihood_ratio_matches_the_one_row_form():
     ctrl = ControlField(PSI, 2.0, 0.5)
     theta = 3.0
     rows = [
-        PointRealization(np.array([0.1, 0.5]), np.array([0, 1]), 2.0),
-        PointRealization(np.empty(0), np.empty(0, dtype=np.int64), 2.0),
-        PointRealization(np.array([0.2, 1.0, 1.9]), np.array([1, 0, 1]), 2.0),  # phi(0, cell 1) = 0
-        PointRealization(np.array([0.8, 1.2]), np.array([0, 1]), 2.0),
-        PointRealization(np.array([0.3, 0.4, 1.2]), np.array([0, 0, 1]), 2.0),
+        one_row(np.array([0.1, 0.5]), np.array([0, 1]), 2.0),
+        one_row(np.empty(0), np.empty(0, dtype=np.int64), 2.0),
+        one_row(np.array([0.2, 1.0, 1.9]), np.array([1, 0, 1]), 2.0),  # phi(0, cell 1) = 0
+        one_row(np.array([0.8, 1.2]), np.array([0, 1]), 2.0),
+        one_row(np.array([0.3, 0.4, 1.2]), np.array([0, 0, 1]), 2.0),
     ]
-    batch = EventBatch.stack(rows)
+    batch = stack(rows)
     got = log_likelihood_ratios(batch, ctrl, TWO, theta)
     comp = theta * math.fsum(((ctrl.phi - 1.0) * TWO.weights[:, None] * ctrl.dt).ravel())
     for i, row in enumerate(rows):

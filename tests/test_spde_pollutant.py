@@ -31,6 +31,7 @@ from jumpmdp.spde_pollutant import (
     params_from_dict,
 )
 
+from helpers import validate_derivatives
 
 def make_params(**kw):
     base = dict(
@@ -211,7 +212,7 @@ def test_nonlinear_kernels_pass_derivative_check():
         outputs=({(0,): 1.0, (2,): -0.5},),
     )
     model = assemble_model(params)
-    model.validate_derivatives(seed=2, n_points=3)
+    validate_derivatives(model, seed=2, n_points=3)
 
 
 def test_linear_model_decouples_across_truncations():
