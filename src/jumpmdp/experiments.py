@@ -80,6 +80,12 @@ class CheckFailure(AssertionError):
         self.row = row
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise ModelError unless value is an integer (a bool is not a count)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ModelError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Configuration for all CLI runs; loadable from a single JSON file."""
@@ -123,8 +129,7 @@ class ExperimentConfig:
                   ("replications", 100), ("is_replications", 100), ("seed", 0))
         for key, least in counts:
             value = getattr(self, key)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ModelError(f"{key} must be an integer, got {value!r}")
+            _check_integer(key, value)
             if value < least:
                 raise ModelError(f"{key} must be at least {least}, got {value!r}")
         object.__setattr__(self, "eps_grid", eps)
@@ -275,14 +280,15 @@ def _worker_call(task):
     return getattr(_WORKER_ENGINE, method)(*args)
 
 
-def _chunks(n: int) -> list[tuple[int, int]]:
-    """Replication ranges of the batches; they depend on n alone, not on workers.
+def _chunks(n: int, workers: int) -> list[tuple[int, int]]:
+    """Replication ranges of the batches, in order.
 
-    A batch holds an eighth of n, at least 50 and at most 1000 replications:
-    enough rows to amortize the per-step cost of the lockstep integrator,
-    few enough that its arrays stay a few MB.
+    A batch holds ceil(n / workers) replications, at most 1000: each worker
+    runs one lockstep integration, which pays the per-step cost once, and
+    the integrator's arrays stay a few MB.  The boundaries depend on the
+    replication count and the worker count; a path's bits depend on neither.
     """
-    size = min(1000, max(50, -(-n // 8)))
+    size = min(1000, -(-n // workers))
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
@@ -294,7 +300,7 @@ def _monte_carlo(cfg: ExperimentConfig, importance=None):
     method, run in chunks and returned in replication order.
     """
     def tasks(method, args, n):
-        return [(method, args + (lo, hi)) for lo, hi in _chunks(n)]
+        return [(method, args + (lo, hi)) for lo, hi in _chunks(n, cfg.workers)]
 
     if cfg.workers <= 1:
         engine = _Engine(cfg, importance)
@@ -763,8 +769,9 @@ def verify_var_rep(
     inf.  For F = gamma * count the left side is exact:
     theta * mass * T * (1 - exp(-gamma)).
     """
-    # config blocks arrive from JSON, where 2 and 2e4 are as good as 2.0 and 20000
+    # config blocks arrive from JSON, where 2 is as good as 2.0; a count must be an integer
     gamma, cap, theta, mass, horizon = map(float, (gamma, cap, theta, mass, horizon))
+    _check_integer("var_rep replications", replications)
     replications = int(replications)
     if replications < 2:
         raise ModelError(f"var_rep replications must be at least 2 for a standard error, got {replications}")

@@ -93,6 +93,8 @@ class ModelSpec:
 
     A state-independent G is passed as its (d, n_atoms) array, without a
     jump_jac; from it jump, a zero jump_jac and the compensator are built once.
+    A copy by dataclasses.replace builds them again, for a new array if one
+    is given.
 
     linear, when given, is the (d,) diagonal L of a linear part of the
     drift, b(x) = L * x + N(x): fluid_limit and path integration then step
@@ -128,18 +130,27 @@ class ModelSpec:
             linear.setflags(write=False)
             object.__setattr__(self, "linear", linear)
         n, d = self.measure.n_atoms, self.dim
-        if not callable(self.jump):
-            if self.jump_jac is not None:
+        # dataclasses.replace passes a built constant jump and its zero
+        # Jacobian back: the jump is its array again, and the Jacobian, which
+        # carries the array it was built for, is built anew
+        data = getattr(self.jump, "constant", self.jump)
+        if not callable(data):
+            if self.jump_jac is not None and not hasattr(self.jump_jac, "constant"):
                 raise ModelError("a constant (array) jump has a zero jump_jac; leave jump_jac out")
-            jump = _constant_jump(self.jump)
+            jump = _constant_jump(data)
             g = jump(x0)
             if g.shape != (d, n):
                 raise ModelError(f"a constant jump must have shape {(d, n)}, got {g.shape}")
             zeros = np.broadcast_to(0.0, (n, d, d))  # a read-only view
+
+            def jump_jac(x):
+                return zeros
+
+            jump_jac.constant = g
             mean = (g * self.measure.weights).sum(axis=-1)
             mean.setflags(write=False)
             object.__setattr__(self, "jump", jump)
-            object.__setattr__(self, "jump_jac", lambda x: zeros)
+            object.__setattr__(self, "jump_jac", jump_jac)
             object.__setattr__(self, "_mean_jump", mean)
         elif self.jump_jac is None:
             raise ModelError("a callable jump needs jump_jac, its Jacobian")
@@ -173,7 +184,8 @@ def _constant_jump(values: np.ndarray) -> Callable:
     """jump(x) for a state-independent (d, n_atoms) coefficient G.
 
     G is copied once and made read-only: a single state gets G itself, a
-    batch a broadcast view of it.  ModelSpec builds an array jump here.
+    batch a broadcast view of it.  ModelSpec builds an array jump here, and
+    finds G again as jump.constant.
     """
     values = np.array(values, dtype=float)
     values.setflags(write=False)
@@ -181,6 +193,7 @@ def _constant_jump(values: np.ndarray) -> Callable:
     def jump(x):
         return values if x.ndim == 1 else np.broadcast_to(values, x.shape[:-1] + values.shape)
 
+    jump.constant = values
     return jump
 
 
@@ -247,54 +260,72 @@ def rk4_step(f: Callable, x: np.ndarray, h: float | np.ndarray) -> np.ndarray:
 
 
 def _event_schedule(grid: np.ndarray, events: EventBatch) -> tuple[np.ndarray, ...]:
-    """Per-step arrays (h, record, atom), each of shape (B, L).
+    """Step-major arrays (h, record, atom), each of shape (L, B).
 
     Row b merges the grid times grid[1:] with the event times of row b of
-    the batch into one breakpoint sequence.  Step p of a row advances
-    the state by h, then stores the state as grid value `record` (or -1),
-    then applies a jump with atom `atom` (or -1).  An event on a grid time
-    follows the grid step, with h = 0, so the grid value is the left limit;
-    an event at T comes after the last record.  h is the difference of
-    consecutive breakpoints.  Rows are padded to a common length L with
-    h = 0 steps that neither record nor jump.
+    the batch into one breakpoint sequence.  Step p of row b advances the
+    state by h[p, b], then stores the state as the row's next grid value if
+    record[p, b], then applies a jump with atom atom[p, b] (or -1).  An
+    event on a grid time follows the grid step, with h = 0, so the grid
+    value is the left limit; an event at T comes after the last record.  h
+    is the difference of consecutive breakpoints.  Rows are padded to a
+    common length L with h = 0 steps that neither record nor jump.  h is
+    float, record bool and atom int32.
     """
     n = grid.size - 1
-    times, atoms, offsets = events.times, events.atoms, events.offsets
+    times, offsets = events.times, events.offsets
     counts = np.diff(offsets)
     b, length = counts.size, n + int(counts.max(initial=0))
     ev_row = np.repeat(np.arange(b), counts)
-    ev_rank = np.arange(times.size) - offsets[ev_row]
     # grid steps at or before each event; a tie puts the grid step first
     grid_before = np.searchsorted(grid[1:], times, side="right")
-    ev_pos = ev_rank + grid_before
-    # ev_count[b, k]: events of row b with exactly k grid steps before them
-    ev_count = np.bincount(ev_row * (n + 1) + grid_before, minlength=b * (n + 1)).reshape(b, n + 1)
-    # grid step i follows i - 1 grid steps and every event before grid[i]
-    grid_pos = np.arange(n) + np.cumsum(ev_count, axis=1)[:, :n]
-    rows = np.arange(b)[:, None]
+    # ev_before[r, i]: events of row r before grid step i + 1, those with at
+    # most i grid steps before them
+    ev_before = np.bincount(
+        ev_row * (n + 1) + grid_before, minlength=b * (n + 1)
+    ).reshape(b, n + 1)[:, :n].cumsum(axis=1)
+    # a breakpoint's predecessor is the later of its previous grid time and
+    # the previous event of its row, if any.  Each temporary is freed once
+    # used, so that the peak stays near the (L, B) arrays themselves.
+    with_zero = np.concatenate([[0.0], times])  # with_zero[k + 1] = times[k]
+    prev_event = with_zero[np.where(ev_before > 0, offsets[:-1, None] + ev_before, 0)]
+    grid_h = grid[1:] - np.maximum(grid[:-1], prev_event)
+    del with_zero, prev_event
+    ev_h = grid[grid_before]
+    np.maximum(ev_h[1:], times[:-1], out=ev_h[1:], where=ev_row[1:] == ev_row[:-1])
+    ev_h = np.subtract(times, ev_h, out=ev_h)
+    # flat indices into the (L, B) arrays, step * B + row; an event's step
+    # is its rank in its row plus the grid steps before it
+    grid_at = (ev_before + np.arange(n)) * b + np.arange(b)[:, None]
+    del ev_before
+    ev_at = grid_before
+    ev_at += np.arange(times.size)
+    ev_at -= offsets[ev_row]
+    ev_at *= b
+    ev_at += ev_row
+    del ev_row
 
-    breaks = np.full((b, length), grid[n])
-    breaks[rows, grid_pos] = grid[1:]
-    breaks[ev_row, ev_pos] = times
-    h = np.diff(breaks, axis=1, prepend=0.0)
-    record = np.full((b, length), -1)
-    record[rows, grid_pos] = np.arange(1, n + 1)
-    atom = np.full((b, length), -1)
-    atom[ev_row, ev_pos] = atoms
+    h = np.zeros((length, b))
+    np.put(h, grid_at, grid_h)
+    np.put(h, ev_at, ev_h)
+    record = np.zeros((length, b), dtype=bool)
+    np.put(record, grid_at, True)
+    atom = np.full((length, b), -1, dtype=np.int32)
+    np.put(atom, ev_at, events.atoms)
     return h, record, atom
 
 
-def _etd_advance(drift: Callable, linear: np.ndarray, h_steps: np.ndarray) -> Callable:
+def _etd_advance(drift: Callable, linear: np.ndarray, h: np.ndarray) -> Callable:
     """advance(p, x), the ETDRK4 step p of _integrate on the (B, D) states x.
 
-    h_steps is (L, B, 1), step-major.  The coefficients are built once per
-    distinct step length, and step p of row r reads the row of its own.
+    h is the (L, B) step-major schedule.  The coefficients are built once
+    per distinct step length, and step p of row r reads the row of its own.
     """
     from .exponential import etdrk4_step, phi_coefficients
 
-    lengths, which = np.unique(h_steps.ravel(), return_inverse=True)
+    lengths, which = np.unique(h, return_inverse=True)
     table = phi_coefficients(lengths[:, None], linear)
-    which = which.reshape(h_steps.shape[:2])
+    which = which.reshape(h.shape)
 
     def nonlinear(x):
         return drift(x) - linear * x
@@ -320,32 +351,34 @@ def _integrate(
     the (B, n_cells + 1, D) grid states; a non-finite one raises ModelError.
     """
     h, record, atom = _event_schedule(grid, events)
-    b, length = h.shape
+    length, b = h.shape
     n_cells, dim = grid.size - 1, x0.size
     rows = np.arange(b)
-    # step-major copies: the loop reads one column per step
-    h_steps = np.ascontiguousarray(h.T)[:, :, None]
-    moving, jumping = h_steps > 0, np.ascontiguousarray(atom.T)[:, :, None] >= 0
-    atom_steps = np.maximum(atom.T, 0)
+    h_steps = h[:, :, None]  # a view: step p's lengths against the (B, D) states
+    moving, jumping = h_steps > 0, atom[:, :, None] >= 0
     all_moving = moving.all(axis=(1, 2)).tolist()
     any_jump = jumping.any(axis=(1, 2)).tolist()
-    states = np.empty((b, length + 1, dim))  # x0, then the state after each step's advance
-    states[:, 0] = x0
-    x = np.tile(x0, (b, 1))
+    # step-major: each step writes one contiguous (B, D) block
+    states = np.empty((length + 1, b, dim))  # x0, then the state after each step's advance
+    states[0] = x0
+    x = states[0].copy()
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is named below
-        etd = None if linear is None else _etd_advance(drift, linear, h_steps)
+        etd = None if linear is None else _etd_advance(drift, linear, h)
         for p in range(length):
             stepped = rk4_step(drift, x, h_steps[p]) if etd is None else etd(p, x)
             x = stepped if all_moving[p] else np.where(moving[p], stepped, x)
-            states[:, p + 1] = x
+            states[p + 1] = x
             if any_jump[p]:
-                kicked = x + epsilon * jump(x)[rows, :, atom_steps[p]]
+                kicked = x + epsilon * jump(x)[rows, :, atom[p]]  # a -1 row reads the last atom and is not kept
                 x = np.where(jumping[p], kicked, x)
-    # each row records grid values 1..n in step order
-    keep = np.concatenate([np.ones((b, 1), dtype=bool), record >= 0], axis=1)
-    del h_steps, moving, jumping, atom_steps, h, record, atom, etd  # free before the compaction copy
-    out = states[keep].reshape(b, n_cells + 1, dim)
-    del states
+    del h, h_steps, moving, jumping, atom, etd  # free before the compaction copy
+    # row r records grid values 1..n at its record steps, in step order
+    steps = np.zeros((b, n_cells + 1), dtype=np.intp)
+    steps[:, 1:] = np.flatnonzero(record.T).reshape(b, n_cells)
+    steps[:, 1:] -= rows[:, None] * length - 1  # flat index r * L + p -> state p + 1
+    del record
+    out = states[steps, rows[:, None]]
+    del states, steps
     finite = np.isfinite(out).all(axis=2)
     if not finite.all():
         row = int(np.argmin(finite.all(axis=1)))

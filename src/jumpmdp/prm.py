@@ -169,31 +169,44 @@ class ControlField:
 
 
 def _place_events(rngs, draws, per_cell: np.ndarray, horizon: float):
-    """(times in draw order, permutation sorting each row, row offsets).
+    """(times sorted within each row, the permutation that sorts them, row offsets).
 
     per_cell[b, c] of row b's uniform draws, in order, fall in cell c: u maps
     to lo + (hi - lo) * u on (lo, hi] = (c dt, min((c + 1) dt, T)], exactly
-    what rng.uniform(lo, hi) would draw.
+    what rng.uniform(lo, hi) would draw.  The permutation is of the draws.
     """
-    n_cells = per_cell.shape[1]
+    n_rows, n_cells = per_cell.shape
     edges = np.minimum(np.arange(n_cells + 1) * (horizon / n_cells), horizon)
     lo, hi = edges[:-1], edges[1:]
     cell_starts = np.concatenate([[0], per_cell.ravel().cumsum()])
-    key = np.arange(per_cell.size).repeat(per_cell.ravel())  # b * n_cells + c
-    rows, cells = np.divmod(key, n_cells)
+    cells = np.tile(np.arange(n_cells), n_rows).repeat(per_cell.ravel())
     left = lo[cells]
-    times = left + (hi - lo)[cells] * np.concatenate([np.empty(0), *draws])
+    times = np.concatenate([np.empty(0), *draws])
+    times *= (hi - lo)[cells]
+    times += left
+    del cells
+    offsets = cell_starts[::n_cells]
+    counts = np.diff(offsets)
+    # each row's times in a (B, max count) table padded with +inf, which sorts last
+    real = np.arange(counts.max(initial=0)) < counts[:, None]
     while True:
-        order = np.lexsort((times, rows))
+        table = np.full(real.shape, np.inf)
+        table[real] = times
+        order = np.argsort(table, axis=1, kind="stable")
+        del table
+        order += offsets[:-1, None]
+        order = order[real]
         ranked = times[order]
         tied = ranked[1:] == ranked[:-1]
-        if np.count_nonzero(tied):
-            tied &= rows[order[1:]] == rows[order[:-1]]  # times of two rows may tie
+        if np.count_nonzero(tied):  # a tie across a row boundary is none
+            rows = np.repeat(np.arange(n_rows), counts)
+            tied &= rows[1:] == rows[:-1]
         on_edge = times <= left
         if not (np.count_nonzero(tied) or np.count_nonzero(on_edge)):
-            return times, order, cell_starts[::n_cells]
+            return ranked, order, offsets
         # probability zero: redraw every cell with a tie or a time on its
         # left edge from the row's generator, lowest cell first, and check again
+        key = np.arange(per_cell.size).repeat(per_cell.ravel())  # b * n_cells + c
         for k in np.union1d(key[on_edge], key[order[:-1][tied]]).tolist():
             b, c = divmod(k, n_cells)
             times[cell_starts[k]:cell_starts[k + 1]] = rngs[b].uniform(lo[c], hi[c], size=per_cell[b, c])
@@ -214,14 +227,14 @@ def sample_poisson_batch(
     lam = theta * measure.total_mass * horizon
     counts = np.array([rng.poisson(lam) if lam > 0 else 0 for rng in rngs], dtype=np.int64)
     draws = [rng.random(n) for rng, n in zip(rngs, counts.tolist())]
-    times, order, offsets = _place_events(rngs, draws, counts[:, None], horizon)
+    times, _, offsets = _place_events(rngs, draws, counts[:, None], horizon)
     atoms = np.empty(0, dtype=np.int64)
     if measure.total_mass > 0:
         cdf = (measure.weights / measure.total_mass).cumsum()
         cdf /= cdf[-1]
         marks = [rng.random(n) for rng, n in zip(rngs, counts.tolist())]
         atoms = cdf.searchsorted(np.concatenate([np.empty(0), *marks]), side="right")
-    return EventBatch(times[order], atoms, offsets, horizon)
+    return EventBatch(times, atoms, offsets, horizon)
 
 
 def sample_poisson_measure(
@@ -271,7 +284,7 @@ def sample_controlled_batch(
     # label the draws before sorting, so that within a cell every atom's
     # times are iid uniform and no atom takes the earliest ones
     atoms = (np.arange(kept.size) % measure.n_atoms).repeat(kept.transpose(0, 2, 1).ravel())
-    return EventBatch(times[order], atoms[order], offsets, grid[0])
+    return EventBatch(times, atoms[order], offsets, grid[0])
 
 
 def sample_controlled_measure(

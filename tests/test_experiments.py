@@ -167,6 +167,17 @@ def test_var_rep_needs_two_replications(tmp_path, capsys):
     assert not (tmp_path / "var_rep.csv").exists()
 
 
+@pytest.mark.parametrize("count", [2.9, 2000.0, True])
+def test_var_rep_count_must_be_an_integer(tmp_path, capsys, count):
+    # 2.9 would run 2 replications and report lhs_se 0.0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"var_rep": {"replications": count}}))
+    assert cli.main(["var-rep", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"FAILED: var_rep replications must be an integer, got {count!r}\n"
+    assert not (tmp_path / "var_rep.csv").exists()
+
+
 def test_clt_check_needs_two_replications(tmp_path, capsys):
     # one replication has no sample covariance: np.cov gives NaN
     path = tmp_path / "cfg.json"
@@ -550,10 +561,21 @@ def test_slope_determinism_and_worker_invariance(tmp_path, monkeypatch):
     assert r3.rows == r1.rows
     assert (tmp_path / "c" / "summary.csv").read_bytes() == csv_a
     # ragged batches of 7 replications, on the pool and off it
-    monkeypatch.setattr(experiments, "_chunks", lambda n: [(lo, min(lo + 7, n)) for lo in range(0, n, 7)])
+    monkeypatch.setattr(experiments, "_chunks", lambda n, workers: [(lo, min(lo + 7, n)) for lo in range(0, n, 7)])
     for name, workers in (("d", 1), ("e", 2)):
         run_mdp_slope(dataclasses.replace(cfg, workers=workers), out_dir=str(tmp_path / name))
         assert (tmp_path / name / "summary.csv").read_bytes() == csv_a
+
+
+def test_chunks_cover_the_replications_one_batch_per_worker():
+    for n in (1, 7, 100, 999, 1000, 1001, 2000, 10_000):
+        for workers in (1, 2, 3, 8):
+            chunks = experiments._chunks(n, workers)
+            ends = [0] + [hi for _, hi in chunks]
+            assert [lo for lo, _ in chunks] == ends[:-1] and ends[-1] == n
+            assert all(0 < hi - lo <= 1000 for lo, hi in chunks)
+            if n <= 1000 * workers:
+                assert len(chunks) <= workers
 
 
 def test_slope_rows_sane():

@@ -168,11 +168,15 @@ def test_event_schedule_order_and_left_limits():
     events = one_row(np.array([0.1, 0.2, 0.5, 1.0]), np.arange(4), 1.0)
     calls = []
     schedule = _event_schedule(grid, events)
-    for h, record, atom in zip(*(col[0].tolist() for col in schedule)):
+    assert [col.dtype for col in schedule] == [np.float64, np.bool_, np.int32]
+    recorded = 0
+    # step-major: column 0 is row 0's steps
+    for h, record, atom in zip(*(col[:, 0].tolist() for col in schedule)):
         if h > 0:
             calls.append(("advance", round(h, 12)))
-        if record >= 0:
-            calls.append(("record", record))
+        if record:
+            recorded += 1
+            calls.append(("record", recorded))
         if atom >= 0:
             calls.append(("jump", atom))
     assert calls == [
@@ -185,10 +189,10 @@ def test_event_schedule_order_and_left_limits():
     ]
     # in a batch, the shorter row is padded with steps that do nothing
     h, record, atom = _event_schedule(grid, stack([events, events_at([])]))
-    assert h.shape == (2, 8)
-    assert np.array_equal(h[0], np.diff([0.0, 0.1, 0.2, 0.25, 0.5, 0.5, 0.75, 1.0, 1.0]))
-    assert h[1].tolist()[4:] == [0.0] * 4 and record[1].tolist() == [1, 2, 3, 4, -1, -1, -1, -1]
-    assert np.all(atom[1] == -1)
+    assert h.shape == (8, 2)
+    assert np.array_equal(h[:, 0], np.diff([0.0, 0.1, 0.2, 0.25, 0.5, 0.5, 0.75, 1.0, 1.0]))
+    assert h[:, 1].tolist()[4:] == [0.0] * 4 and record[:, 1].tolist() == [True] * 4 + [False] * 4
+    assert np.all(atom[:, 1] == -1)
 
 
 def test_jump_bookkeeping_on_hand_built_events():
@@ -430,6 +434,18 @@ def test_batch_keeps_one_copy_of_its_step_states(pollutant_36, traced_peak):
     assert peak <= 2.1 * paths.nbytes + 1e6
 
 
+def test_scalar_batch_memory_per_row_step(traced_peak):
+    # per row-step: h (8 bytes), record (1), atom (4) and the step states (8
+    # at d = 1); the schedule's temporaries are per event or per cell
+    model = build_model("scalar_benchmark")
+    eps = 0.0065
+    events = sample_poisson_batch(model.measure, 1 / eps, model.horizon, [substream(7, 1, r) for r in range(200)])
+    row_steps = 200 * (64 + int(np.diff(events.offsets).max()))
+    paths, peak = traced_peak(lambda: simulate_jump_paths(model, eps, events, n_cells=64))
+    assert paths.shape == (200, 65, 1)
+    assert peak - paths.nbytes <= 40 * row_steps
+
+
 def test_model_derivative_validation():
     models = [build_model(name) for name in MODEL_BUILDERS] + [two_atom_pollutant()]
     assert "pure_jump" in MODEL_BUILDERS and models[-1].measure.n_atoms == 2
@@ -488,6 +504,23 @@ def test_constant_jump_is_declared_as_data():
     model = models["scalar_benchmark"]
     copy = dataclasses.replace(model, drift=model.drift)
     assert fluid_limit(copy, 64)[0].values.tobytes() == fluid_limit(model, 64)[0].values.tobytes()
+    for name in constant:
+        model = models[name]
+        events = sample_poisson_batch(model.measure, 20.0, model.horizon, [substream(2, r) for r in range(5)])
+        copy = dataclasses.replace(model, drift=model.drift)
+        mean = copy.compensator(copy.x0)
+        assert mean is copy.compensator(copy.x0 + 0.3) and not mean.flags.writeable
+        assert mean.tobytes() == model.compensator(model.x0).tobytes()
+        assert not np.any(copy.jump_jac(copy.x0)) and copy.jump(copy.x0).tobytes() == model.jump(model.x0).tobytes()
+        assert simulate_jump_paths(copy, 0.1, events, 16).tobytes() == simulate_jump_paths(model, 0.1, events, 16).tobytes()
+    # a new array G rebuilds the zero Jacobian and the compensator
+    model = models["scalar_benchmark"]
+    doubled = dataclasses.replace(model, drift=lambda x: -2.0 * x, jump=np.array([[2.0]]))
+    assert doubled.compensator(doubled.x0).tolist() == [2.0] and not doubled.compensator(doubled.x0).flags.writeable
+    assert doubled.jump_jac(doubled.x0).tolist() == [[[0.0]]]
+    assert fluid_limit(doubled, 64)[0].values.tobytes() != fluid_limit(model, 64)[0].values.tobytes()
+    with pytest.raises(ModelError, match="zero jump_jac"):
+        dataclasses.replace(model, jump=np.array([[2.0]]), jump_jac=lambda x: np.zeros((1, 1, 1)))
 
 
 def test_jump_contract_violations_are_named():
