@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
-import math
 import os
 import sys
 
@@ -30,7 +29,7 @@ from .experiments import (
     verify_entropy_tail_bounds,
     verify_var_rep,
 )
-from .jump_sde import ModelError, check_keys, fluid_limit, write_csv
+from .jump_sde import ModelError, check_keys, check_value, fluid_limit, write_csv
 from .mark_space import MarkSpaceError
 from .mdp_limit import build_linearization
 from .models import build_model
@@ -52,9 +51,6 @@ DEFAULT_POLLUTANT = {
     "horizon": 1.0,
     "atoms": [[0.3, 1.0, 0.6], [0.7, 2.0, 0.4]],
     "jump_kernel": {"kind": "constant", "value": 1.0},
-    "epsilon": 0.05,
-    "seeds": [0, 1, 2, 3],
-    "hs_levels": [2, 4, 8, 16, 24],
 }
 
 
@@ -135,19 +131,17 @@ def cmd_rate(cfg: ExperimentConfig) -> None:
 
 def cmd_lemma_check(cfg: ExperimentConfig) -> None:
     out = cfg.out_dir
-    lemma_cfg = cfg.lemma or {}
-    check_keys("lemma", lemma_cfg, ("betas", "m_bound", "eps"))
-    betas = tuple(lemma_cfg.get("betas", (1.0, 2.0, 5.0, 10.0, 100.0)))
+    check_keys("lemma", cfg.lemma, ("betas", "m_bound", "eps"))
+    betas = check_value("lemma betas", cfg.lemma.get("betas", [1.0, 2.0, 5.0, 10.0, 100.0]), [float], positive=True)
+    m_bound = check_value("lemma m_bound", cfg.lemma.get("m_bound", 2.0), positive=True)
+    eps_values = check_value("lemma eps", cfg.lemma.get("eps", [0.1, 0.01]), [float], positive=True)
+    swept = tuple(b for b in betas if b <= 10.0)
+    if not swept:
+        raise ModelError(f"lemma betas must hold a beta of at most 10 to sweep, got {betas!r}")
     model = build_model(cfg.model, cfg.model_params)
     consts = entropy_bound_constants(betas)
     report = verify_entropy_tail_bounds(
-        measure=model.measure,
-        horizon=model.horizon,
-        m_bound=float(lemma_cfg.get("m_bound", 2.0)),
-        eps_values=lemma_cfg.get("eps", [0.1, 0.01]),
-        betas=tuple(b for b in betas if b <= 10.0) or (1.0,),
-        rho=cfg.rho,
-        constants=consts,
+        model.measure, model.horizon, m_bound, eps_values, betas=swept, rho=cfg.rho, constants=consts
     )
     rows = [*consts.as_rows(), ("quad_envelope", consts.quad_envelope, None, None)]
     write_csv(os.path.join(out, "lemma_constants.csv"), "beta,tail_abs,tail_linear,core_square", rows)
@@ -158,6 +152,8 @@ def cmd_lemma_check(cfg: ExperimentConfig) -> None:
     )
     for name, eps, cost in report.excluded:
         print(f"lemma-check: excluded {name} at eps={eps!r} (cost {cost!r} over budget)")
+    if not report.rows:
+        raise CheckFailure("no bound row to check: every catalog control is over budget", cfg.config_hash(), cfg.seed)
     if not report.all_hold():
         bad = next(r for r in report.rows if min(r.slacks()) < -1e-12)
         raise CheckFailure("an entropy bound failed", cfg.config_hash(), cfg.seed, bad)
@@ -165,11 +161,9 @@ def cmd_lemma_check(cfg: ExperimentConfig) -> None:
 
 
 def cmd_var_rep(cfg: ExperimentConfig) -> None:
-    vr = cfg.var_rep or {}
     # the block's keys and defaults are verify_var_rep's keyword parameters
-    keys = inspect.signature(verify_var_rep).parameters
-    check_keys("var_rep", vr, [k for k in keys if k not in ("cfg", "tilt_grid")])
-    res = verify_var_rep(cfg, **vr)
+    check_keys("var_rep", cfg.var_rep, list(inspect.signature(verify_var_rep).parameters)[1:])
+    res = verify_var_rep(cfg, **cfg.var_rep)
     rows = zip(res.tilt_grid.tolist(), res.rhs_values.tolist(), res.rhs_ses.tolist())
     write_csv(os.path.join(cfg.out_dir, "var_rep.csv"), "phi,rhs,se", rows)
     exact = "n/a" if res.lhs_exact is None else f"{res.lhs_exact:.6f}"
@@ -186,32 +180,18 @@ def cmd_var_rep(cfg: ExperimentConfig) -> None:
         raise CheckFailure("MC left side far from the closed form", res.config_hash, cfg.seed)
 
 
-def _study_settings(spec) -> tuple[float, list, list]:
-    """The pollutant block's epsilon, seeds and hs_levels, checked before any table is written."""
-    epsilon = spec.get("epsilon", 0.05)
-    if not isinstance(epsilon, (int, float)) or not 0 < epsilon < math.inf:
-        raise spp.PollutantError(f"epsilon must be a positive number, got {epsilon!r}")
-
-    def counts(key, default, least_size):
-        value = spec.get(key, default)
-        if not (
-            isinstance(value, (list, tuple)) and len(value) >= least_size
-            and all(isinstance(v, int) and v >= 0 for v in value)
-        ):
-            size = "a non-empty list" if least_size else "a list"
-            raise spp.PollutantError(f"{key} must be {size} of integers >= 0, got {value!r}")
-        return value
-
-    return float(epsilon), counts("seeds", [0, 1, 2, 3], 0), counts("hs_levels", [2, 4, 8, 16, 24], 1)
-
-
 def cmd_pollutant(cfg: ExperimentConfig) -> None:
     out = cfg.out_dir
     spec = cfg.pollutant or DEFAULT_POLLUTANT
     params = spp.params_from_dict(spec)
-    epsilon, seeds, levels = _study_settings(spec)
+    # the convergence study's settings, read before any table is written
+    epsilon = check_value("epsilon", spec.get("epsilon", 0.05), positive=True)
+    seeds = check_value("seeds", spec.get("seeds", [0, 1, 2, 3]), [int], least=0)
+    levels = check_value("hs_levels", spec.get("hs_levels", [2, 4, 8, 16, 24]), [int], least=0)
+    if not levels:
+        raise ModelError(f"hs_levels must hold at least one level, got {levels!r}")
     sysm = spp.build_eigensystem(params)
-    defect = spp.orthonormality_defect(sysm, params.quad_points)
+    defect = spp.orthonormality_defect(sysm)
     if not defect <= 1e-6:  # also catches a NaN defect
         raise CheckFailure(
             f"eigenfunction orthonormality defect {defect!r} is not within 1e-6",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -20,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .jump_sde import (
-    ModelError, PathGrid, check_keys, deviation_scale, fluid_limit, simulate_jump_paths, write_csv,
+    ModelError, PathGrid, check_keys, check_value, deviation_scale, fluid_limit, simulate_jump_paths, write_csv,
 )
 from .mdp_limit import build_linearization
 from .models import build_model
@@ -80,10 +79,17 @@ class CheckFailure(AssertionError):
         self.row = row
 
 
-def _check_integer(name: str, value) -> None:
-    """Raise ModelError unless value is an integer (a bool is not a count)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ModelError(f"{name} must be an integer, got {value!r}")
+# the check_value rule of each top-level config value
+CONFIG_RULES = {
+    "model": {"kind": str}, "out_dir": {"kind": str}, "dump_paths": {"kind": bool},
+    "model_params": {"kind": dict}, "var_rep": {"kind": dict}, "lemma": {"kind": dict}, "pollutant": {"kind": dict},
+    "eps_grid": {"kind": [float], "positive": True}, "rate_targets": {"kind": [[float]]},
+    "rho": {"positive": True, "below": 0.5}, "beta": {"positive": True, "most": 1},
+    "threshold": {"least": 0}, "clt_epsilon": {"positive": True},
+    "seed": {"kind": int, "least": 0}, "clt_replications": {"kind": int, "least": 2},
+    **dict.fromkeys(("n_cells", "n_cells_analysis", "workers"), {"kind": int, "least": 1}),
+    **dict.fromkeys(("replications", "is_replications"), {"kind": int, "least": 100}),
+}
 
 
 @dataclass(frozen=True)
@@ -112,32 +118,18 @@ class ExperimentConfig:
     pollutant: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        eps = tuple(float(e) for e in self.eps_grid)
+        values = {f.name: check_value(f.name, getattr(self, f.name), **CONFIG_RULES[f.name]) for f in fields(self)}
+        eps = tuple(values["eps_grid"])
         if not eps:
             raise ModelError("eps_grid must hold at least one epsilon")
-        if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])) or any(e <= 0 for e in eps):
-            raise ModelError("eps_grid must be positive and strictly decreasing")
-        if not (0 < self.rho < 0.5):
-            raise ModelError("rho must lie in (0, 1/2)")
-        if not (0 < self.beta <= 1):
-            raise ModelError("beta must lie in (0, 1]")
-        if not self.threshold >= 0:
-            raise ModelError(f"threshold must be nonnegative, got {self.threshold!r}")
-        if not self.clt_epsilon > 0:
-            raise ModelError(f"clt_epsilon must be positive, got {self.clt_epsilon!r}")
-        counts = (("n_cells", 1), ("n_cells_analysis", 1), ("workers", 1), ("clt_replications", 2),
-                  ("replications", 100), ("is_replications", 100), ("seed", 0))
-        for key, least in counts:
-            value = getattr(self, key)
-            _check_integer(key, value)
-            if value < least:
-                raise ModelError(f"{key} must be at least {least}, got {value!r}")
+        if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
+            raise ModelError(f"eps_grid must be strictly decreasing, got {self.eps_grid!r}")
         object.__setattr__(self, "eps_grid", eps)
-        object.__setattr__(self, "rate_targets", tuple(tuple(z) if np.ndim(z) else (z,) for z in self.rate_targets))
+        object.__setattr__(self, "rate_targets", tuple(map(tuple, self.rate_targets)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        check_keys("config", data, [f.name for f in fields(cls)])
+        check_keys("config", check_value("config", data, dict), [f.name for f in fields(cls)])
         return cls(**data)
 
     @classmethod
@@ -664,10 +656,6 @@ def verify_entropy_tail_bounds(
     """
     if constants is None:
         constants = entropy_bound_constants(betas)
-    else:
-        missing = [b for b in betas if b not in constants.betas]
-        if missing:
-            constants = entropy_bound_constants(tuple(constants.betas) + tuple(missing))
     idx = {b: constants.betas.index(b) for b in betas}
     n_cells = 16
     catalog = psi_catalog or default_psi_catalog(measure.n_atoms, n_cells)
@@ -759,7 +747,6 @@ def verify_var_rep(
     mass: float = 1.0,
     horizon: float = 1.0,
     replications: int = 100_000,
-    tilt_grid: np.ndarray | None = None,
 ) -> VarRepResult:
     """One-sided Monte Carlo check of the exponential-functional identity.
 
@@ -769,12 +756,12 @@ def verify_var_rep(
     inf.  For F = gamma * count the left side is exact:
     theta * mass * T * (1 - exp(-gamma)).
     """
-    # config blocks arrive from JSON, where 2 is as good as 2.0; a count must be an integer
-    gamma, cap, theta, mass, horizon = map(float, (gamma, cap, theta, mass, horizon))
-    _check_integer("var_rep replications", replications)
-    replications = int(replications)
-    if replications < 2:
-        raise ModelError(f"var_rep replications must be at least 2 for a standard error, got {replications}")
+    # the keyword arguments are the var_rep config block
+    gamma, cap = check_value("var_rep gamma", gamma), check_value("var_rep cap", cap)
+    theta = check_value("var_rep theta", theta, positive=True)
+    mass = check_value("var_rep mass", mass, positive=True)
+    horizon = check_value("var_rep horizon", horizon, positive=True)
+    replications = check_value("var_rep replications", replications, int, least=2, why=" for a standard error")
     fn = _functional(functional, gamma, cap)
     lam = theta * mass * horizon
     rng = substream(cfg.seed, SLOT_VARREP, 0)
@@ -785,7 +772,7 @@ def verify_var_rep(
     lhs_mc = -math.log(m)
     lhs_se = se_m / m
     lhs_exact = lam * (1.0 - math.exp(-gamma)) if functional == "linear_count" else None
-    grid = np.geomspace(0.25, 4.0, 49) if tilt_grid is None else np.asarray(tilt_grid, float)
+    grid = np.geomspace(0.25, 4.0, 49)
     rhs = np.empty(grid.size)
     ses = np.empty(grid.size)
     for i, phi in enumerate(grid):

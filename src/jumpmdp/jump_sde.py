@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,6 +27,7 @@ from .prm import EventBatch
 __all__ = [
     "ModelError",
     "check_keys",
+    "check_value",
     "deviation_scale",
     "write_csv",
     "ModelSpec",
@@ -45,6 +48,45 @@ def check_keys(block: str, data, valid) -> None:
     unknown = sorted(set(data) - set(valid))
     if unknown:
         raise ModelError(f"unknown {block} keys {unknown}; valid keys: {list(valid)}")
+
+
+def check_value(name: str, value, kind=float, *, least=None, positive=False, below=None, most=None, why=""):
+    """Return a config value, or raise ModelError "<name> must be <what>, got <value!r>".
+
+    kind is float (a finite number, returned as a float), int (returned as an
+    int), bool, str, dict (a mapping), list, or [item kind]: a list whose
+    items pass the rest of the rule.  A bool is not a number.  A number must
+    also be at least `least`, positive, below `below` and at most `most`
+    where given; `why` follows that range in the message.
+    """
+    limits = [("positive", lambda x: x > 0)] if positive else []
+    if least is not None:
+        limits.append(("nonnegative" if least == 0 and kind is float else f"at least {least}", lambda x: x >= least))
+    limits += [(f"below {below}", lambda x: x < below)] if below is not None else []
+    limits += [(f"at most {most}", lambda x: x <= most)] if most is not None else []
+    bounds = " and ".join(text for text, _ in limits) + why
+    if isinstance(kind, list):
+        rule = dict(least=least, positive=positive, below=below, most=most)
+        try:
+            return [check_value(name, item, kind[0], **rule) for item in check_value(name, value, list)]
+        except ModelError:
+            nouns = "lists of numbers" if isinstance(kind[0], list) else {float: "numbers", int: "integers"}[kind[0]]
+            each = f", each {bounds}" if limits else ""
+            raise ModelError(f"{name} must be a list of {nouns}{each}, got {value!r}") from None
+    what = {float: "a number", int: "an integer", bool: "true or false", str: "a string", dict: "a mapping",
+            list: "a list"}
+    types = {float: numbers.Real, int: numbers.Integral, dict: Mapping, list: (list, tuple)}
+    numeric = kind in (float, int)  # neither a bool nor NaN nor inf is a number
+    if not isinstance(value, types.get(kind, kind)) or numeric and (
+        isinstance(value, bool) or not abs(value) <= sys.float_info.max
+    ):
+        raise ModelError(f"{name} must be {what[kind]}, got {value!r}")
+    if not numeric:
+        return value
+    number = kind(value)
+    if not all(inside(number) for _, inside in limits):
+        raise ModelError(f"{name} must be {bounds}, got {value!r}")
+    return number
 
 
 def deviation_scale(epsilon: float, rho: float) -> float:
@@ -114,11 +156,11 @@ class ModelSpec:
     _mean_jump: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        check_value("dim", self.dim, int, least=1)
+        check_value("horizon", self.horizon, positive=True)
         x0 = np.asarray(self.x0, dtype=float).ravel()
         if x0.shape != (self.dim,):
             raise ModelError(f"x0 must have shape ({self.dim},)")
-        if self.horizon <= 0:
-            raise ModelError("horizon must be positive")
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
         if self.linear is not None:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .jump_sde import ModelError, ModelSpec
+from .jump_sde import ModelError, ModelSpec, check_value
 from .mark_space import MarkMeasure
 
 __all__ = ["MODEL_BUILDERS", "build_model"]
@@ -34,12 +34,11 @@ def scalar_benchmark(
     A1 = -decay and gain 1, so every closed form (Gramian, Lyapunov
     variance, terminal rates) is available for cross-checks.
     """
-    decay = float(decay)
     measure = MarkMeasure.single_atom(mark, weight)
     return ModelSpec(
         dim=1,
-        horizon=float(horizon),
-        x0=np.array([float(x0)]),
+        horizon=horizon,
+        x0=np.array([x0]),
         drift=lambda x: -decay * x,
         jump=measure.marks.T,
         drift_jac=lambda x: np.array([[-decay]]),
@@ -58,13 +57,11 @@ def linear_gaussian(
     The linearization has A1 = rate and gain `gain`, matching the scalar
     closed forms W(T) = gain^2 (e^{2 rate T} - 1) / (2 rate).
     """
-    rate = float(rate)
-    gain = float(gain)
     measure = MarkMeasure.single_atom(1.0, 1.0)
     return ModelSpec(
         dim=1,
-        horizon=float(horizon),
-        x0=np.array([float(x0)]),
+        horizon=horizon,
+        x0=np.array([x0]),
         drift=lambda x: rate * x,
         jump=gain * measure.marks.T,
         drift_jac=lambda x: np.array([[rate]]),
@@ -108,7 +105,7 @@ def two_d_benchmark(
 
     return ModelSpec(
         dim=2,
-        horizon=float(horizon),
+        horizon=horizon,
         x0=np.array([0.2, -0.1]),
         drift=drift,
         jump=jump,
@@ -124,7 +121,7 @@ def rank_deficient_2d(horizon: float = 1.0, factor: float = 2.0) -> ModelSpec:
     y = measure.marks[:, 0]
     return ModelSpec(
         dim=2,
-        horizon=float(horizon),
+        horizon=horizon,
         x0=np.zeros(2),
         drift=lambda x: -x,
         jump=np.array([y, factor * y]),
@@ -140,15 +137,14 @@ def pure_jump(
     weight: float = 1.0,
 ) -> ModelSpec:
     """No drift; each event shifts every component by eps*mark."""
-    d = int(dim)
     measure = MarkMeasure.single_atom(mark, weight)
     return ModelSpec(
-        dim=d,
-        horizon=float(horizon),
-        x0=np.zeros(d),
+        dim=dim,
+        horizon=horizon,
+        x0=np.zeros(dim),
         drift=lambda x: np.zeros(x.shape),
-        jump=np.tile(measure.marks.T, (d, 1)),
-        drift_jac=lambda x: np.zeros((d, d)),
+        jump=np.tile(measure.marks.T, (dim, 1)),
+        drift_jac=lambda x: np.zeros((dim, dim)),
         measure=measure,
     )
 
@@ -169,10 +165,14 @@ def build_model(name: str, params: dict | None = None) -> ModelSpec:
         )
     builder = MODEL_BUILDERS[name]
     params = params or {}
-    valid = list(inspect.signature(builder).parameters)
+    valid = inspect.signature(builder).parameters
     unknown = sorted(set(params) - set(valid))
     if unknown:
         raise ModelError(
-            f"unknown parameters {unknown} for model {name!r}; valid parameters: {valid}"
+            f"unknown parameters {unknown} for model {name!r}; valid parameters: {list(valid)}"
         )
-    return builder(**params)
+    # a parameter is a number, or an integer where its builder annotates it int
+    return builder(**{
+        key: check_value(f"model_params {key}", value, int if valid[key].annotation == "int" else float)
+        for key, value in params.items()
+    })

@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .jump_sde import (
-    ModelSpec, check_keys, deviation_scale, fluid_limit, simulate_jump_paths, write_csv,
+    ModelSpec, check_keys, check_value, deviation_scale, fluid_limit, simulate_jump_paths, write_csv,
 )
 from .mark_space import MarkMeasure
 from .prm import sample_poisson_batch, substream
@@ -123,27 +123,27 @@ def kernel_from_dict(spec: Mapping) -> KernelSpec:
     """Expression-free kernel catalog for config files.
 
     An unknown key for the kernel's kind raises ModelError listing the valid
-    ones.
+    ones; its values are read by check_value.
     """
-    kind = spec.get("kind", "constant")
+    kind = check_value("kernel kind", spec.get("kind", "constant"), str)
     if kind not in KERNEL_KEYS:
         raise PollutantError(f"unknown kernel kind {kind!r}")
     check_keys(f"{kind} kernel", spec, KERNEL_KEYS[kind])
+    value, intercept, amplitude = (
+        check_value(f"{kind} kernel {key}", spec.get(key, default))
+        for key, default in (("value", 1.0), ("intercept", 0.0), ("amplitude", 1.0))
+    )
+    slope = check_value(f"{kind} kernel slope", spec.get("slope", ()), [float])
     if kind == "constant":
-        return constant_kernel(float(spec.get("value", 1.0)))
+        return constant_kernel(value)
     if kind == "affine":
-        return _affine_kernel(float(spec.get("intercept", 0.0)), spec.get("slope", ()))
-    if kind == "tanh":
-        return _tanh_kernel(
-            float(spec.get("intercept", 0.0)),
-            float(spec.get("amplitude", 1.0)),
-            spec.get("slope", ()),
-        )
+        return _affine_kernel(intercept, slope)
+    return _tanh_kernel(intercept, amplitude, slope)
 
 
 def _mapping_from_pairs(block: str, pairs) -> dict:
-    try:
-        return {tuple(int(j) for j in mode): float(coeff) for mode, coeff in pairs}
+    try:  # check_value's ModelError is a ValueError too
+        return {tuple(check_value(block, j, int, least=0) for j in mode): check_value(block, c) for mode, c in pairs}
     except (TypeError, ValueError) as exc:
         raise PollutantError(
             f"{block} must be a list of [[mode...], coefficient] pairs, got {pairs!r}"
@@ -157,7 +157,7 @@ def _mapping_from_pairs(block: str, pairs) -> dict:
 CONFIG_KEYS = (
     "d_space", "side", "diffusivity", "velocity", "decay", "radius", "max_mode",
     "atoms", "horizon", "jump_kernel", "drift_kernels", "probes", "outputs", "x0",
-    "hs_exponent", "ball_points", "quad_points",
+    "hs_exponent", "ball_points",
     "epsilon", "seeds", "hs_levels",
 )
 
@@ -165,21 +165,20 @@ CONFIG_KEYS = (
 def params_from_dict(spec: Mapping) -> "PollutantParams":
     """Build parameters from the JSON-friendly config block.
 
-    An unknown key, here or in a kernel, raises ModelError listing the valid
-    ones.  A kernel that is not a mapping, a probes/outputs/drift_kernels
-    value that is not a list, a malformed probes/outputs/x0 pair list, or a
-    kernel slope without exactly one component per probe raises
-    PollutantError naming the block.
+    Every value is read by jump_sde.check_value (PollutantParams checks the
+    ranges), and an unknown key, here or in a kernel, raises ModelError
+    listing the valid ones.  A kernel that is not a mapping, a malformed
+    probes/outputs/x0 pair list, or a kernel slope without exactly one
+    component per probe raises PollutantError naming the block.
     """
     check_keys("pollutant", spec, CONFIG_KEYS)
-    atoms = np.asarray(spec["atoms"], dtype=float)
-    if atoms.ndim != 2 or atoms.shape[1] < 3:
+    atoms = check_value("atoms", spec.get("atoms"), [[float]])
+    if not atoms or len({len(row) for row in atoms}) > 1 or len(atoms[0]) < 3:
         raise PollutantError("atoms must be rows of (site components, magnitude, weight)")
+    atoms = np.array(atoms)
     measure = MarkMeasure(atoms[:, :-1], atoms[:, -1])
-    for block in ("probes", "outputs", "drift_kernels"):
-        if not isinstance(spec.get(block, ()), (list, tuple)):
-            raise PollutantError(f"{block} must be a list, got {spec[block]!r}")
-    probes = spec.get("probes", ())
+    probes, outputs, drifts = (check_value(k, spec.get(k, ()), list) for k in ("probes", "outputs", "drift_kernels"))
+    d_space = check_value("d_space", spec.get("d_space"), int)
 
     def kernel(block, k):
         if not isinstance(k, Mapping):
@@ -191,27 +190,18 @@ def params_from_dict(spec: Mapping) -> "PollutantParams":
             )
         return kernel_from_dict(k)
 
+    defaults = {"side": 1.0, "diffusivity": 1.0, "decay": 0.0, "radius": 0.05, "horizon": 1.0, "hs_exponent": 2.0}
     return PollutantParams(
-        d_space=int(spec["d_space"]),
-        side=float(spec.get("side", 1.0)),
-        diffusivity=float(spec.get("diffusivity", 1.0)),
-        velocity=tuple(spec.get("velocity", [0.0] * int(spec["d_space"]))),
-        decay=float(spec.get("decay", 0.0)),
-        radius=float(spec.get("radius", 0.05)),
-        max_mode=int(spec.get("max_mode", 5)),
+        **{key: check_value(key, spec.get(key, default)) for key, default in defaults.items()},
+        d_space=d_space,
+        velocity=tuple(check_value("velocity", spec.get("velocity", [0.0] * d_space), [float])),
+        max_mode=check_value("max_mode", spec.get("max_mode", 5), int),
         measure=measure,
-        horizon=float(spec.get("horizon", 1.0)),
         jump_kernel=kernel("jump_kernel", spec.get("jump_kernel", {"kind": "constant"})),
-        drift_kernels=tuple(
-            kernel(f"drift_kernels[{i}]", k) for i, k in enumerate(spec.get("drift_kernels", ()))
-        ),
+        drift_kernels=tuple(kernel(f"drift_kernels[{i}]", k) for i, k in enumerate(drifts)),
         probes=tuple(_mapping_from_pairs(f"probes[{i}]", p) for i, p in enumerate(probes)),
-        outputs=tuple(
-            _mapping_from_pairs(f"outputs[{i}]", z) for i, z in enumerate(spec.get("outputs", ()))
-        ),
+        outputs=tuple(_mapping_from_pairs(f"outputs[{i}]", z) for i, z in enumerate(outputs)),
         x0_coeffs=_mapping_from_pairs("x0", spec.get("x0", ())),
-        hs_exponent=float(spec.get("hs_exponent", 2.0)),
-        quad_points=int(spec.get("quad_points", 64)),
     )
 
 
@@ -243,15 +233,13 @@ class PollutantParams:
     outputs: tuple = ()
     x0_coeffs: Mapping = field(default_factory=dict)
     hs_exponent: float = 2.0
-    quad_points: int = 64
 
     def __post_init__(self) -> None:
-        if self.d_space < 1:
-            raise PollutantError("d_space must be >= 1")
-        if self.side <= 0 or self.diffusivity <= 0 or self.radius <= 0:
-            raise PollutantError("side, diffusivity and radius must be positive")
-        if self.decay < 0:
-            raise PollutantError("decay must be >= 0")
+        check_value("d_space", self.d_space, int, least=1)
+        for name in ("side", "diffusivity", "radius", "horizon"):
+            check_value(name, getattr(self, name), positive=True)
+        check_value("decay", self.decay, least=0)
+        check_value("max_mode", self.max_mode, int, least=0)
         if len(self.velocity) != self.d_space:
             raise PollutantError("velocity must have one component per space dimension")
         if len(self.outputs) != len(self.drift_kernels):

@@ -15,6 +15,7 @@ import inspect
 import os
 
 import numpy as np
+import pytest
 
 from jumpmdp import experiments
 from jumpmdp.mdp_limit import FluctuationParts
@@ -267,3 +268,36 @@ def test_exports_resolve():
         exported = getattr(module(node.module), "__all__", ())
         for alias in node.names:
             assert alias.name in exported, f"{node.module}: {alias.name} not in __all__"
+
+
+def test_one_config_value_checker():
+    # jump_sde.check_value holds the type rule of every config value: no other
+    # function in src/ words a "must be an integer" or "must be a number" error
+    from jumpmdp import cli, jump_sde
+
+    src_dir = os.path.dirname(experiments.__file__)
+    holders = set()
+
+    def visit(node, file_name, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+            "an integer" in node.value or "a number" in node.value
+        ):
+            holders.add((file_name, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, file_name, func)
+
+    for file_name in sorted(os.listdir(src_dir)):
+        if file_name.endswith(".py"):
+            with open(os.path.join(src_dir, file_name)) as fh:
+                visit(ast.parse(fh.read()), file_name, None)
+    assert holders == {("jump_sde.py", "check_value")}, holders
+    with pytest.raises(jump_sde.ModelError, match=r"^n must be an integer, got 2\.5$"):
+        jump_sde.check_value("n", 2.5, int)
+    with pytest.raises(jump_sde.ModelError, match=r"^n must be a number, got True$"):
+        jump_sde.check_value("n", True)
+    # the readers it replaced are gone
+    assert not hasattr(experiments, "_check_integer") and not hasattr(cli, "_study_settings")
+    assert "tilt_grid" not in params(experiments.verify_var_rep)
+    assert "quad_points" not in {f.name for f in dataclasses.fields(module("spde_pollutant").PollutantParams)}

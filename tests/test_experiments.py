@@ -411,12 +411,12 @@ def test_rate_writes_nothing_for_a_misshapen_target(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("seeds", "x", "seeds must be a list of integers >= 0, got 'x'"),
-        ("seeds", [0, -1], "seeds must be a list of integers >= 0, got [0, -1]"),
-        ("hs_levels", [], "hs_levels must be a non-empty list of integers >= 0, got []"),
-        ("hs_levels", [2, 4.5], "hs_levels must be a non-empty list of integers >= 0"),
-        ("epsilon", 0.0, "epsilon must be a positive number, got 0.0"),
-        ("epsilon", "0.1", "epsilon must be a positive number, got '0.1'"),
+        ("seeds", "x", "seeds must be a list of integers, each at least 0, got 'x'"),
+        ("seeds", [0, -1], "seeds must be a list of integers, each at least 0, got [0, -1]"),
+        ("hs_levels", [], "hs_levels must hold at least one level, got []"),
+        ("hs_levels", [2, 4.5], "hs_levels must be a list of integers, each at least 0, got [2, 4.5]"),
+        ("epsilon", 0.0, "epsilon must be positive, got 0.0"),
+        ("epsilon", "0.1", "epsilon must be a number, got '0.1'"),
     ],
 )
 def test_pollutant_study_keys_are_checked_before_any_table(tmp_path, capsys, key, value, message):
@@ -427,6 +427,71 @@ def test_pollutant_study_keys_are_checked_before_any_table(tmp_path, capsys, key
     assert cli.main(["pollutant", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"FAILED: {message}")
     assert not list(tmp_path.rglob("*.csv"))
+
+
+POLLUTANT_BASE = {"d_space": 1, "atoms": [[0.3, 1.0, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("mdp-slope", {"threshold": "1"}, "threshold"),
+        ("mdp-slope", {"rho": "0.25"}, "rho"),
+        ("mdp-slope", {"beta": None}, "beta"),
+        ("mdp-slope", {"eps_grid": 0.1}, "eps_grid"),
+        ("mdp-slope", {"model_params": {"decay": "fast"}}, "decay"),
+        ("clt-check", {"clt_epsilon": "1e-3"}, "clt_epsilon"),
+        ("simulate", {"dump_paths": "no"}, "dump_paths"),
+        ("rate", {"rate_targets": 5}, "rate_targets"),
+        ("rate", {"model": "two_d_benchmark", "rate_targets": [[1, "a"]]}, "rate_targets"),
+        ("var-rep", {"var_rep": {"theta": -1}}, "theta"),
+        ("lemma-check", {"lemma": 5}, "lemma"),
+        ("lemma-check", {"lemma": {"betas": [0.0]}}, "betas"),
+        ("lemma-check", {"lemma": {"m_bound": -1}}, "m_bound"),
+        ("lemma-check", {"lemma": {"eps": [0.0]}}, "eps"),
+        ("pollutant", {"pollutant": 5}, "pollutant"),
+        ("pollutant", {"pollutant": {**POLLUTANT_BASE, "d_space": "two"}}, "d_space"),
+        ("pollutant", {"pollutant": {**POLLUTANT_BASE, "side": "x"}}, "side"),
+        ("pollutant", {"pollutant": {**POLLUTANT_BASE, "max_mode": -1}}, "max_mode"),
+        ("pollutant", {"pollutant": {**POLLUTANT_BASE, "quad_points": 0}}, "quad_points"),
+    ],
+)
+def test_bad_config_values_are_named_before_any_table(tmp_path, capsys, command, config, key):
+    # every config value is read by one rule: a wrong type or an out-of-range
+    # value exits 1 with one line that names its key, and writes nothing
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    first = err.splitlines()[0]
+    assert first.startswith("FAILED: ") and re.search(rf"(?<!\w){key}(?!\w)", first), first
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_lemma_check_sweeps_only_the_configured_betas(tmp_path, capsys):
+    # a beta above 10 is tabulated but not swept, and beta 1 is not swept in its place
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"lemma": {"betas": [100.0]}}))
+    assert cli.main(["lemma-check", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "FAILED: lemma betas must hold a beta of at most 10 to sweep, got [100.0]\n"
+    assert not list(tmp_path.rglob("*.csv"))
+    path.write_text(json.dumps({"lemma": {"betas": [2.0, 100.0], "eps": [0.1]}}))
+    assert cli.main(["lemma-check", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    constants = (tmp_path / "out" / "lemma_constants.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in constants[1:]] == ["2.0", "100.0", "quad_envelope"]
+    bounds = (tmp_path / "out" / "lemma_bounds.csv").read_text().splitlines()[1:]
+    assert bounds and {row.split(",")[2] for row in bounds} == {"2.0"}
+
+
+def test_lemma_check_with_nothing_to_check_fails(tmp_path, capsys):
+    # a budget that excludes every catalog control leaves no bound to check
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"lemma": {"m_bound": 1e-6}}))
+    assert cli.main(["lemma-check", "--config", str(path), "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "excluded two_scale" in captured.out
+    assert captured.err.startswith("FAILED: no bound row to check: every catalog control is over budget [config ")
 
 
 def test_lemma_check_writes_nothing_for_an_unknown_model(tmp_path, capsys):

@@ -15,6 +15,7 @@ from jumpmdp.jump_sde import (
     ModelSpec,
     PathGrid,
     _event_schedule,
+    check_value,
     fluid_limit,
     simulate_jump_path,
     simulate_jump_paths,
@@ -52,6 +53,45 @@ def still_model(dim=1, x0=0.5):
 def events_at(times, horizon=1.0):
     t = np.asarray(times, dtype=float)
     return one_row(t, np.zeros(t.size, dtype=np.int64), horizon)
+
+
+@pytest.mark.parametrize(
+    "value, kind, rule, message",
+    [
+        ("1", float, {}, "x must be a number, got '1'"),
+        (False, float, {}, "x must be a number, got False"),
+        (math.nan, float, {"positive": True}, "x must be a number, got nan"),
+        (math.inf, float, {}, "x must be a number, got inf"),
+        (10**400, float, {}, f"x must be a number, got {10**400!r}"),
+        (3.0, int, {}, "x must be an integer, got 3.0"),
+        (True, int, {}, "x must be an integer, got True"),
+        ("no", bool, {}, "x must be true or false, got 'no'"),
+        (5, str, {}, "x must be a string, got 5"),
+        (None, dict, {}, "x must be a mapping, got None"),
+        (-1, float, {"least": 0}, "x must be nonnegative, got -1"),
+        (-1, int, {"least": 0}, "x must be at least 0, got -1"),
+        (0, float, {"positive": True}, "x must be positive, got 0"),
+        (0.5, float, {"positive": True, "below": 0.5}, "x must be positive and below 0.5, got 0.5"),
+        (1.5, float, {"positive": True, "most": 1}, "x must be positive and at most 1, got 1.5"),
+        (1, int, {"least": 2, "why": " for a reason"}, "x must be at least 2 for a reason, got 1"),
+        (0.1, [float], {}, "x must be a list of numbers, got 0.1"),
+        ([1, -1], [int], {"least": 0}, "x must be a list of integers, each at least 0, got [1, -1]"),
+        ([[1.0], [1, "a"]], [[float]], {}, "x must be a list of lists of numbers, got [[1.0], [1, 'a']]"),
+    ],
+)
+def test_check_value_names_the_rule_a_value_breaks(value, kind, rule, message):
+    with pytest.raises(ModelError) as info:
+        check_value("x", value, kind, **rule)
+    assert str(info.value) == message
+
+
+def test_check_value_returns_numbers_of_their_kind():
+    assert check_value("x", 2) == 2.0 and type(check_value("x", 2)) is float
+    assert type(check_value("x", np.int64(3), int)) is int
+    assert check_value("x", (0.2, 1), [float], positive=True) == [0.2, 1.0]
+    assert check_value("x", [[1, 2]], [[float]]) == [[1.0, 2.0]]
+    block = {"a": 1}
+    assert check_value("x", block, dict) is block and check_value("x", False, bool) is False
 
 
 def test_no_events_no_drift_constant():
