@@ -40,18 +40,8 @@ from . import spde_pollutant as spp
 # invalid configs, models and inputs: reported like failed checks, no traceback
 INPUT_ERRORS = (ModelError, MarkSpaceError, ControlError, InadmissiblePathError, spp.PollutantError)
 
-DEFAULT_POLLUTANT = {
-    "d_space": 1,
-    "side": 1.0,
-    "diffusivity": 1.0,
-    "velocity": [2.0],
-    "decay": 0.5,
-    "radius": 0.05,
-    "max_mode": 5,
-    "horizon": 1.0,
-    "atoms": [[0.3, 1.0, 0.6], [0.7, 2.0, 0.4]],
-    "jump_kernel": {"kind": "constant", "value": 1.0},
-}
+# the values that differ from spde_pollutant.params_from_dict's defaults
+DEFAULT_POLLUTANT = {"d_space": 1, "velocity": [2.0], "decay": 0.5, "atoms": [[0.3, 1.0, 0.6], [0.7, 2.0, 0.4]]}
 
 
 def _load_config(args) -> ExperimentConfig:

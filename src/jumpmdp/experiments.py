@@ -134,8 +134,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:  # JSON and Unicode decode errors are ValueErrors
+            raise ModelError(f"cannot read config file {path!r}: {exc}") from None
+        return cls.from_dict(data)
 
     def config_hash(self) -> str:
         """Hash of the experiment and its seed.

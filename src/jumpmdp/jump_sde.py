@@ -16,7 +16,8 @@ import numbers
 import os
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -121,22 +122,21 @@ def write_csv(path, header: str | None, rows) -> None:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Coefficients of the jump SDE and their derivatives.
+    """Coefficients of the jump SDE and their derivatives, kept as declared.
 
-    drift(x) and jump(x) take a state x of shape (..., d): a single state
-    (d,) or a batch of them.  drift returns (..., d).  The model evaluates
-    the jump coefficient on every atom of its measure at once: jump(x) ->
-    (..., d, n_atoms) has column k equal to G(x, y_k), with atoms in the
-    measure's merged and sorted order (measure.marks).  A batch row's value
-    must not depend on the other rows, and a single state keeps its own
-    (cheapest) evaluation.  The Jacobians take a single state:
-    drift_jac(x) -> (d, d), and jump_jac(x) -> (n_atoms, d, d) has slice k
-    equal to DxG(x, y_k).
+    drift(x) and a callable jump(x) take states x of shape (..., d) and
+    broadcast over the leading axes: one rule for a single state and for a
+    batch, in which a row's value must not depend on the other rows.  drift
+    returns (..., d); jump(x) -> (..., d, n_atoms) has column k equal to
+    G(x, y_k), with atoms in the measure's merged and sorted order
+    (measure.marks).  The Jacobians take one state: drift_jac(x) -> (d, d),
+    and jump_jac(x) -> (n_atoms, d, d) has slice k equal to DxG(x, y_k).
 
-    A state-independent G is passed as its (d, n_atoms) array, without a
-    jump_jac; from it jump, a zero jump_jac and the compensator are built once.
-    A copy by dataclasses.replace builds them again, for a new array if one
-    is given.
+    A state-independent G is declared as its (d, n_atoms) array, without a
+    jump_jac, and kept read-only (copied once unless it is a read-only array
+    of its own).  jump_values, jump_jacobian and compensator read either
+    kind; nothing derived is written into a field, so a copy made by
+    dataclasses.replace keeps the declared objects.
 
     linear, when given, is the (d,) diagonal L of a linear part of the
     drift, b(x) = L * x + N(x): fluid_limit and path integration then step
@@ -153,7 +153,6 @@ class ModelSpec:
     measure: MarkMeasure
     jump_jac: Callable | None = None
     linear: np.ndarray | None = None
-    _mean_jump: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_value("dim", self.dim, int, least=1)
@@ -172,28 +171,16 @@ class ModelSpec:
             linear.setflags(write=False)
             object.__setattr__(self, "linear", linear)
         n, d = self.measure.n_atoms, self.dim
-        # dataclasses.replace passes a built constant jump and its zero
-        # Jacobian back: the jump is its array again, and the Jacobian, which
-        # carries the array it was built for, is built anew
-        data = getattr(self.jump, "constant", self.jump)
-        if not callable(data):
-            if self.jump_jac is not None and not hasattr(self.jump_jac, "constant"):
+        if not callable(self.jump):
+            if self.jump_jac is not None:
                 raise ModelError("a constant (array) jump has a zero jump_jac; leave jump_jac out")
-            jump = _constant_jump(data)
-            g = jump(x0)
+            g = np.asarray(self.jump, dtype=float)
             if g.shape != (d, n):
                 raise ModelError(f"a constant jump must have shape {(d, n)}, got {g.shape}")
-            zeros = np.broadcast_to(0.0, (n, d, d))  # a read-only view
-
-            def jump_jac(x):
-                return zeros
-
-            jump_jac.constant = g
-            mean = (g * self.measure.weights).sum(axis=-1)
-            mean.setflags(write=False)
-            object.__setattr__(self, "jump", jump)
-            object.__setattr__(self, "jump_jac", jump_jac)
-            object.__setattr__(self, "_mean_jump", mean)
+            if g.flags.writeable or not g.flags.owndata:
+                g = g.copy()
+                g.setflags(write=False)
+            object.__setattr__(self, "jump", g)
         elif self.jump_jac is None:
             raise ModelError("a callable jump needs jump_jac, its Jacobian")
         stack = np.stack([x0, x0])
@@ -204,6 +191,8 @@ class ModelSpec:
             ("jump", stack, (2, d, n)),
         ):
             fn = getattr(self, name)
+            if not callable(fn):  # a constant G, checked above
+                continue
             try:
                 got = getattr(fn(x), "shape", "no array")
             except (TypeError, ValueError) as exc:
@@ -215,28 +204,32 @@ class ModelSpec:
                     f"shape {want}; at {where} it gave {got}"
                 )
 
+    def jump_values(self, x: np.ndarray) -> np.ndarray:
+        """G on every atom at the states x: (..., d, n_atoms); a constant G read-only, broadcast to that shape."""
+        if callable(self.jump):
+            return self.jump(x)
+        shape = x.shape[:-1] + self.jump.shape  # one state: the array (a view per cell slows linearization)
+        return self.jump if shape == self.jump.shape else np.broadcast_to(self.jump, shape)
+
+    def jump_jacobian(self, x: np.ndarray) -> np.ndarray:
+        """DxG on every atom at the state x: (n_atoms, d, d); one read-only zero stack for a constant G."""
+        return self.jump_jac(x) if callable(self.jump) else self._zero_jacobian
+
     def compensator(self, x: np.ndarray) -> np.ndarray:
-        """Mean jump drift at state x: sum_k G(x, y_k) w_k (for a constant G, one read-only array)."""
-        if self._mean_jump is not None:
-            return self._mean_jump
-        return (self.jump(x) * self.measure.weights).sum(axis=-1)
+        """Mean jump drift at the states x: sum_k G(x, y_k) w_k; one read-only array for a constant G."""
+        if callable(self.jump):
+            return (self.jump(x) * self.measure.weights).sum(axis=-1)
+        return self._constant_mean
 
+    @cached_property
+    def _zero_jacobian(self) -> np.ndarray:
+        return np.broadcast_to(0.0, (self.measure.n_atoms, self.dim, self.dim))
 
-def _constant_jump(values: np.ndarray) -> Callable:
-    """jump(x) for a state-independent (d, n_atoms) coefficient G.
-
-    G is copied once and made read-only: a single state gets G itself, a
-    batch a broadcast view of it.  ModelSpec builds an array jump here, and
-    finds G again as jump.constant.
-    """
-    values = np.array(values, dtype=float)
-    values.setflags(write=False)
-
-    def jump(x):
-        return values if x.ndim == 1 else np.broadcast_to(values, x.shape[:-1] + values.shape)
-
-    jump.constant = values
-    return jump
+    @cached_property
+    def _constant_mean(self) -> np.ndarray:
+        mean = (self.jump * self.measure.weights).sum(axis=-1)
+        mean.setflags(write=False)
+        return mean
 
 
 @dataclass(frozen=True)
@@ -452,7 +445,7 @@ def simulate_jump_paths(
     if events.times.size and events.times.max() > model.horizon:
         raise ModelError("event times outside [0, horizon]")
     grid = np.linspace(0.0, model.horizon, n_cells + 1)
-    return _integrate(model.drift, model.jump, model.x0, grid, epsilon, events, model.linear)
+    return _integrate(model.drift, model.jump_values, model.x0, grid, epsilon, events, model.linear)
 
 
 def simulate_jump_path(

@@ -230,10 +230,10 @@ def build_linearization(model: ModelSpec, fluid_path: PathGrid) -> LinearizedSys
     for c in range(n):
         xmid = 0.5 * (fluid_path.values[c] + fluid_path.values[c + 1])
         m = np.asarray(model.drift_jac(xmid), dtype=float).copy()
-        jacs = model.jump_jac(xmid)
+        jacs = model.jump_jacobian(xmid)
         for k in range(n_atoms):
             m += w[k] * jacs[k]
-        g = np.array(model.jump(xmid), dtype=float)
+        g = np.array(model.jump_values(xmid), dtype=float)
         if c == 0:
             first, first_bits = (m, g), (m.tobytes(), g.tobytes())
         elif a1 is None and (m.tobytes(), g.tobytes()) != first_bits:
@@ -349,13 +349,13 @@ def decompose_controlled_path(
         # one model call per stage on the (2B, d) rows xbar_0, x0_0, xbar_1, ...
         b = len(z)
         pairs = z[:, :2 * d].reshape(2 * b, d)
-        f, g = model.drift(pairs).reshape(b, 2, d), model.jump(pairs).reshape(b, 2, d * k)
+        f, g = model.drift(pairs).reshape(b, 2, d), model.jump_values(pairs).reshape(b, 2, d * k)
         return np.concatenate([
             f[:, 0], f[:, 1] + g[:, 1].reshape(b, d, k) @ w, g[:, 0], g[:, 1], np.zeros((b, d)),
         ], axis=1)
 
     def jump(z):
-        g = model.jump(z[:, :d])
+        g = model.jump_values(z[:, :d])
         out = np.zeros(z.shape + (k,))
         out[:, :d] = out[:, cuts[-1]:] = g
         return out

@@ -4,14 +4,14 @@ Models are registered builders keyed by name and configured purely by
 numeric parameters, so experiment configs stay expression-free and worker
 processes can rebuild any model from its (name, params) pair.  Each builder
 evaluates its jump coefficient on the marks of its own measure, in the
-measure's atom order, for a single state or a batch, or passes a constant
-one as its (d, n_atoms) array (see ModelSpec).
+measure's atom order, by numpy ufunc expressions that broadcast over any
+leading axes (so an overflowed state gives NaN, not an exception), or
+passes a constant one as its (d, n_atoms) array (see ModelSpec).
 """
 
 from __future__ import annotations
 
 import inspect
-import math
 
 import numpy as np
 
@@ -85,13 +85,11 @@ def two_d_benchmark(
     m = np.array([[-1.0, coupling], [0.0, -0.5]])
 
     def drift(x):
-        # a batch sums each row's two products itself, so a row's value does
-        # not depend on the batch (a BLAS product may round it differently)
-        return m @ x if x.ndim == 1 else (x[..., None, :] * m).sum(axis=-1)
+        # each row sums its two products itself, so a row's value does not
+        # depend on the batch (a BLAS product may round it differently)
+        return (x[..., None, :] * m).sum(axis=-1)
 
     def jump(x):
-        if x.ndim == 1:
-            return np.array([y * (1.0 + wobble * math.sin(x[0])), y * y])
         scaled = y * (1.0 + wobble * np.sin(x[..., 0:1]))
         return np.stack([scaled, np.broadcast_to(y * y, scaled.shape)], axis=-2)
 
@@ -100,7 +98,7 @@ def two_d_benchmark(
 
     def jump_jac(x):
         jac = np.zeros((y.size, 2, 2))
-        jac[:, 0, 0] = y * wobble * math.cos(x[0])
+        jac[:, 0, 0] = y * wobble * np.cos(x[0])
         return jac
 
     return ModelSpec(

@@ -68,8 +68,9 @@ class KernelSpec:
     """Scalar reaction kernel on probe values, with its gradient.
 
     fn maps probe values of shape (..., n_probes) to kernel values of shape
-    (...), a float for one probe vector; grad takes one probe vector.  value,
-    when set, is the constant of a kernel that does not depend on the probes.
+    (...), by one rule for one probe vector and for a batch; grad takes one
+    probe vector.  value, when set, is the constant of a kernel that does
+    not depend on the probes.
     """
 
     fn: Callable
@@ -79,7 +80,7 @@ class KernelSpec:
 
 def constant_kernel(value: float = 1.0) -> KernelSpec:
     return KernelSpec(
-        fn=lambda p: value if np.ndim(p) == 1 else np.full(np.shape(p)[:-1], value),
+        fn=lambda p: np.full(np.shape(p)[:-1], value),
         grad=lambda p: np.zeros(np.asarray(p).size),
         value=value,
     )
@@ -481,8 +482,8 @@ def assemble_model(params: PollutantParams, sys: EigenSystem | None = None) -> M
     a * K0(probe values) * ball_average(x), one column per atom of the mark
     measure.  Jacobians follow from the kernel gradients.  Ball averages are
     computed once per atom, exact to round-off.  A constant jump kernel makes
-    G state-independent: the model gets its array, from which ModelSpec
-    builds the zero jump_jac and the compensator.  Without drift kernels
+    G state-independent: the model declares its array, and ModelSpec reads
+    the zero Jacobian and the compensator from it.  Without drift kernels
     drift_jac returns one read-only diag(linear).
     """
     sys = build_eigensystem(params) if sys is None else sys
@@ -507,8 +508,8 @@ def assemble_model(params: PollutantParams, sys: EigenSystem | None = None) -> M
     ])
 
     def probe_values(v):
-        # a batch sums row by row, so a row's value does not depend on the batch
-        return probes @ v if v.ndim == 1 else (v[..., None, :] * probes).sum(axis=-1)
+        # summed row by row, so a row's value does not depend on the batch
+        return (v[..., None, :] * probes).sum(axis=-1)
 
     def drift(v):
         out = linear * v
@@ -531,8 +532,7 @@ def assemble_model(params: PollutantParams, sys: EigenSystem | None = None) -> M
 
     if k0.value is None:
         def jump(v):
-            k = k0.fn(probe_values(v))
-            return balls * (mags * (float(k) if v.ndim == 1 else k[..., None, None]))
+            return balls * (mags * k0.fn(probe_values(v))[..., None, None])
 
         def jump_jac(v):
             grad = np.asarray(k0.grad(probe_values(v)), dtype=float) @ probes

@@ -51,9 +51,9 @@ def validate_derivatives(model, seed=0, n_points=5):
         fd = _fd_jacobian(model.drift, x)
         if np.linalg.norm(jb - fd) > 1e-5 * (1.0 + np.linalg.norm(jb)):
             raise ModelError(f"drift_jac mismatch with finite differences at x={x}")
-        jacs = model.jump_jac(x)
+        jacs = model.jump_jacobian(x)
         for k in range(model.measure.n_atoms):
-            fdg = _fd_jacobian(lambda z: model.jump(z)[:, k], x)
+            fdg = _fd_jacobian(lambda z: model.jump_values(z)[:, k], x)
             if np.linalg.norm(jacs[k] - fdg) > 1e-5 * (1.0 + np.linalg.norm(jacs[k])):
                 raise ModelError(
                     f"jump_jac mismatch with finite differences at x={x}, atom {k}"

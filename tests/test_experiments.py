@@ -89,6 +89,22 @@ def test_config_typos_are_named_errors(tmp_path, capsys):
         assert err.startswith("FAILED: unknown") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["not JSON", "not UTF-8", "missing", "a directory"])
+def test_unreadable_config_files_are_named_errors(tmp_path, capsys, case):
+    path = tmp_path / "cfg.json"
+    if case == "not JSON":
+        path.write_text('{"seed": 1,}')
+    elif case == "not UTF-8":
+        path.write_bytes(b'{"seed": "\xff"}')
+    elif case == "a directory":
+        path.mkdir()
+    out = tmp_path / "out"
+    assert cli.main(["fluid", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"FAILED: cannot read config file {str(path)!r}: ") and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 @pytest.mark.parametrize(
     "command, config, extra, key",
     [

@@ -272,6 +272,12 @@ def test_fluid_limit_blow_up_names_a_plain_time():
     with pytest.raises(ModelError, match=r"fluid limit blew up at t=") as info:
         fluid_limit(model, 64)
     assert "np.float64" not in str(info.value)
+    # two_d_benchmark's jump coefficient takes sin of the overflowed state:
+    # a numpy ufunc gives NaN, so the blow-up is named, not a math domain error
+    model = dataclasses.replace(build_model("two_d_benchmark"), drift=lambda x: -3000.0 * x)
+    with pytest.raises(ModelError) as info:
+        fluid_limit(model, 64)
+    assert str(info.value) == "fluid limit blew up at t=0.921875"
 
 
 def test_exponential_fluid_blow_up_names_its_first_nonfinite_time():
@@ -491,8 +497,8 @@ def test_model_derivative_validation():
     assert "pure_jump" in MODEL_BUILDERS and models[-1].measure.n_atoms == 2
     for model in models:
         n, d = model.measure.n_atoms, model.dim
-        assert model.jump(model.x0).shape == (d, n)
-        assert model.jump_jac(model.x0).shape == (n, d, d)
+        assert model.jump_values(model.x0).shape == (d, n)
+        assert model.jump_jacobian(model.x0).shape == (n, d, d)
         validate_derivatives(model, seed=1)
     broken = ModelSpec(
         dim=1, horizon=1.0, x0=np.zeros(1),
@@ -519,48 +525,69 @@ def test_model_derivative_validation():
 
 
 def test_constant_jump_is_declared_as_data():
-    # a state-independent G comes as an array; ModelSpec builds its jump, one
-    # read-only zero Jacobian and one read-only compensator, with the bits of
-    # the per-call expression
+    # a state-independent G comes as an array, which the model keeps; its
+    # Jacobian is one read-only zero stack and its compensator one read-only
+    # array, with the bits of the per-call expression
     models = {name: build_model(name) for name in MODEL_BUILDERS}
     models["pollutant"] = assemble_model(params_from_dict({
         "d_space": 1, "velocity": [2.0], "max_mode": 3, "atoms": [[0.3, 1.0, 0.6], [0.7, 2.0, 0.4]],
     }))
+    models["pollutant-constant"] = assemble_model(params_from_dict({
+        "d_space": 2, "velocity": [2.0, 0.0], "max_mode": 2, "atoms": [[0.3, 0.4, 1.3, 0.6], [0.7, 0.6, 0.7, 0.4]],
+        "jump_kernel": {"kind": "constant", "value": 1.7},
+    }))
     constant = set()
     for name, model in models.items():
         x1 = model.x0 + 0.3
-        if not any(np.any(model.jump_jac(x)) for x in (model.x0, x1)):
+        if not any(np.any(model.jump_jacobian(x)) for x in (model.x0, x1)):
             constant.add(name)
+            assert isinstance(model.jump, np.ndarray) and not model.jump.flags.writeable and model.jump_jac is None
             mean = model.compensator(model.x0)
             assert mean is model.compensator(x1) and not mean.flags.writeable
-            assert mean.tobytes() == (model.jump(model.x0) * model.measure.weights).sum(axis=-1).tobytes()
-            jac = model.jump_jac(model.x0)
-            assert jac is model.jump_jac(x1) and not jac.flags.writeable
+            assert mean.tobytes() == (model.jump_values(model.x0) * model.measure.weights).sum(axis=-1).tobytes()
+            jac = model.jump_jacobian(model.x0)
+            assert jac is model.jump_jacobian(x1) and not jac.flags.writeable
             assert jac.shape == (model.measure.n_atoms, model.dim, model.dim)
+            batch = np.stack([model.x0, x1, x1])
+            for x in (model.x0, batch):
+                g = model.jump_values(x)
+                assert g.shape == x.shape[:-1] + model.jump.shape and not g.flags.writeable
+                assert (g == model.jump).all()
         else:
             assert model.compensator(model.x0) is not model.compensator(model.x0)
-    assert constant == {"scalar_benchmark", "linear_gaussian", "rank_deficient_2d", "pure_jump", "pollutant"}
-    # a copy made by dataclasses.replace passes the built callables back and keeps the bits
+    assert constant == {
+        "scalar_benchmark", "linear_gaussian", "rank_deficient_2d", "pure_jump", "pollutant", "pollutant-constant",
+    }
+    # a copy made by dataclasses.replace keeps the declared jump and jump_jac
+    # objects, and the bits of the fluid limit and of the paths
     model = models["scalar_benchmark"]
     copy = dataclasses.replace(model, drift=model.drift)
     assert fluid_limit(copy, 64)[0].values.tobytes() == fluid_limit(model, 64)[0].values.tobytes()
-    for name in constant:
-        model = models[name]
+    for name, model in models.items():
         events = sample_poisson_batch(model.measure, 20.0, model.horizon, [substream(2, r) for r in range(5)])
-        copy = dataclasses.replace(model, drift=model.drift)
-        mean = copy.compensator(copy.x0)
-        assert mean is copy.compensator(copy.x0 + 0.3) and not mean.flags.writeable
-        assert mean.tobytes() == model.compensator(model.x0).tobytes()
-        assert not np.any(copy.jump_jac(copy.x0)) and copy.jump(copy.x0).tobytes() == model.jump(model.x0).tobytes()
+        copy = dataclasses.replace(model)
+        assert copy.jump is model.jump and copy.jump_jac is model.jump_jac, name
+        assert fluid_limit(copy, 16)[0].values.tobytes() == fluid_limit(model, 16)[0].values.tobytes(), name
         assert simulate_jump_paths(copy, 0.1, events, 16).tobytes() == simulate_jump_paths(model, 0.1, events, 16).tobytes()
-    # a new array G rebuilds the zero Jacobian and the compensator
+        if name in constant:
+            mean = copy.compensator(copy.x0)
+            assert mean is copy.compensator(copy.x0 + 0.3) and not mean.flags.writeable
+            assert mean.tobytes() == model.compensator(model.x0).tobytes()
+            assert not np.any(copy.jump_jacobian(copy.x0))
+            assert copy.jump_values(copy.x0).tobytes() == model.jump_values(model.x0).tobytes()
+    # a new array G gets its own zero Jacobian and compensator
     model = models["scalar_benchmark"]
     doubled = dataclasses.replace(model, drift=lambda x: -2.0 * x, jump=np.array([[2.0]]))
     assert doubled.compensator(doubled.x0).tolist() == [2.0] and not doubled.compensator(doubled.x0).flags.writeable
-    assert doubled.jump_jac(doubled.x0).tolist() == [[[0.0]]]
+    assert doubled.jump_jacobian(doubled.x0).tolist() == [[[0.0]]]
     assert fluid_limit(doubled, 64)[0].values.tobytes() != fluid_limit(model, 64)[0].values.tobytes()
     with pytest.raises(ModelError, match="zero jump_jac"):
         dataclasses.replace(model, jump=np.array([[2.0]]), jump_jac=lambda x: np.zeros((1, 1, 1)))
+    # the declared array is copied unless it is read-only and its own
+    declared = np.array([[2.0]])
+    assert dataclasses.replace(model, jump=declared).jump is not declared
+    declared.setflags(write=False)
+    assert dataclasses.replace(model, jump=declared).jump is declared
 
 
 def test_jump_contract_violations_are_named():

@@ -128,7 +128,7 @@ def test_jump_scales_linearly_in_magnitude():
     )
     model = assemble_model(params)
     v = np.zeros(model.dim)
-    g = model.jump(v)  # atoms in mark order: (0.3, 1.0), (0.3, 2.0)
+    g = model.jump_values(v)  # atoms in mark order: (0.3, 1.0), (0.3, 2.0)
     assert np.allclose(g[:, 1], 2.0 * g[:, 0])
 
 
@@ -195,7 +195,7 @@ def test_jump_positivity_of_mass_mode():
     sysm = build_eigensystem(params)
     zero_mode = sysm.modes.index((0,))
     v = np.zeros(model.dim)
-    assert np.all(model.jump(v)[zero_mode] >= 0.0)
+    assert np.all(model.jump_values(v)[zero_mode] >= 0.0)
 
 
 def test_nonlinear_kernels_pass_derivative_check():
@@ -496,13 +496,13 @@ def test_constant_kernel_model_matches_the_general_closure():
     ))
     batch = const.x0 + np.arange(3.0)[:, None]
     for x in (const.x0, batch):
-        got, want = const.jump(x), general.jump(x)
+        got, want = const.jump_values(x), general.jump_values(x)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert np.array_equal(const.jump_jac(const.x0), general.jump_jac(const.x0))
+    assert np.array_equal(const.jump_jacobian(const.x0), general.jump_jacobian(const.x0))
     (fluid_c, _), (fluid_g, _) = fluid_limit(const, 64), fluid_limit(general, 64)
     assert fluid_c.values.tobytes() == fluid_g.values.tobytes()
     lin_c, lin_g = build_linearization(const, fluid_c), build_linearization(general, fluid_g)
     for key in ("drift_mat", "jump_vals"):
         assert np.ascontiguousarray(getattr(lin_c, key)).tobytes() == np.ascontiguousarray(getattr(lin_g, key)).tobytes()
-    for arr in (const.jump(const.x0), const.jump(batch), const.jump_jac(const.x0)):
+    for arr in (const.jump_values(const.x0), const.jump_values(batch), const.jump_jacobian(const.x0)):
         assert not arr.flags.writeable
