@@ -65,7 +65,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> None:
 def cmd_fluid(cfg: ExperimentConfig) -> None:
     out = cfg.out_dir
     model = build_model(cfg.model, cfg.model_params)
-    path, peak = fluid_limit(model, cfg.n_cells_analysis)
+    path, peak = fluid_limit(model, cfg.n_cells)
     path.to_csv(os.path.join(out, "fluid.csv"))
     print(f"fluid: wrote {out}/fluid.csv, sup_t |x(t)| = {peak!r}")
 
@@ -104,19 +104,19 @@ def cmd_rate(cfg: ExperimentConfig) -> None:
     for k, z in enumerate(cfg.rate_targets):
         if len(z) != model.dim:
             raise ModelError(f"rate_targets[{k}] has {len(z)} entries, but {cfg.model} has dim {model.dim}")
-    sim = build_linearization(model, fluid_limit(model, cfg.n_cells)[0])  # the sphere rate starts here
-    value, zstar, error, _ = sphere_rate(model, sim, cfg.threshold)
-    sysm = build_linearization(model, fluid_limit(model, cfg.n_cells_analysis)[0])  # the tables' grid
-    targets = [np.asarray(z, dtype=float) for z in cfg.rate_targets] or [zstar]
-    sols = [rate_to_point(sysm, z) for z in targets]
-    summary = [(f"sphere_{cfg.threshold!r}", value, 0.0, error)]
-    summary += [(f"point_{k}", sol.value, sol.residual, None) for k, sol in enumerate(sols)]
-    write_csv(os.path.join(out, "rate_summary.csv"), "target,rate,residual,error", summary)
-    for k, (z, sol) in enumerate(zip(targets, sols)):
+    sim = build_linearization(model, fluid_limit(model, cfg.n_cells)[0])
+    points = [np.asarray(z, dtype=float) for z in cfg.rate_targets]
+    rates, zstar, errors, _ = sphere_rate(model, sim, cfg.threshold, points or None)
+    sols = [rate_to_point(sim, z) for z in points or [zstar]]  # the optimal paths and controls on the simulation grid
+    names = [f"sphere_{cfg.threshold!r}", *(f"point_{k}" for k in range(len(sols)))]
+    residuals = [0.0, *(sol.residual for sol in sols)]
+    write_csv(os.path.join(out, "rate_summary.csv"), "target,rate,residual,error", zip(names, rates, residuals, errors))
+    for k, (z, sol) in enumerate(zip(points or [zstar], sols)):
         sol.path.to_csv(os.path.join(out, f"rate_path_{k}.csv"))
         write_csv(os.path.join(out, f"rate_psi_{k}.csv"), None, sol.psi.tolist())
-        print(f"rate: target {tuple(z.tolist())} -> I = {sol.value!r} (residual {sol.residual:.2e})")
-    print(f"rate: sphere radius {cfg.threshold!r} -> inf I = {value!r} (error {error:.1e}) at z* = {zstar}")
+        print(f"rate: target {tuple(z.tolist())} -> I = {rates[k + 1]!r} "
+              f"(error {errors[k + 1]:.1e}, residual {sol.residual:.2e})")
+    print(f"rate: sphere radius {cfg.threshold!r} -> inf I = {rates[0]!r} (error {errors[0]:.1e}) at z* = {zstar}")
 
 
 def cmd_lemma_check(cfg: ExperimentConfig) -> None:

@@ -87,7 +87,7 @@ CONFIG_RULES = {
     "rho": {"positive": True, "below": 0.5}, "beta": {"positive": True, "most": 1},
     "threshold": {"least": 0}, "clt_epsilon": {"positive": True},
     "seed": {"kind": int, "least": 0}, "clt_replications": {"kind": int, "least": 2},
-    **dict.fromkeys(("n_cells", "n_cells_analysis", "workers"), {"kind": int, "least": 1}),
+    **dict.fromkeys(("n_cells", "workers"), {"kind": int, "least": 1}),
     **dict.fromkeys(("replications", "is_replications"), {"kind": int, "least": 100}),
 }
 
@@ -106,7 +106,6 @@ class ExperimentConfig:
     beta: float = 1.0
     seed: int = 0
     n_cells: int = 64
-    n_cells_analysis: int = 2_000
     out_dir: str = "out"
     workers: int = 1
     dump_paths: bool = False
@@ -383,7 +382,7 @@ def run_mdp_slope(cfg: ExperimentConfig, out_dir: str | None = None) -> SlopeRes
     model = build_model(cfg.model, cfg.model_params)
     fluid, _ = fluid_limit(model, cfg.n_cells)
     sysm = build_linearization(model, fluid)
-    predicted, zstar, _, _ = sphere_rate(model, sysm, cfg.threshold)
+    (predicted,), zstar, _, _ = sphere_rate(model, sysm, cfg.threshold)
     # the optimal control for the sphere event, on the simulation grid
     psi_star = rate_to_point(sysm, zstar).psi
     fluid_end = fluid.terminal()

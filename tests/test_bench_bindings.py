@@ -177,20 +177,30 @@ def test_one_rk4_kernel_and_one_stein_fold():
 
 
 def test_one_analysis_grid():
-    # the drivers start the sphere rate, z* and Sigma_T from their simulation grid
+    # the drivers start the rates, z* and Sigma_T from their simulation grid
     # through one function, so each builds one fluid path and one linearization
     sites = _call_sites(outermost=True)
-    for driver in ("run_mdp_slope", "run_clt_check"):
-        calls = [name for f, func, name, _ in sites if (f, func) == ("experiments.py", driver)]
+    drivers = (("experiments.py", "run_mdp_slope"), ("experiments.py", "run_clt_check"), ("cli.py", "cmd_rate"))
+    for driver in drivers:
+        calls = [name for f, func, name, _ in sites if (f, func) == driver]
         assert calls.count("fluid_limit") == calls.count("build_linearization") == calls.count("sphere_rate") == 1, driver
     callers = lambda callee: {(f, func) for f, func, name, _ in sites if name == callee}
-    assert callers("sphere_rate") == {("experiments.py", "run_mdp_slope"), ("experiments.py", "run_clt_check"),
-                                      ("cli.py", "cmd_rate")}
+    assert callers("sphere_rate") == set(drivers)
     assert callers("sphere_minimum") == callers("gaussian_covariance") == {("rate.py", "sphere_rate")}
-    # n_cells_analysis is only the output grid of fluid and of rate's path and psi tables
-    readers = {(f, func) for f, func, name, _ in _call_sites(outermost=True, kind=ast.Attribute)
-               if name == "n_cells_analysis"}
-    assert readers == {("cli.py", "cmd_fluid"), ("cli.py", "cmd_rate")}, readers
+    # n_cells is the one grid of every command: no second one is named in src/ or the README
+    src_dir = os.path.dirname(experiments.__file__)
+    paths = [os.path.join(src_dir, name) for name in os.listdir(src_dir) if name.endswith(".py")]
+    for path in [*paths, os.path.join(os.path.dirname(os.path.dirname(src_dir)), "README.md")]:
+        with open(path) as fh:
+            assert "n_cells_analysis" not in fh.read(), path
+
+
+def test_every_config_field_is_read():
+    # a field that no function reads beyond its own validation is a key accepted and ignored
+    reads = {name for _, func, name, node in _call_sites(kind=ast.Attribute)
+             if func not in (None, "__post_init__") and isinstance(node.ctx, ast.Load)}
+    unread = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)} - reads
+    assert not unread, unread
 
 
 def test_overflow_is_named_where_it_is_computed():

@@ -26,6 +26,7 @@ from jumpmdp.jump_sde import ModelError
 from jumpmdp.mark_space import MarkMeasure
 from jumpmdp.models import build_model
 from jumpmdp import cli, experiments
+from jumpmdp import rate as rate_module
 
 SMALL = dict(
     eps_grid=(0.2, 0.1),
@@ -34,7 +35,6 @@ SMALL = dict(
     clt_epsilon=0.05,
     clt_replications=200,
     n_cells=32,
-    n_cells_analysis=200,
 )
 
 
@@ -108,7 +108,7 @@ def test_unreadable_config_files_are_named_errors(tmp_path, capsys, case):
 @pytest.mark.parametrize(
     "command, config, extra, key",
     [
-        ("fluid", {"n_cells_analysis": 0}, [], "n_cells_analysis"),
+        ("fluid", {"n_cells": 0}, [], "n_cells"),
         ("simulate", {"n_cells": 0, "eps_grid": [0.2], "replications": 100}, [], "n_cells"),
         ("fluid", {"workers": -3}, [], "workers"),
         ("fluid", {}, ["--workers", "0"], "workers"),
@@ -120,6 +120,17 @@ def test_counts_below_one_are_named_errors(tmp_path, capsys, command, config, ex
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path), *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"FAILED: {key} must be at least 1, got ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fluid", "rate"])
+def test_the_retired_analysis_grid_key_is_unknown(tmp_path, capsys, command):
+    # every command reads one grid, n_cells
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_cells_analysis": 200}))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAILED: unknown config keys ['n_cells_analysis']; valid keys: ") and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_zero_clt_epsilon_is_a_named_error(tmp_path, capsys):
@@ -144,7 +155,7 @@ def test_negative_threshold_is_a_named_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("n_cells", 1.5), ("n_cells_analysis", 200.0), ("replications", 400.5),
+    [("n_cells", 1.5), ("n_cells", 64.0), ("replications", 400.5),
      ("is_replications", "200"), ("clt_replications", 2.5), ("workers", True)],
 )
 def test_non_integer_counts_are_named_errors(tmp_path, capsys, key, value):
@@ -210,8 +221,7 @@ def test_clt_check_fails_on_a_nan_covariance_error(tmp_path, monkeypatch, capsys
         lambda cfg, out_dir: dataclasses.replace(real(cfg, out_dir), rel_frobenius_error=math.nan),
     )
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"clt_replications": 20, "clt_epsilon": 0.05, "n_cells": 8,
-                                "n_cells_analysis": 50}))
+    path.write_text(json.dumps({"clt_replications": 20, "clt_epsilon": 0.05, "n_cells": 8}))
     assert cli.main(["clt-check", "--config", str(path), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("FAILED: covariance error nan > 0.15")
 
@@ -343,20 +353,65 @@ def test_nonfinite_optimal_control_fails_without_warnings(tmp_path, capsys):
     assert not (tmp_path / "summary.csv").exists()
 
 
-def test_stiff_rate_command_reports_the_sampled_rate(tmp_path, capsys):
-    # on 64 analysis cells dt |A1| = 47: the exact cell map has no stability limit, so the
-    # rate command writes the point rate of the sampled system, 1 / (2 W) = 1/128, at z* = 1;
-    # the sphere row is the limit's, 1 / (2 Sigma_T) = 1/3000
+def test_stiff_rate_command_reports_the_limit_rate_at_z_star(tmp_path, capsys):
+    # on 64 cells dt |A1| = 47: the exact cell map has no stability limit, and Sigma_T = 1500
+    # is exact on any grid, so the point row at z* = 1 is the limit's 1 / (2 Sigma_T) = 1/3000
+    # with error 0, as the sphere row is (the sampled system's 1 / (2 W) = 1/128 is rate_to_point's)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**STIFF, "n_cells_analysis": 64}))
+    path.write_text(json.dumps(STIFF))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["rate", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().err == ""
     rows = (tmp_path / "rate_summary.csv").read_text().splitlines()
-    sphere, point = (float(row.split(",")[1]) for row in rows[1:])
+    (sphere, _, _), (point, _, error) = ([float(v) for v in row.split(",")[1:]] for row in rows[1:])
     assert rows[1].startswith("sphere_1.0,") and abs(sphere - 1.0 / 3000.0) <= 1e-12 / 3000.0
-    assert rows[2].startswith("point_0,") and abs(point - 1.0 / 128.0) <= 1e-13 / 128.0
+    assert rows[2].startswith("point_0,") and abs(point - 1.0 / 3000.0) <= 1e-12 / 3000.0 and error == 0.0
+
+
+def rate_rows(out, config):
+    """{target: [rate, residual, error]} of `jumpmdp rate` on config; a numpy RuntimeWarning is an error."""
+    out.mkdir()
+    path = out / "cfg.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["rate", "--config", str(path), "--out", str(out)]) == 0
+    rows = (out / "rate_summary.csv").read_text().splitlines()[1:]
+    return {row.split(",")[0]: [float(v) for v in row.split(",")[1:]] for row in rows}
+
+
+@pytest.mark.parametrize("targets", [[], [[1.0], [-1.0]]])
+def test_scalar_point_rates_are_the_closed_form(tmp_path, targets):
+    # Sigma_T = (1 - e^{-2}) / 2 is exact on 64 cells, so 1/2 z' Sigma_T^+ z on |z| = 1,
+    # at z* and at the given targets, is 1 / (1 - e^{-2}) with error 0
+    rows = rate_rows(tmp_path / "out", {"model": "scalar_benchmark", "rate_targets": targets})
+    assert list(rows) == ["sphere_1.0", *(f"point_{k}" for k in range(len(targets) or 1))]
+    for name, (rate, _, error) in rows.items():
+        assert rate == pytest.approx(1.0 / (1.0 - math.exp(-2.0)), rel=4e-16, abs=0.0) and error == 0.0, name
+
+
+def test_two_d_point_rates_come_from_one_ladder(tmp_path, monkeypatch):
+    # every target climbs one ladder of Sigma_T from 64 cells, not from the simulation grid
+    grids = []
+    real = rate_module.fluid_limit
+    monkeypatch.setattr(rate_module, "fluid_limit", lambda model, n: grids.append(n) or real(model, n))
+    rows = rate_rows(tmp_path / "star", {"model": "two_d_benchmark", "n_cells": 2000})
+    assert grids[0] == 64 and max(grids) < 2000, grids
+    (sphere, _, sphere_error), (star, _, star_error) = rows["sphere_1.0"], rows["point_0"]
+    assert 0.0 < sphere_error <= 1e-8 * sphere and 0.0 < star_error and abs(star - sphere) <= sphere_error
+    # Richardson's (4 r_8000 - r_4000) / 3 of 1/2 z' Sigma_T^{-1} z at z = (1, 1) is 0.28128101943
+    ones = rate_rows(tmp_path / "ones", {"model": "two_d_benchmark", "rate_targets": [[1.0, 1.0]]})
+    rate, residual, error = ones["point_0"]
+    assert abs(rate - 0.28128101943) <= error <= 1e-8 * rate and residual <= 1e-8
+
+
+def test_a_target_off_the_range_of_sigma_t_has_an_infinite_rate(tmp_path):
+    # no jumps drive the state: Sigma_T = W = 0, and the range residual of z = 1 is 1
+    config = {"model": "linear_gaussian", "model_params": {"gain": 0.0}, "rate_targets": [[1.0]]}
+    rows = rate_rows(tmp_path / "out", config)
+    assert rows["point_0"] == [math.inf, 1.0, 0.0]
+    assert rows["sphere_1.0"][0] == math.inf
 
 
 def test_stiff_sphere_rate_is_the_limit_rate(tmp_path, monkeypatch):
@@ -405,7 +460,7 @@ def test_fluid_limit_blow_up_is_the_only_report(tmp_path, capsys, command):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
         "model": "linear_gaussian", "model_params": {"rate": -3000.0, "gain": 3000.0},
-        "n_cells": 64, "n_cells_analysis": 64,
+        "n_cells": 64,
     }))
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("FAILED: fluid limit blew up at t=0.921875\n")
@@ -415,7 +470,7 @@ def test_rate_writes_nothing_for_a_misshapen_target(tmp_path, capsys):
     # every target is checked against the model's dimension before the first CSV
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
-        "model": "two_d_benchmark", "n_cells_analysis": 200, "rate_targets": [[0.5, -0.2], [1.0]],
+        "model": "two_d_benchmark", "rate_targets": [[0.5, -0.2], [1.0]],
     }))
     out = tmp_path / "out"
     assert cli.main(["rate", "--config", str(path), "--out", str(out)]) == 1
@@ -520,7 +575,7 @@ def test_lemma_check_writes_nothing_for_an_unknown_model(tmp_path, capsys):
 
 def test_rate_prints_default_target_as_plain_floats(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"model": "pure_jump", "n_cells_analysis": 200}))
+    path.write_text(json.dumps({"model": "pure_jump"}))
     assert cli.main(["rate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().out.startswith("rate: target (1.0,) -> I = ")
 
@@ -739,7 +794,6 @@ def test_cli_simulate_and_pollutant(tmp_path):
         replications=120,
         is_replications=100,
         n_cells=16,
-        n_cells_analysis=100,
         dump_paths=True,
         pollutant={
             "d_space": 1,
@@ -818,7 +872,7 @@ def test_cli_runs_leave_scipy_linalg_unloaded(tmp_path):
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(jumpmdp.__file__)))
     small = {"model": "scalar_benchmark", "eps_grid": [0.2, 0.1], "replications": 100,
-             "is_replications": 100, "clt_replications": 100, "n_cells": 16, "n_cells_analysis": 100}
+             "is_replications": 100, "clt_replications": 100, "n_cells": 16}
     configs = {
         "mdp-slope": small,
         "clt-check": small,

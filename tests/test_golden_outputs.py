@@ -19,7 +19,6 @@ CASES = {
         "clt_epsilon": 0.05,
         "clt_replications": 200,
         "n_cells": 32,
-        "n_cells_analysis": 200,
     },
     # scalar_benchmark is time-invariant: one stored cell for W and Sigma_T
     "clt-check-scalar": {
@@ -27,9 +26,8 @@ CASES = {
         "clt_epsilon": 0.05,
         "clt_replications": 200,
         "n_cells": 32,
-        "n_cells_analysis": 200,
     },
-    "fluid": {"model": "two_d_benchmark", "n_cells_analysis": 200},
+    "fluid": {"model": "two_d_benchmark", "n_cells": 200},
     "lemma-check": {"lemma": {"betas": [1.0, 2.0, 5.0], "eps": [0.1], "m_bound": 2.0}},
     "var-rep": {"var_rep": {"replications": 2000}},
     "mdp-slope": {
@@ -38,7 +36,6 @@ CASES = {
         "replications": 100,
         "is_replications": 100,
         "n_cells": 32,
-        "n_cells_analysis": 200,
     },
     "mdp-slope-scalar": {
         "model": "scalar_benchmark",
@@ -46,7 +43,6 @@ CASES = {
         "replications": 100,
         "is_replications": 100,
         "n_cells": 32,
-        "n_cells_analysis": 200,
     },
     "simulate": {
         "model": "two_d_benchmark",
@@ -57,7 +53,7 @@ CASES = {
     },
     "rate": {
         "model": "two_d_benchmark",
-        "n_cells_analysis": 200,
+        "n_cells": 200,
         "rate_targets": [[0.5, -0.2]],
     },
     "pollutant": {
@@ -132,7 +128,7 @@ GOLDEN = {
     "rate": (0, {
         "rate_path_0.csv": "40d68a3afc0169711c38b4b597a6ed04163a3a613bba18eff6277f7200117a10",
         "rate_psi_0.csv": "a5838bdd3997e6310a6b2359006c7c286f475eedb1179e8470f18e7106645b79",
-        "rate_summary.csv": "5b6822080b87ebbfd346277767fcc2e322c6d4d5731d3f634d28bf794e9d9f9f",
+        "rate_summary.csv": "de5169a179d35c796b0fc225ea5a4c2e47f72e1a4616a0e2abdd514aefc701d4",
     }),
     "simulate": (0, {
         "paths/eps0_rep0.csv": "3343bc1f640fd51755a8f66d41e9b8084e5b6755da6503e1be603efb043600de",

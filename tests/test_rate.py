@@ -352,7 +352,7 @@ def test_sphere_rate_error_bounds_the_extrapolated_reference(name, extrapolated_
     model, reference = extrapolated_references[name]
     sysm = build_linearization(model, fluid_limit(model, 64)[0])
     assert not sysm.time_invariant
-    rate, zstar, error, sigma = sphere_rate(model, sysm, 1.0)
+    (rate,), zstar, (error,), sigma = sphere_rate(model, sysm, 1.0)
     assert abs(rate - reference) <= error <= 1e-8 * rate
     if name == "two_d_benchmark":
         assert abs(rate - reference) <= 1e-9 * reference
@@ -364,7 +364,7 @@ def test_sphere_rate_error_bounds_the_extrapolated_reference(name, extrapolated_
 def test_sphere_rate_of_a_time_invariant_system_is_sigma_t_as_is():
     sysm = linearize("scalar_benchmark", n_cells=64)
     sigma = gaussian_covariance(sysm)
-    rate, zstar, error, cov = sphere_rate(build_model("scalar_benchmark"), sysm, 1.5)
+    (rate,), zstar, (error,), cov = sphere_rate(build_model("scalar_benchmark"), sysm, 1.5)
     assert (rate, error) == (sphere_minimum(sigma, 1.5)[0], 0.0)
     assert np.array_equal(zstar, sphere_minimum(sigma, 1.5)[1]) and np.array_equal(cov, sigma)
     assert rate == pytest.approx(1.5**2 / (1.0 - math.exp(-2.0)), rel=1e-14)
@@ -429,6 +429,7 @@ def test_stiff_gramian_is_the_sampled_closed_form():
     assert abs(controllability_gramian(sysm)[0, 0] - w_exact) <= 1e-13 * w_exact
     sol = rate_to_point(sysm, np.array([1.0]))
     assert abs(sol.value - 1.0 / (2.0 * w_exact)) <= 1e-13 / (2.0 * w_exact)
+    assert abs(sol.value - 1.0 / 128.0) <= 1e-13 / 128.0  # W = 1/dt: the limit's rate is 1/3000
     assert np.isfinite(controllability_gramian(linearize("linear_gaussian"))).all()
 
 
